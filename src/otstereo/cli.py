@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,12 @@ from .errors import (
 from .kernel import build_kernel
 from .measures import DEFAULT_BALANCE_TOLERANCE, measure_from_row
 from .scene import CameraRig, load_scene, map_from_values, reconstruct, render_pair
-from .sinkhorn import SinkhornConfig, iteration_trace, sinkhorn
+from .sinkhorn import (
+    STOP_MAX_ITERATIONS,
+    SinkhornConfig,
+    iteration_trace,
+    sinkhorn,
+)
 
 STOP_FIXED_COUNT = "fixed-count"
 STOP_TOLERANCE = "tolerance"
@@ -45,9 +50,12 @@ class RunConfig:
     """Pipeline configuration shared by the solving subcommands.
 
     stop picks between running exactly niter iterations and stopping
-    once both scaling oscillations fall under stop_tolerance. Every
-    field can be set in a key=value config file; command-line flags
-    override file values.
+    once the odd plan's column marginal is within stop_tolerance of
+    its limit (max norm, in mass units of a unit-mass row). Log-domain
+    runs anneal epsilon down to the configured value first; the
+    schedule's iterations count toward niter. Every field can be set
+    in a key=value config file; command-line flags override file
+    values.
     """
 
     epsilon: float = 0.1
@@ -56,7 +64,7 @@ class RunConfig:
     balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
     mass_tolerance: float = 1e-3
     stop: str = STOP_TOLERANCE
-    stop_tolerance: float = 1e-9
+    stop_tolerance: float = 1e-6
     workers: int = 1
     out_dir: str = "."
 
@@ -74,6 +82,7 @@ class RunConfig:
             max_iterations=self.niter,
             stop_tolerance=tolerance,
             log_domain=self.log_domain,
+            anneal=self.log_domain,
         )
 
 
@@ -210,6 +219,16 @@ def cmd_disparity(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_map(out, result)
+    budget = [
+        info["y"] for info in result.diagnostics
+        if info.get("stop_reason") == STOP_MAX_ITERATIONS
+    ]
+    if budget:
+        print(
+            f"otstereo: scanlines {budget} stopped on the iteration budget "
+            "before converging",
+            file=sys.stderr,
+        )
     failed = [info["y"] for info in result.diagnostics if info["path"] == "failed"]
     if failed:
         # outputs are still written; the exit code flags the rows
@@ -247,7 +266,8 @@ def cmd_diagnose(args) -> int:
         raise ValueError(f"scanline {args.y} outside image of height {left.shape[0]}")
     nu0 = measure_from_row(right[args.y], require_mass=True)
     nu1 = measure_from_row(left[args.y], require_mass=True)
-    sk = config.sinkhorn_config()
+    # the series measures the contraction of the fixed-epsilon iteration
+    sk = replace(config.sinkhorn_config(), anneal=False)
     with warnings.catch_warnings():
         if sk.log_domain:
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -330,7 +350,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--stop-tolerance", dest="stop_tolerance", type=float,
-        help="oscillation threshold for --stop tolerance",
+        help="largest column-marginal violation (max norm, unit-mass rows) "
+        "at which --stop tolerance stops a solve; default 1e-6",
     )
     parser.add_argument("--workers", type=int, help="scanline worker threads")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")

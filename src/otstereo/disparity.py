@@ -31,6 +31,8 @@ from .measures import (
     measure_from_row,
 )
 from .sinkhorn import (
+    STOP_CONVERGED,
+    STOP_MAX_ITERATIONS,
     SinkhornConfig,
     TransportPlan,
     _as_values,
@@ -63,7 +65,9 @@ class OcclusionReport:
     content is hidden in the target view. object_shifts pairs each
     processed object's leftmost column with the raw disparity read
     there. compression_plateau is the repeated adjacent value of the
-    disparity increments, an estimate of 1 - 1/phi.
+    disparity increments, an estimate of 1 - 1/phi. iterations sums
+    the scaling iterations of the loop's sub-solves, and stop_reason
+    is max-iterations when any of them stopped on its budget.
     """
 
     y: int
@@ -71,6 +75,8 @@ class OcclusionReport:
     intervals: tuple[tuple[int, int], ...]
     object_shifts: tuple[tuple[int, float], ...]
     compression_plateau: float | None
+    iterations: int = 0
+    stop_reason: str = STOP_CONVERGED
 
 
 @dataclass(frozen=True)
@@ -223,14 +229,18 @@ def recover_occlusions(
     shifts: list[tuple[int, float]] = []
     plateau: float | None = None
     first_pass = True
+    solves = []
 
     def report() -> OcclusionReport:
+        budget = any(r.stop_reason == STOP_MAX_ITERATIONS for r in solves)
         return OcclusionReport(
             y=-1,
             phi=phi,
             intervals=tuple(intervals),
             object_shifts=tuple(shifts),
             compression_plateau=plateau,
+            iterations=sum(r.iterations for r in solves),
+            stop_reason=STOP_MAX_ITERATIONS if budget else STOP_CONVERGED,
         )
 
     while True:
@@ -239,9 +249,10 @@ def recover_occlusions(
         deficit = mass0 - mass1
         if deficit <= mass_tolerance:
             if mass0 > 0.0 and mass1 > 0.0:
-                plan, _, _ = sinkhorn(
+                plan, _, rep = sinkhorn(
                     remaining0 / mass0, remaining1 / mass1, kernel, config
                 )
+                solves.append(rep)
                 rest = disparity_profile(plan)
                 profile[rest.defined_mask] = rest.values[rest.defined_mask]
             break
@@ -259,6 +270,7 @@ def recover_occlusions(
         limits = shifted_sinkhorn(
             remaining0 / mass1, remaining1 / mass1, kernel, config
         )
+        solves.append(limits.report)
         f = disparity_profile(limits.odd)
         if first_pass:
             # the plateau is read off the exact matching of the mass
@@ -310,6 +322,11 @@ def recover_occlusions(
     return DisparityProfile(values=profile, defined_mask=defined), report()
 
 
+def _solve_facts(report: OcclusionReport) -> dict:
+    """Iteration count and stop reason of a peel loop's sub-solves."""
+    return {"iterations": report.iterations, "stop_reason": report.stop_reason}
+
+
 def _row_pipeline(
     right_row,
     left_row,
@@ -336,10 +353,17 @@ def _row_pipeline(
         occluded = np.zeros(d, dtype=bool)
         for lo, hi in report.intervals:
             occluded[lo : hi + 1] = True
-        info = {"path": "occlusion", "phi": report.phi, "lam": kernel.lam}
+        info = {"path": "occlusion", "phi": report.phi, "lam": kernel.lam,
+                **_solve_facts(report)}
         return prof.values, occluded, report, info
     # balanced rows, and the mirror case where content is hidden in
     # the source view: a plain solve; only the profile is extracted
+    if not cmp.balanced:
+        # with unequal masses the iteration converges to a uniform
+        # stretch of the matching, and annealing gets there and loses
+        # accuracy; the mirror rows keep the fixed-epsilon solve until
+        # they get their own recovery (ROADMAP item 5)
+        config = dataclasses.replace(config, anneal=False)
     plan, _, rep = sinkhorn(
         nu0.values / nu1.mass, nu1.values / nu1.mass, kernel, config
     )
@@ -394,7 +418,8 @@ def disparity_map(
         except UnresolvedOcclusionError as exc:
             nan = np.full(d, np.nan)
             none = np.zeros(d, dtype=bool)
-            return nan, none, exc.report, {"path": "failed", "error": str(exc)}
+            info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report)}
+            return nan, none, exc.report, info
 
     rows = list(unique.values())
     if workers > 1 and len(rows) > 1:

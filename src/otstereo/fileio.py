@@ -9,8 +9,13 @@ with float x, y, z, intensity vertex properties.
 from __future__ import annotations
 
 import json
+import math
+import re
 
 import numpy as np
+
+_COMMENT = re.compile(rb"#[^\n]*")
+_DIGITS_AND_SPACE = re.compile(rb"[0-9 \t\n\r\v\f]*")
 
 
 def _pgm_tokens(raw: bytes):
@@ -57,14 +62,15 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated P5 raster")
         values = np.frombuffer(data, dtype=np.uint8).astype(float)
     else:
-        flat = []
-        for token, _ in tokens:
-            flat.append(int(token))
-        if len(flat) != width * height:
+        raster = _COMMENT.sub(b"", raw[header_end:])
+        if not _DIGITS_AND_SPACE.fullmatch(raster):
+            raise ValueError(f"{path}: P2 raster holds a non-integer sample")
+        samples = raster.split()
+        if len(samples) != width * height:
             raise ValueError(
-                f"{path}: expected {width * height} samples, found {len(flat)}"
+                f"{path}: expected {width * height} samples, found {len(samples)}"
             )
-        values = np.array(flat, dtype=float)
+        values = np.array(samples, dtype=float)
     if values.max(initial=0.0) > maxval:
         raise ValueError(f"{path}: sample exceeds maxval {maxval}")
     return (values / maxval).reshape(height, width)
@@ -108,11 +114,10 @@ def write_csv(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {values.shape}")
+    fmt = "{:.9g}".format
     with open(path, "w", encoding="ascii") as handle:
-        for row in values:
-            handle.write(
-                ",".join("NaN" if not np.isfinite(v) else f"{v:.9g}" for v in row)
-            )
+        for row in values.tolist():
+            handle.write(",".join(fmt(v) if math.isfinite(v) else "NaN" for v in row))
             handle.write("\n")
 
 

@@ -5,11 +5,16 @@ Both a plain-domain and a log-domain variant are provided; they share
 the same fixed point, but only the log domain survives small blur
 values where kernel entries underflow. The unbalanced variant reads
 the even and odd iterate limits, which differ exactly by the mass
-quotient of the inputs.
+quotient of the inputs. The log domain can anneal: it iterates
+through a geometric epsilon schedule before the configured epsilon.
+A solve stops on the marginal violation of its odd plan, or on its
+iteration budget.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +31,34 @@ from .measures import ScanlineMeasure
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
 
+# Geometric epsilon schedule of the annealed log-domain solve (Schmitzer,
+# arXiv 1610.06519, section 3). It starts at the largest cost on the
+# support block, where the plan is close to the product of its marginals,
+# and shrinks by ANNEAL_FACTOR every ANNEAL_STAGE_ITERATIONS iterations
+# until it reaches the configured epsilon.
+ANNEAL_FACTOR = 0.7
+ANNEAL_STAGE_ITERATIONS = 20
+
 
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Knobs for one scaling solve.
 
-    stop_tolerance > 0 enables the early stop on the summed Hilbert
-    step of the two scaling vectors; zero reproduces a fixed
+    stop_tolerance > 0 stops the solve once the odd plan's column
+    marginal is within stop_tolerance of its limit in the max norm
+    (nu1 for sinkhorn, m0 * nu1 for shifted_sinkhorn), checked at
+    every iteration at the final epsilon; zero reproduces a fixed
     iteration count. epsilon must match the kernel the solve runs
-    against.
+    against. anneal runs the log-domain solve through the geometric
+    epsilon schedule above before iterating at epsilon; the schedule's
+    iterations count toward max_iterations. It requires log_domain.
     """
 
     epsilon: float
     max_iterations: int = 1000
     stop_tolerance: float = 0.0
     log_domain: bool = False
+    anneal: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -49,6 +67,8 @@ class SinkhornConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.stop_tolerance < 0.0:
             raise ValueError("stop_tolerance must be nonnegative")
+        if self.anneal and not self.log_domain:
+            raise ValueError("anneal requires log_domain")
 
 
 @dataclass(frozen=True)
@@ -95,9 +115,10 @@ class ConvergenceReport:
     """Per-solve diagnostics.
 
     hilbert_u and hilbert_v hold the Hilbert-metric step of each
-    update, measured on the positive support. marginal_violation is
-    the max-norm gap between the returned plan's column sums and the
-    target measure.
+    update, measured on the positive support, including the updates
+    of an epsilon schedule. marginal_violation is the max-norm gap
+    between the returned plan's column sums and their limit, the
+    quantity the tolerance stop tests.
     """
 
     iterations: int
@@ -166,13 +187,27 @@ def _check_inputs(nu0, nu1, kernel: GibbsKernel):
     return a, b
 
 
-def _log_kernel_block(support0: np.ndarray, support1: np.ndarray, epsilon: float) -> np.ndarray:
-    diff = support0[:, None].astype(float) - support1[None, :].astype(float)
-    return -(diff * diff) / epsilon
+class _Step(NamedTuple):
+    """One scaling iteration on the support block.
+
+    u pairs with v_prev in the odd plan and with v_raw in the even
+    plan, both against block; col is the odd plan's column marginal.
+    final is false while an epsilon schedule is still above the
+    configured epsilon.
+    """
+
+    u: np.ndarray
+    v_prev: np.ndarray
+    v_raw: np.ndarray
+    du: float
+    dv: float
+    col: np.ndarray
+    block: np.ndarray
+    final: bool
 
 
 def _iterate_plain(a_sub, K_sub, b_sub, drift):
-    """Yield (u, v_prev, v_raw, v, du, dv) per plain-domain iteration.
+    """Yield a _Step per plain-domain iteration.
 
     v is rescaled by the mass quotient after every update so that the
     vectors stay bounded for unbalanced inputs; the rescale cancels
@@ -196,7 +231,7 @@ def _iterate_plain(a_sub, K_sub, b_sub, drift):
         v_new = v_raw * drift
         du = _oscillation(np.log(u_new) - np.log(u))
         dv = _oscillation(np.log(v_new) - np.log(v))
-        yield u_new, v, v_raw, v_new, du, dv
+        yield _Step(u_new, v, v_raw, du, dv, b_sub * v / v_raw, K_sub, True)
         u, v = u_new, v_new
 
 
@@ -206,18 +241,43 @@ def _lse(matrix: np.ndarray, axis: int) -> np.ndarray:
     total = np.exp(matrix - shift).sum(axis=axis)
     return shift.reshape(total.shape) + np.log(total)
 
-def _iterate_log(la_sub, logK_sub, lb_sub, log_drift):
-    """Log-domain twin of _iterate_plain, yielding log vectors."""
+
+def _epsilon_schedule(epsilon: float, start: float, anneal: bool) -> list[float]:
+    """Stage epsilons; every stage but the last runs ANNEAL_STAGE_ITERATIONS."""
+    stages = []
+    if anneal:
+        eps = start
+        while eps > epsilon:
+            stages.append(eps)
+            eps *= ANNEAL_FACTOR
+    stages.append(epsilon)
+    return stages
+
+
+def _iterate_log(la_sub, cost, lb_sub, log_drift, epsilons):
+    """Log-domain twin of _iterate_plain over a schedule of epsilons.
+
+    Between stages the log scalings are rescaled by the ratio of the
+    epsilons, which keeps the dual potentials epsilon * log u fixed.
+    """
     lu = np.zeros_like(la_sub)
     lv = np.zeros_like(lb_sub)
-    while True:
-        lu_new = la_sub - _lse(logK_sub + lv[None, :], axis=1)
-        lv_raw = lb_sub - _lse(logK_sub + lu_new[:, None], axis=0)
-        lv_new = lv_raw + log_drift
-        du = _oscillation(lu_new - lu)
-        dv = _oscillation(lv_new - lv)
-        yield lu_new, lv, lv_raw, lv_new, du, dv
-        lu, lv = lu_new, lv_new
+    for k, eps in enumerate(epsilons):
+        final = k == len(epsilons) - 1
+        if k:
+            ratio = epsilons[k - 1] / eps
+            lu = lu * ratio
+            lv = lv * ratio
+        block = -cost / eps
+        for _ in itertools.count() if final else range(ANNEAL_STAGE_ITERATIONS):
+            lu_new = la_sub - _lse(block + lv[None, :], axis=1)
+            lv_raw = lb_sub - _lse(block + lu_new[:, None], axis=0)
+            lv_new = lv_raw + log_drift
+            du = _oscillation(lu_new - lu)
+            dv = _oscillation(lv_new - lv)
+            col = np.exp(lb_sub + lv - lv_raw)
+            yield _Step(lu_new, lv, lv_raw, du, dv, col, block, final)
+            lu, lv = lu_new, lv_new
 
 
 def _scatter_plan(block: np.ndarray, support0, support1, d: int) -> TransportPlan:
@@ -230,11 +290,9 @@ def _scatter_plan(block: np.ndarray, support0, support1, d: int) -> TransportPla
 class _Prepared:
     """Support-restricted problem plus a live iteration generator."""
 
-    a: np.ndarray
     b: np.ndarray
     support0: np.ndarray
     support1: np.ndarray
-    block: np.ndarray
     steps: object
     log_domain: bool
 
@@ -250,62 +308,70 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: 
     a_sub = a[support0]
     b_sub = b[support1]
     if log_domain:
-        block = _log_kernel_block(support0, support1, kernel.epsilon)
+        diff = support0[:, None].astype(float) - support1[None, :].astype(float)
+        cost = diff * diff
+        epsilons = _epsilon_schedule(kernel.epsilon, float(cost.max()), config.anneal)
         log_drift = np.log(a_sub.sum()) - np.log(b_sub.sum())
-        steps = _iterate_log(np.log(a_sub), block, np.log(b_sub), log_drift)
+        steps = _iterate_log(np.log(a_sub), cost, np.log(b_sub), log_drift, epsilons)
     else:
         block = kernel.entries[np.ix_(support0, support1)]
         drift = a_sub.sum() / b_sub.sum()
         steps = _iterate_plain(a_sub, block, b_sub, drift)
     return _Prepared(
-        a=a, b=b, support0=support0, support1=support1,
-        block=block, steps=steps, log_domain=log_domain,
+        b=b, support0=support0, support1=support1, steps=steps, log_domain=log_domain
     )
 
 
-def _run(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: bool):
+def _plan_block(u, block, v, log_domain: bool) -> np.ndarray:
+    if log_domain:
+        return np.exp(u[:, None] + block + v[None, :])
+    return u[:, None] * block * v[None, :]
+
+
+def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
     """Drive the scaling iteration and package plans plus report.
 
+    limit is the full-width vector the odd plan's column marginal
+    converges to; the tolerance stop compares against it. observe, if
+    given, is called with (iteration, step) after every iteration.
     Returns (odd_plan, even_plan, vectors, report); the odd plan pairs
     the final u with the previous v, so its row marginal is exactly
     nu0, while the even plan's column marginal is exactly nu1.
     """
-    prep = _prepare(nu0, nu1, kernel, config, log_domain)
-    b = prep.b
     support0, support1 = prep.support0, prep.support1
-    steps = prep.steps
+    limit_sub = limit[support1]
     d = kernel.d
 
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
     stop_reason = STOP_MAX_ITERATIONS
-    u = v_prev = v_raw = None
     iterations = 0
-    for u, v_prev, v_raw, v, du, dv in steps:
+    for step in prep.steps:
         iterations += 1
-        hilbert_u.append(du)
-        hilbert_v.append(dv)
-        if config.stop_tolerance > 0.0 and du + dv <= config.stop_tolerance:
+        hilbert_u.append(step.du)
+        hilbert_v.append(step.dv)
+        if observe is not None:
+            observe(iterations, step)
+        if (
+            config.stop_tolerance > 0.0
+            and step.final
+            and np.abs(step.col - limit_sub).max() <= config.stop_tolerance
+        ):
             stop_reason = STOP_CONVERGED
             break
         if iterations >= config.max_iterations:
             break
 
-    if log_domain:
-        odd_block = np.exp(u[:, None] + prep.block + v_prev[None, :])
-        even_block = np.exp(u[:, None] + prep.block + v_raw[None, :])
-        u_full = np.full(d, -np.inf)
-        v_full = np.full(d, -np.inf)
-    else:
-        odd_block = u[:, None] * prep.block * v_prev[None, :]
-        even_block = u[:, None] * prep.block * v_raw[None, :]
-        u_full = np.zeros(d)
-        v_full = np.zeros(d)
-    u_full[support0] = u
-    v_full[support1] = v_prev
+    odd_block = _plan_block(step.u, step.block, step.v_prev, prep.log_domain)
+    even_block = _plan_block(step.u, step.block, step.v_raw, prep.log_domain)
+    outside = -np.inf if prep.log_domain else 0.0
+    u_full = np.full(d, outside)
+    v_full = np.full(d, outside)
+    u_full[support0] = step.u
+    v_full[support1] = step.v_prev
     odd = _scatter_plan(odd_block, support0, support1, d)
     even = _scatter_plan(even_block, support0, support1, d)
-    violation = float(np.abs(odd.col_marginal - b).max())
+    violation = float(np.abs(odd.col_marginal - limit).max())
     report = ConvergenceReport(
         iterations=iterations,
         hilbert_u=hilbert_u,
@@ -314,7 +380,7 @@ def _run(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: bool
         lam=kernel.lam,
         stop_reason=stop_reason,
     )
-    vectors = ScalingVectors(u=u_full, v=v_full, log_domain=log_domain)
+    vectors = ScalingVectors(u=u_full, v=v_full, log_domain=prep.log_domain)
     return odd, even, vectors, report
 
 
@@ -335,7 +401,8 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     """
     if config.log_domain:
         return sinkhorn_log(nu0, nu1, kernel, config)
-    odd, _, vectors, report = _run(nu0, nu1, kernel, config, log_domain=False)
+    prep = _prepare(nu0, nu1, kernel, config, log_domain=False)
+    odd, _, vectors, report = _run(prep, kernel, config, prep.b)
     return odd, vectors, report
 
 
@@ -346,7 +413,8 @@ def sinkhorn_log(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     which the plain kernel underflows. Returns the same triple as
     sinkhorn, with log-domain ScalingVectors.
     """
-    odd, _, vectors, report = _run(nu0, nu1, kernel, config, log_domain=True)
+    prep = _prepare(nu0, nu1, kernel, config, log_domain=True)
+    odd, _, vectors, report = _run(prep, kernel, config, prep.b)
     return odd, vectors, report
 
 
@@ -358,7 +426,8 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
     to the entropic projection of the kernel for the rescaled source
     nu0 / m0 (column marginal exactly nu1), and the odd iterates to
     m0 times that plan (row marginal exactly nu0). Both limits share
-    one disparity profile.
+    one disparity profile. The tolerance stop therefore compares the
+    odd plan's column marginal with m0 * nu1.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
     m0 = float(a.sum())
@@ -369,7 +438,8 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
         raise WrongPathError(
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
-    odd, even, _, report = _run(a, b, kernel, config, log_domain=config.log_domain)
+    prep = _prepare(a, b, kernel, config, config.log_domain)
+    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
 
@@ -388,7 +458,9 @@ def iteration_trace(
     to reference_vectors and the sup-norm gap between the iterate's
     disparity values and reference_profile (a full-width vector, NaN
     where undefined). References typically come from a separate run
-    with a larger budget. Returns the records and the final odd plan.
+    with a larger budget. The solve stops by the same rule as
+    sinkhorn, so the records number its iterations. Returns the
+    records and the final odd plan.
     """
     prep = _prepare(nu0, nu1, kernel, config, config.log_domain)
     rows = prep.support0.astype(float)
@@ -403,42 +475,29 @@ def iteration_trace(
         ref_f = np.asarray(reference_profile, dtype=float)[prep.support0]
 
     records: list[IterationRecord] = []
-    u = v_prev = None
-    iterations = 0
-    for u, v_prev, v_raw, v, du, dv in prep.steps:
-        iterations += 1
-        if prep.log_domain:
-            odd_block = np.exp(u[:, None] + prep.block + v_prev[None, :])
-            lu = u
-        else:
-            odd_block = u[:, None] * prep.block * v_prev[None, :]
-            lu = np.log(u)
+
+    def record(iteration: int, step: _Step) -> None:
+        lu = step.u if prep.log_domain else np.log(step.u)
         u_error = float("nan")
         if ref_lu is not None:
             u_error = _oscillation(lu - ref_lu)
         profile_error = float("nan")
         if ref_f is not None:
+            odd_block = _plan_block(step.u, step.block, step.v_prev, prep.log_domain)
             f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
             good = np.isfinite(ref_f) & np.isfinite(f)
             profile_error = float(np.abs(f[good] - ref_f[good]).max()) if good.any() else 0.0
         records.append(
             IterationRecord(
-                iteration=iterations,
-                hilbert_u_step=du,
-                hilbert_v_step=dv,
+                iteration=iteration,
+                hilbert_u_step=step.du,
+                hilbert_v_step=step.dv,
                 u_error=u_error,
                 profile_error=profile_error,
             )
         )
-        if config.stop_tolerance > 0.0 and du + dv <= config.stop_tolerance:
-            break
-        if iterations >= config.max_iterations:
-            break
-    if prep.log_domain:
-        final_block = np.exp(u[:, None] + prep.block + v_prev[None, :])
-    else:
-        final_block = u[:, None] * prep.block * v_prev[None, :]
-    plan = _scatter_plan(final_block, prep.support0, prep.support1, kernel.d)
+
+    plan, _, _, _ = _run(prep, kernel, config, prep.b, observe=record)
     return records, plan
 
 

@@ -24,6 +24,15 @@ object = x0:21 width:20 shift:4 intensity:0.6
 
 FAST = ["--niter", "4000", "--stop-tolerance", "1e-9"]
 
+# the benchmark's wide frame: three balanced objects on a 640-wide row
+WIDE_BALANCED = """\
+width = 640
+height = 2
+object = x0:300 width:20 shift:6 intensity:0.5
+object = x0:324 width:16 shift:4 intensity:0.7
+object = x0:344 width:12 shift:3 intensity:0.4
+"""
+
 
 def generate(tmp_path, text, name="scene"):
     scene = tmp_path / f"{name}.txt"
@@ -90,6 +99,40 @@ def test_disparity_matches_generated_truth(tmp_path):
     assert {"iterations", "hilbert_u", "hilbert_v", "marginal_violation", "lam"} <= set(first)
 
 
+def test_default_disparity_converges_on_a_wide_balanced_row(tmp_path):
+    out = generate(tmp_path, WIDE_BALANCED)
+    run = tmp_path / "run"
+    code = main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--out-dir", str(run)])
+    assert code == 0
+    diag = json.loads((run / "diagnostics.json").read_text())
+    for row in diag["scanlines"]:
+        assert row["path"] == "balanced"
+        assert row["stop_reason"] == "converged"
+        assert row["iterations"] < 1000
+    got = fileio.read_csv(run / "disparity.csv")
+    truth = fileio.read_csv(out / "truth_disparity.csv")
+    defined = np.isfinite(truth)
+    assert np.array_equal(np.isfinite(got), defined)
+    assert np.abs(got[defined] - truth[defined]).max() <= 1e-3
+
+
+def test_budget_stops_are_named_on_stderr(tmp_path, capsys):
+    out = generate(tmp_path, OCCLUDED)
+    run = tmp_path / "run"
+    code = main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--niter", "30", "--out-dir", str(run)])
+    assert code == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["otstereo: scanlines [0, 1, 2, 3] stopped on the iteration "
+                   "budget before converging"]
+    # occlusion rows sum their sub-solves' iterations
+    for row in json.loads((run / "diagnostics.json").read_text())["scanlines"]:
+        assert row["path"] == "occlusion"
+        assert row["stop_reason"] == "max-iterations"
+        assert row["iterations"] >= 30
+
+
 def test_disparity_occlusion_report(tmp_path):
     out = generate(tmp_path, OCCLUDED)
     run = tmp_path / "run"
@@ -105,6 +148,8 @@ def test_disparity_occlusion_report(tmp_path):
     assert round(first["object_shifts"][0][1]) == 7
     got = fileio.read_csv(run / "disparity.csv")
     assert np.isnan(got[:, 21:23]).all()
+    diag = json.loads((run / "diagnostics.json").read_text())
+    assert {"iterations", "stop_reason"} <= set(diag["scanlines"][0])
 
 
 def test_disparity_round_trip_precision(tmp_path):

@@ -48,6 +48,10 @@ def test_pgm_header_comments_are_skipped(tmp_path):
         "P2\n2 2\n255\n0 0 0\n",
         "P2\n2 2\n255\n0 0 0 300\n",
         "P2\n2 two\n255\n0 0 0 0\n",
+        "P2\n2 2\n255\n0 x 0 0\n",
+        "P2\n2 2\n255\n0 1.5 0 0\n",
+        "P2\n2 2\n255\n0 -1 0 0\n",
+        "P2\n1 1\n255\n \n",
     ],
 )
 def test_bad_pgm_rejected(tmp_path, content):
@@ -55,6 +59,27 @@ def test_bad_pgm_rejected(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         fileio.read_pgm(path)
+
+
+def test_p2_raster_comments_are_skipped(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_text("P2\n# size\n3 2 # inline\n255\n1 2 3 # first row\n4 5\n#\n6\n")
+    assert np.array_equal(fileio.read_pgm(path) * 255.0, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_p2_read_matches_a_token_by_token_parse(tmp_path):
+    rng = np.random.default_rng(3)
+    levels = rng.integers(0, 256, size=(7, 13))
+    path = tmp_path / "img.pgm"
+    fileio.write_disparity_pgm(path, levels.astype(float))
+    tokens = [
+        int(token)
+        for line in path.read_text().splitlines()
+        for token in line.split("#", 1)[0].split()[(1 if line == "P2" else 0):]
+    ]
+    width, height, maxval, *samples = tokens
+    expected = np.array(samples, dtype=float).reshape(height, width) / maxval
+    assert np.array_equal(fileio.read_pgm(path), expected)
 
 
 def test_truncated_p5_rejected(tmp_path):
@@ -73,6 +98,26 @@ def test_csv_round_trip_with_nan(tmp_path):
     again = fileio.read_csv(path)
     # 9 significant digits survive the trip
     assert np.allclose(again, values, rtol=1e-8, equal_nan=True)
+
+
+def test_csv_spells_every_non_finite_value_nan(tmp_path):
+    values = np.array([[np.inf, -np.inf, np.nan], [-0.0, 1.0 / 3.0, -2.5e-7]])
+    path = tmp_path / "grid.csv"
+    fileio.write_csv(path, values)
+    assert path.read_text() == "NaN,NaN,NaN\n-0,0.333333333,-2.5e-07\n"
+
+
+def test_csv_matches_per_element_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.normal(scale=100.0, size=(6, 9)) * 10.0 ** rng.integers(-8, 8, size=(6, 9))
+    values[rng.uniform(size=values.shape) < 0.2] = np.nan
+    path = tmp_path / "grid.csv"
+    fileio.write_csv(path, values)
+    expected = "".join(
+        ",".join("NaN" if not np.isfinite(v) else f"{v:.9g}" for v in row) + "\n"
+        for row in values
+    )
+    assert path.read_text() == expected
 
 
 def test_csv_reports_ragged_row_index(tmp_path):

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from otstereo.cli import RunConfig
 from otstereo.disparity import disparity_map, estimate_phi, recover_occlusions
 from otstereo.errors import UnresolvedOcclusionError, WrongPathError
 from otstereo.kernel import build_kernel
@@ -168,6 +171,23 @@ def test_map_mirror_rows_take_profile_only_path():
     assert result.diagnostics[0]["path"] == "unbalanced-mirror"
     assert result.reports == ()
     assert np.isfinite(result.values[0, 5:15]).all()
+
+
+def test_mirror_rows_keep_the_fixed_epsilon_solve():
+    left = np.zeros((1, 50))
+    left[:, 5:15] = 0.5
+    left[:, 30:36] = 0.4
+    right = np.zeros((1, 50))
+    right[:, 5:15] = 0.5
+    annealed = RunConfig(niter=2000).sinkhorn_config()
+    assert annealed.anneal
+    fixed = dataclasses.replace(annealed, anneal=False)
+    result = disparity_map(left, right, annealed)
+    reference = disparity_map(left, right, fixed)
+    assert result.diagnostics[0]["path"] == "unbalanced-mirror"
+    assert result.diagnostics == reference.diagnostics
+    assert result.diagnostics[0]["stop_reason"] == "max-iterations"
+    assert np.array_equal(result.values, reference.values, equal_nan=True)
 
 
 def test_map_rejects_mismatched_shapes():

@@ -74,3 +74,19 @@ def test_target_must_be_probability():
     a = np.full(4, 0.5)
     with pytest.raises(ValueError):
         shifted_sinkhorn(a, a, kern, SinkhornConfig(1.0))
+
+
+@pytest.mark.parametrize("anneal", [False, True])
+def test_tolerance_stop_fires_on_the_scaled_target(anneal):
+    rng = np.random.default_rng(12)
+    m0 = 1.4
+    a, b = unbalanced_pair(rng, 7, m0)
+    kern = build_kernel(7, 0.5)
+    config = SinkhornConfig(0.5, max_iterations=100000, stop_tolerance=1e-10,
+                            log_domain=True, anneal=anneal)
+    limits = shifted_sinkhorn(a, b, kern, config)
+    assert limits.report.stop_reason == "converged"
+    assert limits.report.iterations < 100000
+    # the odd plan's column marginal converges to m0 * nu1, not nu1
+    assert np.abs(limits.odd.col_marginal - m0 * b).max() <= 1e-10
+    assert limits.report.marginal_violation <= 1e-10

@@ -75,7 +75,53 @@ def test_tolerance_stop_reports_convergence():
     assert report.stop_reason == "converged"
     assert report.iterations < 100000
     assert len(report.hilbert_u) == report.iterations
-    assert report.hilbert_u[-1] + report.hilbert_v[-1] <= 1e-12
+    assert report.marginal_violation <= 1e-12
+
+
+def test_annealed_solve_matches_long_fixed_epsilon_solve():
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        d = int(rng.integers(5, 13))
+        eps = float(rng.uniform(0.3, 1.0))
+        kern = build_kernel(d, eps)
+        a = random_probability(rng, d, zeros=int(rng.integers(0, 3)))
+        b = random_probability(rng, d, zeros=int(rng.integers(0, 3)))
+        fixed = SinkhornConfig(eps, max_iterations=200000, stop_tolerance=1e-13,
+                               log_domain=True)
+        annealed = SinkhornConfig(eps, max_iterations=200000, stop_tolerance=1e-10,
+                                  log_domain=True, anneal=True)
+        reference, _, _ = sinkhorn(a, b, kern, fixed)
+        plan, _, report = sinkhorn(a, b, kern, annealed)
+        assert report.stop_reason == "converged"
+        assert report.marginal_violation <= 1e-10
+        assert np.abs(plan.entries - reference.entries).max() < 1e-8
+
+
+def test_annealing_iterations_count_toward_the_budget():
+    kern = build_kernel(8, 0.5)
+    a = np.full(8, 1 / 8)
+    b = np.roll(a, 3)
+    config = SinkhornConfig(0.5, max_iterations=30, stop_tolerance=1e-6,
+                            log_domain=True, anneal=True)
+    plan, _, report = sinkhorn(a, b, kern, config)
+    # the schedule from epsilon 49 down to 0.5 alone takes 13 stages of 20
+    assert report.stop_reason == "max-iterations"
+    assert report.iterations == len(report.hilbert_u) == 30
+    assert np.allclose(plan.row_marginal, a, atol=1e-13)
+
+
+def test_unequal_masses_never_report_convergence():
+    rng = np.random.default_rng(31)
+    kern = build_kernel(6, 1.0)
+    a = 0.8 * random_probability(rng, 6)
+    b = random_probability(rng, 6)
+    for log_domain in (False, True):
+        config = SinkhornConfig(1.0, max_iterations=2000, stop_tolerance=1e-3,
+                                log_domain=log_domain, anneal=log_domain)
+        _, _, report = sinkhorn(a, b, kern, config)
+        assert report.stop_reason == "max-iterations"
+        assert report.iterations == 2000
+        assert report.marginal_violation > 1e-3
 
 
 def test_plain_and_log_domains_agree():
@@ -163,6 +209,8 @@ def test_config_validation():
         SinkhornConfig(epsilon=1.0, max_iterations=0)
     with pytest.raises(ValueError):
         SinkhornConfig(epsilon=1.0, stop_tolerance=-1.0)
+    with pytest.raises(ValueError):
+        SinkhornConfig(epsilon=1.0, anneal=True)
 
 
 def test_project_rows_scales_each_row():
