@@ -7,8 +7,8 @@ lifts a disparity grid to a point cloud, and `diagnose` records the
 per-iteration behaviour of a single scanline.
 
 All outputs are deterministic for a fixed input and configuration:
-scanlines are solved in a fixed order (worker pools only change the
-schedule, not the merge order) and no timestamps are written.
+scanlines are solved one after another in a fixed order and no
+timestamps are written.
 
 Exit codes: 0 on success, 1 for input or configuration errors, 2 for
 numerical failures such as an unresolved occlusion or a plain-domain
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -41,21 +40,17 @@ from .sinkhorn import (
     sinkhorn,
 )
 
-STOP_FIXED_COUNT = "fixed-count"
-STOP_TOLERANCE = "tolerance"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Pipeline configuration shared by the solving subcommands.
 
-    stop picks between running exactly niter iterations and stopping
-    once the odd plan's column marginal is within stop_tolerance of
-    its limit (max norm, in mass units of a unit-mass row). Log-domain
-    runs anneal epsilon down to the configured value first; the
-    schedule's iterations count toward niter. Every field can be set
-    in a key=value config file; command-line flags override file
-    values.
+    A solve stops once the odd plan's column marginal is within
+    stop_tolerance of its limit (max norm, in mass units of a
+    unit-mass row); stop_tolerance 0 runs exactly niter iterations.
+    Log-domain runs anneal epsilon down to the configured value
+    first; the schedule's iterations count toward niter. Every field
+    can be set in a key=value config file; command-line flags
+    override file values.
     """
 
     epsilon: float = 0.1
@@ -63,24 +58,17 @@ class RunConfig:
     log_domain: bool = True
     balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
     mass_tolerance: float = 1e-3
-    stop: str = STOP_TOLERANCE
     stop_tolerance: float = 1e-6
-    workers: int = 1
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.stop not in (STOP_FIXED_COUNT, STOP_TOLERANCE):
-            raise ValueError(f"unknown stop mode {self.stop!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         self.sinkhorn_config()
 
     def sinkhorn_config(self) -> SinkhornConfig:
-        tolerance = 0.0 if self.stop == STOP_FIXED_COUNT else self.stop_tolerance
         return SinkhornConfig(
             epsilon=self.epsilon,
             max_iterations=self.niter,
-            stop_tolerance=tolerance,
+            stop_tolerance=self.stop_tolerance,
             log_domain=self.log_domain,
             anneal=self.log_domain,
         )
@@ -103,9 +91,7 @@ _CONFIG_PARSERS = {
     "log_domain": _parse_bool,
     "balance_tolerance": float,
     "mass_tolerance": float,
-    "stop": str.strip,
     "stop_tolerance": float,
-    "workers": int,
     "out_dir": str.strip,
 }
 
@@ -214,7 +200,6 @@ def cmd_disparity(args) -> int:
         config.sinkhorn_config(),
         balance_tolerance=config.balance_tolerance,
         mass_tolerance=config.mass_tolerance,
-        workers=config.workers,
     )
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -268,10 +253,7 @@ def cmd_diagnose(args) -> int:
     nu1 = measure_from_row(left[args.y], require_mass=True)
     # the series measures the contraction of the fixed-epsilon iteration
     sk = replace(config.sinkhorn_config(), anneal=False)
-    with warnings.catch_warnings():
-        if sk.log_domain:
-            warnings.simplefilter("ignore", RuntimeWarning)
-        kernel = build_kernel(left.shape[1], sk.epsilon)
+    kernel = build_kernel(left.shape[1], sk.epsilon)
 
     # the reference is this very run's endpoint, so the series shows
     # the distance still to travel at each iteration
@@ -345,15 +327,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="absolute mass left unexplained by occlusion recovery",
     )
     parser.add_argument(
-        "--stop", choices=(STOP_FIXED_COUNT, STOP_TOLERANCE),
-        help="run exactly niter iterations, or stop at stop-tolerance",
-    )
-    parser.add_argument(
         "--stop-tolerance", dest="stop_tolerance", type=float,
         help="largest column-marginal violation (max norm, unit-mass rows) "
-        "at which --stop tolerance stops a solve; default 1e-6",
+        "at which a solve stops; default 1e-6, 0 runs exactly niter iterations",
     )
-    parser.add_argument("--workers", type=int, help="scanline worker threads")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.set_defaults(log_domain=None)
 

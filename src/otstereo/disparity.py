@@ -11,8 +11,6 @@ hidden interval by mass accounting.
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +52,6 @@ class DisparityProfile:
 
     values: np.ndarray
     defined_mask: np.ndarray
-    y: int = -1
 
 
 @dataclass(frozen=True)
@@ -81,30 +78,44 @@ class OcclusionReport:
 
 @dataclass(frozen=True)
 class DisparityMap:
-    """Stacked per-scanline profiles for a full image pair.
+    """Per-pixel disparity of a full image pair, one row per scanline.
 
-    no_data marks empty scanlines, columns without source mass, and
-    recovered occluded intervals; occluded marks the latter alone.
+    values is an (h, d) array, NaN where there is no data: empty
+    scanlines, columns without source mass, and recovered occluded
+    intervals. occluded marks the latter alone and defaults to none.
     """
 
-    width: int
-    height: int
-    profiles: tuple[DisparityProfile, ...]
-    no_data: np.ndarray
-    occluded: np.ndarray
-    reports: tuple[OcclusionReport, ...]
-    diagnostics: tuple[dict, ...]
+    values: np.ndarray
+    occluded: np.ndarray | None = None
+    reports: tuple[OcclusionReport, ...] = ()
+    diagnostics: tuple[dict, ...] = ()
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {values.shape}")
+        object.__setattr__(self, "values", values)
+        if self.occluded is None:
+            object.__setattr__(self, "occluded", np.zeros(values.shape, dtype=bool))
 
     @property
-    def values(self) -> np.ndarray:
-        return np.stack([p.values for p in self.profiles])
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
 
     @property
     def defined_mask(self) -> np.ndarray:
-        return ~self.no_data
+        return np.isfinite(self.values)
+
+    @property
+    def no_data(self) -> np.ndarray:
+        return ~self.defined_mask
 
 
-def disparity_profile(plan, y: int = -1) -> DisparityProfile:
+def disparity_profile(plan) -> DisparityProfile:
     """Row barycenter minus row index, where the row has mass."""
     entries = plan.entries if isinstance(plan, TransportPlan) else np.asarray(plan, float)
     n, m = entries.shape
@@ -115,7 +126,7 @@ def disparity_profile(plan, y: int = -1) -> DisparityProfile:
     values[defined] = (entries[defined] @ cols) / row_mass[defined] - np.flatnonzero(
         defined
     ).astype(float)
-    return DisparityProfile(values=values, defined_mask=defined, y=y)
+    return DisparityProfile(values=values, defined_mask=defined)
 
 
 def compression(profile: DisparityProfile) -> np.ndarray:
@@ -167,19 +178,11 @@ def estimate_phi(delta, plateau_tolerance: float = DEFAULT_PLATEAU_TOLERANCE) ->
     return 1.0 / (1.0 - value)
 
 
-def _support_runs(values: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal contiguous runs of positive entries, left to right."""
-    runs = []
-    start = None
-    for i, v in enumerate(values):
-        if v > 0.0 and start is None:
-            start = i
-        elif v <= 0.0 and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(values) - 1))
-    return runs
+def mask_runs(mask) -> list[tuple[int, int]]:
+    """Inclusive (start, end) of each maximal run of true entries, left to right."""
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
+    return [(lo, hi - 1) for lo, hi in zip(edges[::2], edges[1::2])]
 
 
 def _run_containing(runs: list[tuple[int, int]], col: int) -> tuple[int, int] | None:
@@ -256,7 +259,7 @@ def recover_occlusions(
                 rest = disparity_profile(plan)
                 profile[rest.defined_mask] = rest.values[rest.defined_mask]
             break
-        runs = _support_runs(remaining0)
+        runs = mask_runs(remaining0 > 0.0)
         if not runs:
             raise UnresolvedOcclusionError(
                 f"mass surplus {deficit:.6f} left with no objects to attribute it to",
@@ -290,7 +293,7 @@ def recover_occlusions(
         shift = int(round(shift_raw))
         shifts.append((i0, shift_raw))
 
-        target_runs = _support_runs(remaining1)
+        target_runs = mask_runs(remaining1 > 0.0)
         image_run = _run_containing(target_runs, min(max(i0 + shift, 0), d - 1))
         width = i1 - i0 + 1
         occludes = (
@@ -386,7 +389,6 @@ def disparity_map(
     config: SinkhornConfig,
     balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE,
     mass_tolerance: float = DEFAULT_MASS_TOLERANCE,
-    workers: int = 1,
 ) -> DisparityMap:
     """Per-scanline disparity for a rectified stereo pair.
 
@@ -400,15 +402,7 @@ def disparity_map(
     if left.ndim != 2 or left.shape != right.shape:
         raise ValueError(f"incompatible image shapes {left.shape} and {right.shape}")
     h, d = left.shape
-    with warnings.catch_warnings():
-        if config.log_domain:
-            warnings.simplefilter("ignore", RuntimeWarning)
-        kernel = build_kernel(d, config.epsilon)
-
-    keys = [(right[y].tobytes(), left[y].tobytes()) for y in range(h)]
-    unique: dict = {}
-    for y, key in enumerate(keys):
-        unique.setdefault(key, y)
+    kernel = build_kernel(d, config.epsilon)
 
     def solve(y):
         try:
@@ -421,36 +415,17 @@ def disparity_map(
             info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report)}
             return nan, none, exc.report, info
 
-    rows = list(unique.values())
-    if workers > 1 and len(rows) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = pool.map(solve, rows)
-    else:
-        solved = map(solve, rows)
-    cache = dict(zip([keys[y] for y in rows], solved))
-
-    profiles = []
+    values = np.empty((h, d))
     occluded = np.zeros((h, d), dtype=bool)
     reports = []
     diagnostics = []
+    cache: dict = {}
     for y in range(h):
-        row_values, row_occluded, report, info = cache[keys[y]]
-        profiles.append(
-            DisparityProfile(
-                values=row_values, defined_mask=np.isfinite(row_values), y=y
-            )
-        )
-        occluded[y] = row_occluded
+        key = (right[y].tobytes(), left[y].tobytes())
+        if key not in cache:
+            cache[key] = solve(y)
+        values[y], occluded[y], report, info = cache[key]
         if report is not None:
             reports.append(dataclasses.replace(report, y=y))
         diagnostics.append({"y": y, **info})
-    no_data = ~np.stack([p.defined_mask for p in profiles])
-    return DisparityMap(
-        width=d,
-        height=h,
-        profiles=tuple(profiles),
-        no_data=no_data,
-        occluded=occluded,
-        reports=tuple(reports),
-        diagnostics=tuple(diagnostics),
-    )
+    return DisparityMap(values, occluded, tuple(reports), tuple(diagnostics))

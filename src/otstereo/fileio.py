@@ -76,17 +76,21 @@ def read_pgm(path) -> np.ndarray:
     return (values / maxval).reshape(height, width)
 
 
+def _write_p2(path, levels: np.ndarray, comment: str | None = None) -> None:
+    """Write 0-255 integer levels as an ASCII P2 image, comment after the magic."""
+    h, w = levels.shape
+    lines = ["P2", *([f"# {comment}"] if comment else []), f"{w} {h}", "255"]
+    lines.extend(" ".join(map(str, row)) for row in levels.tolist())
+    with open(path, "w", encoding="ascii") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_pgm(path, image: np.ndarray) -> None:
     """Write intensities in [0, 1] as an ASCII P2 image."""
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
-    levels = np.clip(np.rint(image * 255.0), 0, 255).astype(int)
-    h, w = image.shape
-    lines = [f"P2", f"{w} {h}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in levels)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_p2(path, np.clip(np.rint(image * 255.0), 0, 255).astype(int))
 
 
 def write_disparity_pgm(path, values: np.ndarray) -> None:
@@ -102,11 +106,7 @@ def write_disparity_pgm(path, values: np.ndarray) -> None:
     scale = 255.0 / peak if peak > 0 else 1.0
     levels = np.zeros(values.shape, dtype=int)
     levels[finite] = np.clip(np.rint(values[finite] * scale), 0, 255).astype(int)
-    h, w = values.shape
-    lines = [f"P2", f"# disparity-scale {scale:.9g}", f"{w} {h}", "255"]
-    lines.extend(" ".join(str(v) for v in row) for row in levels)
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_p2(path, levels, f"disparity-scale {scale:.9g}")
 
 
 def write_csv(path, values: np.ndarray) -> None:

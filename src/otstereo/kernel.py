@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,25 +19,27 @@ from .errors import DimensionMismatchError, SupportMismatchError
 
 @dataclass(frozen=True)
 class GibbsKernel:
-    """Dense quadratic-cost kernel on a d-column pixel grid.
+    """Quadratic-cost kernel on a d-column pixel grid.
 
     eta is the extremal cross ratio max K_ij K_kl / (K_kj K_il); for
     this kernel it equals exp(2 (d-1)^2 / epsilon), attained at the
     corner indices, so only its logarithm is stored. The contraction
     factor lam = (sqrt(eta) - 1) / (sqrt(eta) + 1) is computed from
     the exponent directly and stays finite for every image width.
+    The dense d x d entries are built on first read; the log-domain
+    solvers never read them.
     """
 
-    entries: np.ndarray
     epsilon: float
     d: int
-    log_eta: float
-    underflowed: bool = False
+    log_eta: float = field(init=False)
     lam: float = field(init=False)
 
     def __post_init__(self):
+        log_eta = 2.0 * (self.d - 1) ** 2 / self.epsilon
+        object.__setattr__(self, "log_eta", log_eta)
         # tanh(t/2) == (e^t - 1) / (e^t + 1) with t = log(sqrt(eta))
-        object.__setattr__(self, "lam", math.tanh(self.log_eta / 4.0))
+        object.__setattr__(self, "lam", math.tanh(log_eta / 4.0))
 
     @property
     def eta(self) -> float:
@@ -46,41 +49,46 @@ class GibbsKernel:
         except OverflowError:
             return float("inf")
 
-    @property
+    @cached_property
     def log_entries(self) -> np.ndarray:
         """Exact logarithm -(i-j)^2 / epsilon, free of underflow."""
         idx = np.arange(self.d, dtype=float)
         diff = idx[:, None] - idx[None, :]
-        return -(diff * diff) / self.epsilon
+        log_entries = -(diff * diff) / self.epsilon
+        log_entries.flags.writeable = False  # shared by every reader
+        return log_entries
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense kernel exp(-(i-j)^2 / epsilon).
+
+        Emits a RuntimeWarning when off-diagonal entries underflow to
+        zero in double precision.
+        """
+        entries = np.exp(self.log_entries)
+        if np.any(entries == 0.0):
+            warnings.warn(
+                f"kernel entries underflow for epsilon={self.epsilon} at width {self.d}; "
+                "use the log-domain solver",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        entries.flags.writeable = False  # shared by every reader
+        return entries
+
+    @property
+    def underflowed(self) -> bool:
+        """Whether some dense entry is zero; builds the entries."""
+        return bool(np.any(self.entries == 0.0))
 
 
 def build_kernel(d: int, epsilon: float) -> GibbsKernel:
-    """Build the quadratic-cost Gibbs kernel for d columns.
-
-    Emits a RuntimeWarning when off-diagonal entries underflow to
-    zero in double precision; the log-domain solver is unaffected
-    because it works with the exponents.
-    """
+    """Validate the width and blur and return their Gibbs kernel."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"kernel size must be a positive integer, got {d!r}")
     if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    epsilon = float(epsilon)
-    idx = np.arange(d, dtype=float)
-    diff = idx[:, None] - idx[None, :]
-    entries = np.exp(-(diff * diff) / epsilon)
-    underflowed = bool(np.any(entries == 0.0))
-    if underflowed:
-        warnings.warn(
-            f"kernel entries underflow for epsilon={epsilon} at width {d}; "
-            "use the log-domain solver",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    log_eta = 2.0 * (d - 1) ** 2 / epsilon
-    return GibbsKernel(
-        entries=entries, epsilon=epsilon, d=int(d), log_eta=log_eta, underflowed=underflowed
-    )
+    return GibbsKernel(epsilon=float(epsilon), d=int(d))
 
 
 def hilbert_distance(u, v) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disparity import DisparityMap, DisparityProfile
+from .disparity import DisparityMap, mask_runs
 from .errors import OutOfFrameError, SceneFormatError
 
 
@@ -118,21 +118,6 @@ class RenderedPair:
     non_occluded: bool
 
 
-def _intervals(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (start, end) runs of a boolean vector."""
-    out = []
-    start = None
-    for i, flag in enumerate(mask):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            out.append((start, i - 1))
-            start = None
-    if start is not None:
-        out.append((start, len(mask) - 1))
-    return out
-
-
 def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     """Project a scene into both views and derive its ground truth.
 
@@ -194,29 +179,14 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
                 hidden_l[xl] = True
         if hidden_r.any() or hidden_l.any():
             hidden[y] = {
-                "right_frame": _intervals(hidden_r),
-                "left_frame": _intervals(hidden_l),
+                "right_frame": mask_runs(hidden_r),
+                "left_frame": mask_runs(hidden_l),
             }
 
-    profiles = tuple(
-        DisparityProfile(
-            values=truth_values[y], defined_mask=np.isfinite(truth_values[y]), y=y
-        )
-        for y in range(h)
-    )
-    truth = DisparityMap(
-        width=d,
-        height=h,
-        profiles=profiles,
-        no_data=~np.isfinite(truth_values),
-        occluded=occluded,
-        reports=(),
-        diagnostics=(),
-    )
     return RenderedPair(
         left=left,
         right=right,
-        truth=truth,
+        truth=DisparityMap(truth_values, occluded),
         hidden=hidden,
         non_occluded=not hidden,
     )
@@ -254,23 +224,7 @@ def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray
 
 def map_from_values(values: np.ndarray) -> DisparityMap:
     """Wrap a plain (h, d) disparity array, NaN meaning no data."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-    h, d = values.shape
-    profiles = tuple(
-        DisparityProfile(values=values[y], defined_mask=np.isfinite(values[y]), y=y)
-        for y in range(h)
-    )
-    return DisparityMap(
-        width=d,
-        height=h,
-        profiles=profiles,
-        no_data=~np.isfinite(values),
-        occluded=np.zeros((h, d), dtype=bool),
-        reports=(),
-        diagnostics=(),
-    )
+    return DisparityMap(values)
 
 
 _SCENE_SCALARS = {"width", "height", "baseline", "focal", "beta"}

@@ -13,7 +13,7 @@ iteration budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -294,10 +294,9 @@ class _Prepared:
     support0: np.ndarray
     support1: np.ndarray
     steps: object
-    log_domain: bool
 
 
-def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: bool) -> _Prepared:
+def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared:
     a, b = _check_inputs(nu0, nu1, kernel)
     if abs(config.epsilon - kernel.epsilon) > 1e-12 * max(config.epsilon, kernel.epsilon):
         raise ValueError(
@@ -307,7 +306,7 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: 
     support1 = np.flatnonzero(b > 0.0)
     a_sub = a[support0]
     b_sub = b[support1]
-    if log_domain:
+    if config.log_domain:
         diff = support0[:, None].astype(float) - support1[None, :].astype(float)
         cost = diff * diff
         epsilons = _epsilon_schedule(kernel.epsilon, float(cost.max()), config.anneal)
@@ -317,9 +316,7 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, log_domain: 
         block = kernel.entries[np.ix_(support0, support1)]
         drift = a_sub.sum() / b_sub.sum()
         steps = _iterate_plain(a_sub, block, b_sub, drift)
-    return _Prepared(
-        b=b, support0=support0, support1=support1, steps=steps, log_domain=log_domain
-    )
+    return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
 
 
 def _plan_block(u, block, v, log_domain: bool) -> np.ndarray:
@@ -362,9 +359,9 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         if iterations >= config.max_iterations:
             break
 
-    odd_block = _plan_block(step.u, step.block, step.v_prev, prep.log_domain)
-    even_block = _plan_block(step.u, step.block, step.v_raw, prep.log_domain)
-    outside = -np.inf if prep.log_domain else 0.0
+    odd_block = _plan_block(step.u, step.block, step.v_prev, config.log_domain)
+    even_block = _plan_block(step.u, step.block, step.v_raw, config.log_domain)
+    outside = -np.inf if config.log_domain else 0.0
     u_full = np.full(d, outside)
     v_full = np.full(d, outside)
     u_full[support0] = step.u
@@ -380,7 +377,7 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         lam=kernel.lam,
         stop_reason=stop_reason,
     )
-    vectors = ScalingVectors(u=u_full, v=v_full, log_domain=prep.log_domain)
+    vectors = ScalingVectors(u=u_full, v=v_full, log_domain=config.log_domain)
     return odd, even, vectors, report
 
 
@@ -391,17 +388,14 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         nu0: source measure, the rows of the returned plan.
         nu1: target measure, the columns.
         kernel: Gibbs kernel built for the same width and epsilon.
-        config: iteration budget and stopping rule; its log_domain
-            flag dispatches to sinkhorn_log.
+        config: iteration budget, stopping rule and domain.
 
     Returns:
         (TransportPlan, ScalingVectors, ConvergenceReport). The plan
         is the odd iterate, whose row marginal equals nu0 exactly;
         the report records how far its column marginal is from nu1.
     """
-    if config.log_domain:
-        return sinkhorn_log(nu0, nu1, kernel, config)
-    prep = _prepare(nu0, nu1, kernel, config, log_domain=False)
+    prep = _prepare(nu0, nu1, kernel, config)
     odd, _, vectors, report = _run(prep, kernel, config, prep.b)
     return odd, vectors, report
 
@@ -413,9 +407,7 @@ def sinkhorn_log(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     which the plain kernel underflows. Returns the same triple as
     sinkhorn, with log-domain ScalingVectors.
     """
-    prep = _prepare(nu0, nu1, kernel, config, log_domain=True)
-    odd, _, vectors, report = _run(prep, kernel, config, prep.b)
-    return odd, vectors, report
+    return sinkhorn(nu0, nu1, kernel, replace(config, log_domain=True))
 
 
 def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> ShiftedLimits:
@@ -438,7 +430,7 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
         raise WrongPathError(
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
-    prep = _prepare(a, b, kernel, config, config.log_domain)
+    prep = _prepare(a, b, kernel, config)
     odd, even, _, report = _run(prep, kernel, config, m0 * prep.b)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
@@ -462,7 +454,7 @@ def iteration_trace(
     sinkhorn, so the records number its iterations. Returns the
     records and the final odd plan.
     """
-    prep = _prepare(nu0, nu1, kernel, config, config.log_domain)
+    prep = _prepare(nu0, nu1, kernel, config)
     rows = prep.support0.astype(float)
     cols = prep.support1.astype(float)
 
@@ -477,13 +469,13 @@ def iteration_trace(
     records: list[IterationRecord] = []
 
     def record(iteration: int, step: _Step) -> None:
-        lu = step.u if prep.log_domain else np.log(step.u)
+        lu = step.u if config.log_domain else np.log(step.u)
         u_error = float("nan")
         if ref_lu is not None:
             u_error = _oscillation(lu - ref_lu)
         profile_error = float("nan")
         if ref_f is not None:
-            odd_block = _plan_block(step.u, step.block, step.v_prev, prep.log_domain)
+            odd_block = _plan_block(step.u, step.block, step.v_prev, config.log_domain)
             f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
             good = np.isfinite(ref_f) & np.isfinite(f)
             profile_error = float(np.abs(f[good] - ref_f[good]).max()) if good.any() else 0.0
@@ -501,6 +493,27 @@ def iteration_trace(
     return records, plan
 
 
+def _project(gamma, marginal, axis: int) -> TransportPlan:
+    """Scale the plan along axis (0: rows, 1: columns) to the marginal."""
+    entries = _as_entries(gamma)
+    target = _as_values(marginal)
+    lines = ("rows", "columns")[axis]
+    if entries.shape[axis] != target.shape[0]:
+        raise DimensionMismatchError(
+            f"plan with {entries.shape[axis]} {lines} against a marginal of length {target.shape[0]}"
+        )
+    sums = entries.sum(axis=1 - axis)
+    bad = (target > 0.0) & (sums == 0.0)
+    if np.any(bad):
+        raise InfeasibleProjectionError(
+            f"{lines} {np.flatnonzero(bad).tolist()} have no mass to carry the requested marginal"
+        )
+    scale = np.zeros_like(target)
+    positive = sums > 0.0
+    scale[positive] = target[positive] / sums[positive]
+    return TransportPlan(entries * np.expand_dims(scale, 1 - axis))
+
+
 def project_rows(gamma, mu) -> TransportPlan:
     """Scale each row of a plan to match the row marginal mu.
 
@@ -508,42 +521,12 @@ def project_rows(gamma, mu) -> TransportPlan:
     with row sums mu. Rows where mu vanishes are zeroed; a positive
     mu entry on a row without mass is infeasible.
     """
-    entries = _as_entries(gamma)
-    target = _as_values(mu)
-    if entries.shape[0] != target.shape[0]:
-        raise DimensionMismatchError(
-            f"plan with {entries.shape[0]} rows against a marginal of length {target.shape[0]}"
-        )
-    sums = entries.sum(axis=1)
-    bad = (target > 0.0) & (sums == 0.0)
-    if np.any(bad):
-        raise InfeasibleProjectionError(
-            f"rows {np.flatnonzero(bad).tolist()} have no mass to carry the requested marginal"
-        )
-    scale = np.zeros_like(target)
-    positive = sums > 0.0
-    scale[positive] = target[positive] / sums[positive]
-    return TransportPlan(entries * scale[:, None])
+    return _project(gamma, mu, 0)
 
 
 def project_cols(gamma, nu) -> TransportPlan:
     """Column mirror of project_rows."""
-    entries = _as_entries(gamma)
-    target = _as_values(nu)
-    if entries.shape[1] != target.shape[0]:
-        raise DimensionMismatchError(
-            f"plan with {entries.shape[1]} columns against a marginal of length {target.shape[0]}"
-        )
-    sums = entries.sum(axis=0)
-    bad = (target > 0.0) & (sums == 0.0)
-    if np.any(bad):
-        raise InfeasibleProjectionError(
-            f"columns {np.flatnonzero(bad).tolist()} have no mass to carry the requested marginal"
-        )
-    scale = np.zeros_like(target)
-    positive = sums > 0.0
-    scale[positive] = target[positive] / sums[positive]
-    return TransportPlan(entries * scale[None, :])
+    return _project(gamma, nu, 1)
 
 
 def kl_divergence(gamma, alpha) -> float:

@@ -166,7 +166,7 @@ def test_disparity_runs_are_deterministic(tmp_path):
     out = generate(tmp_path, OCCLUDED)
     args = ["disparity", str(out / "left.pgm"), str(out / "right.pgm"), *FAST]
     main([*args, "--out-dir", str(tmp_path / "a")])
-    main([*args, "--out-dir", str(tmp_path / "b"), "--workers", "3"])
+    main([*args, "--out-dir", str(tmp_path / "b")])
     for name in ("disparity.csv", "disparity.pgm", "occlusion_report.json",
                  "diagnostics.json"):
         assert (tmp_path / "a" / name).read_bytes() == (
@@ -334,6 +334,24 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
                  "--config", str(config)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_zero_stop_tolerance_runs_the_full_budget(tmp_path):
+    out = generate(tmp_path, NON_OCCLUDED)
+    run = tmp_path / "run"
+    assert main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--niter", "300", "--stop-tolerance", "0",
+                 "--out-dir", str(run)]) == 0
+    row = json.loads((run / "diagnostics.json").read_text())["scanlines"][0]
+    assert row["path"] == "balanced"
+    assert row["iterations"] == 300
+    assert row["stop_reason"] == "max-iterations"
+
+
+@pytest.mark.parametrize("line", ["stop = tolerance", "workers = 2"])
+def test_removed_config_keys_are_rejected(line):
+    with pytest.raises(ValueError, match="config line 2: unknown entry"):
+        parse_run_config(f"niter = 10\n{line}\n")
 
 
 def test_parse_run_config_booleans():

@@ -6,6 +6,7 @@ from otstereo.disparity import (
     compression,
     disparity_profile,
     estimate_phi,
+    mask_runs,
 )
 from otstereo.errors import NoPlateauError
 from otstereo.kernel import build_kernel
@@ -14,6 +15,43 @@ from otstereo.sinkhorn import SinkhornConfig, TransportPlan, shifted_sinkhorn
 
 def plan_of(entries):
     return TransportPlan(entries=np.asarray(entries, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "mask, runs",
+    [
+        ([], []),
+        ([0, 0, 0], []),
+        ([1, 1, 1], [(0, 2)]),
+        ([1, 1, 0, 0], [(0, 1)]),
+        ([0, 0, 1, 1], [(2, 3)]),
+        ([1, 0, 1, 0, 1], [(0, 0), (2, 2), (4, 4)]),
+        ([0, 1, 1, 0, 1, 0], [(1, 2), (4, 4)]),
+    ],
+    ids=["empty", "all-off", "all-on", "left-edge", "right-edge", "single-pixels",
+         "interior"],
+)
+def test_mask_runs(mask, runs):
+    assert mask_runs(np.array(mask, dtype=bool)) == runs
+
+
+def test_mask_runs_matches_a_scan():
+    def scan(mask):
+        runs, start = [], None
+        for i, flag in enumerate(mask):
+            if flag and start is None:
+                start = i
+            elif not flag and start is not None:
+                runs.append((start, i - 1))
+                start = None
+        if start is not None:
+            runs.append((start, len(mask) - 1))
+        return runs
+
+    rng = np.random.default_rng(5)
+    for size in range(1, 40):
+        mask = rng.uniform(size=size) < 0.5
+        assert mask_runs(mask) == scan(mask)
 
 
 def test_single_atom_plan():

@@ -1,10 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from otstereo.cli import RunConfig
+from otstereo.disparity import disparity_map
 from otstereo.errors import DimensionMismatchError, SupportMismatchError
 from otstereo.kernel import build_kernel, hilbert_distance
+from otstereo.scene import (
+    CameraRig,
+    CartoonScene,
+    SceneObject,
+    depth_from_disparity,
+    render_pair,
+)
+
+RIG = CameraRig()
 
 
 def brute_force_eta(K: np.ndarray) -> float:
@@ -63,18 +75,35 @@ def test_lambda_from_eta_identity():
 
 
 def test_image_scale_kernel_overflows_eta_not_lambda():
-    with pytest.warns(RuntimeWarning):
-        kern = build_kernel(120, 0.1)
+    kern = build_kernel(120, 0.1)
     assert kern.eta == float("inf")
     assert kern.lam == pytest.approx(1.0)
+    with pytest.warns(RuntimeWarning):
+        assert kern.entries[0, 119] == 0.0
     assert kern.underflowed
     assert np.isfinite(kern.log_eta)
 
 
 def test_log_entries_exact_at_any_scale():
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         kern = build_kernel(50, 0.1)
-    assert kern.log_entries[0, 49] == pytest.approx(-(49.0**2) / 0.1, rel=1e-15)
+        assert kern.log_entries[0, 49] == pytest.approx(-(49.0**2) / 0.1, rel=1e-15)
+
+
+def test_log_domain_map_never_builds_the_dense_kernel():
+    # the dense 640 x 640 kernel underflows; the log path must not build it
+    layout = ((300, 20, 6, 0.5), (324, 16, 4, 0.7), (344, 12, 3, 0.4))
+    objects = tuple(
+        SceneObject(x0=x0, width=w, depth=depth_from_disparity(s, RIG), intensity=i)
+        for x0, w, s, i in layout
+    )
+    pair = render_pair(CartoonScene(width=640, height=2, objects=objects), RIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = disparity_map(pair.left, pair.right, RunConfig().sinkhorn_config())
+    assert [row["path"] for row in result.diagnostics] == ["balanced", "balanced"]
+    assert np.nanmax(np.abs(result.values - pair.truth.values)) < 1e-3
 
 
 def test_hilbert_distance_examples():

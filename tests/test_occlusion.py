@@ -193,16 +193,3 @@ def test_mirror_rows_keep_the_fixed_epsilon_solve():
 def test_map_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         disparity_map(np.zeros((2, 10)), np.zeros((3, 10)), CONFIG)
-
-
-def test_map_worker_pool_matches_serial():
-    # a half-height band makes the top and bottom rows distinct
-    band = SceneObject(
-        x0=14, width=8, depth=depth_from_disparity(5, RIG),
-        intensity=0.7, y0=0, height=3,
-    )
-    pair = scene_rows((obj(4, 6, 3, 0.5), band), d=36, h=6)
-    serial = disparity_map(pair.left, pair.right, CONFIG)
-    pooled = disparity_map(pair.left, pair.right, CONFIG, workers=3)
-    assert np.array_equal(serial.values, pooled.values, equal_nan=True)
-    assert np.array_equal(serial.no_data, pooled.no_data)

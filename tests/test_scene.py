@@ -244,4 +244,4 @@ def test_map_from_values_masks_nan():
     assert result.width == 2 and result.height == 2
     assert result.no_data[0, 1] and result.no_data[1, 0]
     assert not result.occluded.any()
-    assert result.profiles[1].y == 1
+    assert np.array_equal(result.values, values, equal_nan=True)
