@@ -11,8 +11,7 @@ scanlines are solved one after another in a fixed order and no
 timestamps are written.
 
 Exit codes: 0 on success, 1 for input or configuration errors, 2 for
-numerical failures such as an unresolved occlusion or a plain-domain
-kernel underflow.
+numerical failures such as an unresolved occlusion.
 """
 from __future__ import annotations
 
@@ -25,11 +24,7 @@ import numpy as np
 
 from . import fileio
 from .disparity import DisparityMap, disparity_map, disparity_profile
-from .errors import (
-    NumericalUnderflowError,
-    OtStereoError,
-    UnresolvedOcclusionError,
-)
+from .errors import OtStereoError, UnresolvedOcclusionError
 from .kernel import build_kernel
 from .measures import DEFAULT_BALANCE_TOLERANCE, measure_from_row
 from .scene import CameraRig, load_scene, map_from_values, reconstruct, render_pair
@@ -47,15 +42,14 @@ class RunConfig:
     A solve stops once the odd plan's column marginal is within
     stop_tolerance of its limit (max norm, in mass units of a
     unit-mass row); stop_tolerance 0 runs exactly niter iterations.
-    Log-domain runs anneal epsilon down to the configured value
-    first; the schedule's iterations count toward niter. Every field
+    Solves anneal epsilon down to the configured value first; the
+    schedule's iterations count toward niter. Every field
     can be set in a key=value config file; command-line flags
     override file values.
     """
 
     epsilon: float = 0.1
     niter: int = 100000
-    log_domain: bool = True
     balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
     mass_tolerance: float = 1e-3
     stop_tolerance: float = 1e-6
@@ -69,26 +63,13 @@ class RunConfig:
             epsilon=self.epsilon,
             max_iterations=self.niter,
             stop_tolerance=self.stop_tolerance,
-            log_domain=self.log_domain,
-            anneal=self.log_domain,
+            anneal=True,
         )
-
-
-_BOOL_TOKENS = {"1": True, "true": True, "on": True, "yes": True,
-                "0": False, "false": False, "off": False, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    try:
-        return _BOOL_TOKENS[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 _CONFIG_PARSERS = {
     "epsilon": float,
     "niter": int,
-    "log_domain": _parse_bool,
     "balance_tolerance": float,
     "mass_tolerance": float,
     "stop_tolerance": float,
@@ -309,15 +290,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file with RunConfig fields")
     parser.add_argument("--epsilon", type=float, help="entropic regularization")
     parser.add_argument("--niter", type=int, help="iteration budget per scanline")
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--log-domain", dest="log_domain", action="store_const", const=True,
-        help="iterate on log scalings (default)",
-    )
-    group.add_argument(
-        "--plain", dest="log_domain", action="store_const", const=False,
-        help="iterate on raw scalings",
-    )
     parser.add_argument(
         "--balance-tolerance", dest="balance_tolerance", type=float,
         help="relative mass gap treated as balanced",
@@ -332,7 +304,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         "at which a solve stops; default 1e-6, 0 runs exactly niter iterations",
     )
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.set_defaults(log_domain=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +344,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (NumericalUnderflowError, UnresolvedOcclusionError) as exc:
+    except UnresolvedOcclusionError as exc:
         print(f"otstereo: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (OtStereoError, OSError, ValueError) as exc:

@@ -46,12 +46,15 @@ DEFAULT_PLATEAU_TOLERANCE = 1e-3
 class DisparityProfile:
     """Per-column rightward shift of one scanline.
 
-    values is NaN wherever defined_mask is false: columns without
-    source mass, and columns flagged occluded by the recovery loop.
+    values is NaN where there is no estimate: columns without source
+    mass, and columns flagged occluded by the recovery loop.
     """
 
     values: np.ndarray
-    defined_mask: np.ndarray
+
+    @property
+    def defined_mask(self) -> np.ndarray:
+        return np.isfinite(self.values)
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def disparity_profile(plan) -> DisparityProfile:
     values[defined] = (entries[defined] @ cols) / row_mass[defined] - np.flatnonzero(
         defined
     ).astype(float)
-    return DisparityProfile(values=values, defined_mask=defined)
+    return DisparityProfile(values=values)
 
 
 def compression(profile: DisparityProfile) -> np.ndarray:
@@ -321,8 +324,7 @@ def recover_occlusions(
         hi = min(max(i1 + shift + 1, 0), d)
         remaining1[lo:hi] = 0.0
 
-    defined = np.isfinite(profile)
-    return DisparityProfile(values=profile, defined_mask=defined), report()
+    return DisparityProfile(values=profile), report()
 
 
 def _solve_facts(report: OcclusionReport) -> dict:
@@ -360,7 +362,7 @@ def _row_pipeline(
                 **_solve_facts(report)}
         return prof.values, occluded, report, info
     # balanced rows, and the mirror case where content is hidden in
-    # the source view: a plain solve; only the profile is extracted
+    # the source view: one sinkhorn solve; only the profile is extracted
     if not cmp.balanced:
         # with unequal masses the iteration converges to a uniform
         # stretch of the matching, and annealing gets there and loses

@@ -25,10 +25,6 @@ class InfeasibleProjectionError(OtStereoError, ValueError):
     """A marginal asks for mass on a row or column that has none."""
 
 
-class NumericalUnderflowError(OtStereoError, ArithmeticError):
-    """Plain-domain scaling hit a zero denominator; use the log domain."""
-
-
 class WrongPathError(OtStereoError, ValueError):
     """Balanced input sent to the shifted solver or vice versa."""
 

@@ -26,8 +26,8 @@ class GibbsKernel:
     corner indices, so only its logarithm is stored. The contraction
     factor lam = (sqrt(eta) - 1) / (sqrt(eta) + 1) is computed from
     the exponent directly and stays finite for every image width.
-    The dense d x d entries are built on first read; the log-domain
-    solvers never read them.
+    The dense d x d entries are built on first read and serve as a
+    reference; the solvers never read them.
     """
 
     epsilon: float
@@ -69,7 +69,7 @@ class GibbsKernel:
         if np.any(entries == 0.0):
             warnings.warn(
                 f"kernel entries underflow for epsilon={self.epsilon} at width {self.d}; "
-                "use the log-domain solver",
+                "log_entries holds their exact logarithms",
                 RuntimeWarning,
                 stacklevel=3,
             )

@@ -1,19 +1,18 @@
 """Scaling iterations for entropic transport on one scanline.
 
-The solver alternates diagonal scalings against the Gibbs kernel.
-Both a plain-domain and a log-domain variant are provided; they share
-the same fixed point, but only the log domain survives small blur
-values where kernel entries underflow. The unbalanced variant reads
-the even and odd iterate limits, which differ exactly by the mass
-quotient of the inputs. The log domain can anneal: it iterates
-through a geometric epsilon schedule before the configured epsilon.
+The solver alternates diagonal scalings against the Gibbs kernel,
+carried out on logarithms of the scalings, so it survives small blur
+values where the kernel entries underflow. The unbalanced variant
+reads the even and odd iterate limits, which differ exactly by the
+mass quotient of the inputs. A solve can anneal: it iterates through
+a geometric epsilon schedule before the configured epsilon.
 A solve stops on the marginal violation of its odd plan, or on its
 iteration budget.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyScanlineError,
     InfeasibleProjectionError,
-    NumericalUnderflowError,
     WrongPathError,
 )
 from .kernel import GibbsKernel
@@ -31,7 +29,7 @@ from .measures import ScanlineMeasure
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
 
-# Geometric epsilon schedule of the annealed log-domain solve (Schmitzer,
+# Geometric epsilon schedule of the annealed solve (Schmitzer,
 # arXiv 1610.06519, section 3). It starts at the largest cost on the
 # support block, where the plan is close to the product of its marginals,
 # and shrinks by ANNEAL_FACTOR every ANNEAL_STAGE_ITERATIONS iterations
@@ -49,15 +47,14 @@ class SinkhornConfig:
     (nu1 for sinkhorn, m0 * nu1 for shifted_sinkhorn), checked at
     every iteration at the final epsilon; zero reproduces a fixed
     iteration count. epsilon must match the kernel the solve runs
-    against. anneal runs the log-domain solve through the geometric
-    epsilon schedule above before iterating at epsilon; the schedule's
-    iterations count toward max_iterations. It requires log_domain.
+    against. anneal runs the solve through the geometric epsilon
+    schedule above before iterating at epsilon; the schedule's
+    iterations count toward max_iterations.
     """
 
     epsilon: float
     max_iterations: int = 1000
     stop_tolerance: float = 0.0
-    log_domain: bool = False
     anneal: bool = False
 
     def __post_init__(self):
@@ -67,8 +64,6 @@ class SinkhornConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.stop_tolerance < 0.0:
             raise ValueError("stop_tolerance must be nonnegative")
-        if self.anneal and not self.log_domain:
-            raise ValueError("anneal requires log_domain")
 
 
 @dataclass(frozen=True)
@@ -92,22 +87,19 @@ class TransportPlan:
 class ScalingVectors:
     """Diagonal scalings that reproduce a plan against the kernel.
 
-    In log mode u and v hold logarithms, with -inf marking columns
-    outside the support.
+    u and v hold logarithms, with -inf marking columns outside the
+    support.
     """
 
     u: np.ndarray
     v: np.ndarray
-    log_domain: bool = False
 
     def reconstruct(self, kernel: GibbsKernel) -> np.ndarray:
-        if self.log_domain:
-            with np.errstate(invalid="ignore"):
-                exponent = self.u[:, None] + kernel.log_entries + self.v[None, :]
-            # -inf + -inf stays -inf; nan can only come from inf - inf
-            exponent = np.where(np.isnan(exponent), -np.inf, exponent)
-            return np.exp(exponent)
-        return self.u[:, None] * kernel.entries * self.v[None, :]
+        with np.errstate(invalid="ignore"):
+            exponent = self.u[:, None] + kernel.log_entries + self.v[None, :]
+        # -inf + -inf stays -inf; nan can only come from inf - inf
+        exponent = np.where(np.isnan(exponent), -np.inf, exponent)
+        return np.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -188,10 +180,11 @@ def _check_inputs(nu0, nu1, kernel: GibbsKernel):
 
 
 class _Step(NamedTuple):
-    """One scaling iteration on the support block.
+    """One scaling iteration on the support block, in logarithms.
 
     u pairs with v_prev in the odd plan and with v_raw in the even
-    plan, both against block; col is the odd plan's column marginal.
+    plan, both against the log kernel block; col is the odd plan's
+    column marginal.
     final is false while an epsilon schedule is still above the
     configured epsilon.
     """
@@ -204,35 +197,6 @@ class _Step(NamedTuple):
     col: np.ndarray
     block: np.ndarray
     final: bool
-
-
-def _iterate_plain(a_sub, K_sub, b_sub, drift):
-    """Yield a _Step per plain-domain iteration.
-
-    v is rescaled by the mass quotient after every update so that the
-    vectors stay bounded for unbalanced inputs; the rescale cancels
-    out of every plan built from matching iterates.
-    """
-    u = np.ones_like(a_sub)
-    v = np.ones_like(b_sub)
-    while True:
-        Kv = K_sub @ v
-        if not np.all(Kv > 0.0):
-            raise NumericalUnderflowError(
-                "kernel application underflowed to zero; rerun with log_domain=True"
-            )
-        u_new = a_sub / Kv
-        KTu = K_sub.T @ u_new
-        if not np.all(KTu > 0.0):
-            raise NumericalUnderflowError(
-                "kernel application underflowed to zero; rerun with log_domain=True"
-            )
-        v_raw = b_sub / KTu
-        v_new = v_raw * drift
-        du = _oscillation(np.log(u_new) - np.log(u))
-        dv = _oscillation(np.log(v_new) - np.log(v))
-        yield _Step(u_new, v, v_raw, du, dv, b_sub * v / v_raw, K_sub, True)
-        u, v = u_new, v_new
 
 
 def _lse(matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -254,11 +218,14 @@ def _epsilon_schedule(epsilon: float, start: float, anneal: bool) -> list[float]
     return stages
 
 
-def _iterate_log(la_sub, cost, lb_sub, log_drift, epsilons):
-    """Log-domain twin of _iterate_plain over a schedule of epsilons.
+def _iterate(la_sub, cost, lb_sub, log_drift, epsilons):
+    """Yield a _Step per scaling iteration over a schedule of epsilons.
 
-    Between stages the log scalings are rescaled by the ratio of the
-    epsilons, which keeps the dual potentials epsilon * log u fixed.
+    log v is shifted by the log mass quotient after every update so
+    that the scalings stay bounded for unbalanced inputs; the shift
+    cancels out of every plan built from matching iterates. Between
+    stages the log scalings are rescaled by the ratio of the epsilons,
+    which keeps the dual potentials epsilon * log u fixed.
     """
     lu = np.zeros_like(la_sub)
     lv = np.zeros_like(lb_sub)
@@ -306,23 +273,16 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared
     support1 = np.flatnonzero(b > 0.0)
     a_sub = a[support0]
     b_sub = b[support1]
-    if config.log_domain:
-        diff = support0[:, None].astype(float) - support1[None, :].astype(float)
-        cost = diff * diff
-        epsilons = _epsilon_schedule(kernel.epsilon, float(cost.max()), config.anneal)
-        log_drift = np.log(a_sub.sum()) - np.log(b_sub.sum())
-        steps = _iterate_log(np.log(a_sub), cost, np.log(b_sub), log_drift, epsilons)
-    else:
-        block = kernel.entries[np.ix_(support0, support1)]
-        drift = a_sub.sum() / b_sub.sum()
-        steps = _iterate_plain(a_sub, block, b_sub, drift)
+    diff = support0[:, None].astype(float) - support1[None, :].astype(float)
+    cost = diff * diff
+    epsilons = _epsilon_schedule(kernel.epsilon, float(cost.max()), config.anneal)
+    log_drift = np.log(a_sub.sum()) - np.log(b_sub.sum())
+    steps = _iterate(np.log(a_sub), cost, np.log(b_sub), log_drift, epsilons)
     return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
 
 
-def _plan_block(u, block, v, log_domain: bool) -> np.ndarray:
-    if log_domain:
-        return np.exp(u[:, None] + block + v[None, :])
-    return u[:, None] * block * v[None, :]
+def _plan_block(u, block, v) -> np.ndarray:
+    return np.exp(u[:, None] + block + v[None, :])
 
 
 def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
@@ -359,11 +319,10 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         if iterations >= config.max_iterations:
             break
 
-    odd_block = _plan_block(step.u, step.block, step.v_prev, config.log_domain)
-    even_block = _plan_block(step.u, step.block, step.v_raw, config.log_domain)
-    outside = -np.inf if config.log_domain else 0.0
-    u_full = np.full(d, outside)
-    v_full = np.full(d, outside)
+    odd_block = _plan_block(step.u, step.block, step.v_prev)
+    even_block = _plan_block(step.u, step.block, step.v_raw)
+    u_full = np.full(d, -np.inf)
+    v_full = np.full(d, -np.inf)
     u_full[support0] = step.u
     v_full[support1] = step.v_prev
     odd = _scatter_plan(odd_block, support0, support1, d)
@@ -377,7 +336,7 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         lam=kernel.lam,
         stop_reason=stop_reason,
     )
-    vectors = ScalingVectors(u=u_full, v=v_full, log_domain=config.log_domain)
+    vectors = ScalingVectors(u=u_full, v=v_full)
     return odd, even, vectors, report
 
 
@@ -388,7 +347,7 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         nu0: source measure, the rows of the returned plan.
         nu1: target measure, the columns.
         kernel: Gibbs kernel built for the same width and epsilon.
-        config: iteration budget, stopping rule and domain.
+        config: iteration budget, stopping rule and schedule.
 
     Returns:
         (TransportPlan, ScalingVectors, ConvergenceReport). The plan
@@ -398,16 +357,6 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     prep = _prepare(nu0, nu1, kernel, config)
     odd, _, vectors, report = _run(prep, kernel, config, prep.b)
     return odd, vectors, report
-
-
-def sinkhorn_log(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
-    """Log-domain scaling solve; same fixed point as sinkhorn.
-
-    Works entirely with exponents, so it tolerates epsilon values for
-    which the plain kernel underflows. Returns the same triple as
-    sinkhorn, with log-domain ScalingVectors.
-    """
-    return sinkhorn(nu0, nu1, kernel, replace(config, log_domain=True))
 
 
 def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> ShiftedLimits:
@@ -460,8 +409,7 @@ def iteration_trace(
 
     ref_lu = None
     if reference_vectors is not None:
-        ref_u = reference_vectors.u[prep.support0]
-        ref_lu = ref_u if reference_vectors.log_domain else np.log(ref_u)
+        ref_lu = reference_vectors.u[prep.support0]
     ref_f = None
     if reference_profile is not None:
         ref_f = np.asarray(reference_profile, dtype=float)[prep.support0]
@@ -469,13 +417,12 @@ def iteration_trace(
     records: list[IterationRecord] = []
 
     def record(iteration: int, step: _Step) -> None:
-        lu = step.u if config.log_domain else np.log(step.u)
         u_error = float("nan")
         if ref_lu is not None:
-            u_error = _oscillation(lu - ref_lu)
+            u_error = _oscillation(step.u - ref_lu)
         profile_error = float("nan")
         if ref_f is not None:
-            odd_block = _plan_block(step.u, step.block, step.v_prev, config.log_domain)
+            odd_block = _plan_block(step.u, step.block, step.v_prev)
             f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
             good = np.isfinite(ref_f) & np.isfinite(f)
             profile_error = float(np.abs(f[good] - ref_f[good]).max()) if good.any() else 0.0

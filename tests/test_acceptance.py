@@ -39,12 +39,8 @@ from otstereo.sinkhorn import (
     transport_cost,
 )
 
-pytestmark = pytest.mark.filterwarnings("ignore:kernel entries underflow")
-
 RIG = CameraRig()
-PIPELINE = SinkhornConfig(
-    epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9, log_domain=True
-)
+PIPELINE = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)
 
 
 def verdict(name, ok, detail):
@@ -121,9 +117,7 @@ def test_ac2_oracle_equivalence():
         if monotone_plan(a, b).cost == brute_force_plan(a, b, grid_steps=grid).cost:
             exact_hits += 1
     kern = build_kernel(8, 0.03)
-    config = SinkhornConfig(
-        epsilon=0.03, max_iterations=20000, stop_tolerance=1e-12, log_domain=True
-    )
+    config = SinkhornConfig(epsilon=0.03, max_iterations=20000, stop_tolerance=1e-12)
     worst = 0.0
     for _ in range(50):
         # grid-quantized masses keep distinct plan costs at least a

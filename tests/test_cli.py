@@ -201,17 +201,10 @@ def test_unresolvable_surplus_exits_2(tmp_path, capsys):
     assert (tmp_path / "run" / "disparity.csv").exists()
 
 
-def test_plain_mode_underflow_exits_2(tmp_path):
-    right = np.zeros((2, 60))
-    right[:, 5:11] = 0.8
-    left = np.zeros((2, 60))
-    left[:, 35:41] = 0.8
-    fileio.write_pgm(tmp_path / "l.pgm", left)
-    fileio.write_pgm(tmp_path / "r.pgm", right)
-    with pytest.warns(RuntimeWarning):
-        code = main(["disparity", str(tmp_path / "l.pgm"), str(tmp_path / "r.pgm"),
-                     "--plain", "--niter", "50", "--out-dir", str(tmp_path / "run")])
-    assert code == 2
+@pytest.mark.parametrize("flag", ["--plain", "--log-domain"])
+def test_removed_domain_flags_are_usage_errors(flag):
+    with pytest.raises(SystemExit, match=f"unrecognized arguments: {flag}"):
+        main(["disparity", "l.pgm", "r.pgm", flag])
 
 
 def test_reconstruct_planar_cloud(tmp_path):
@@ -348,17 +341,12 @@ def test_zero_stop_tolerance_runs_the_full_budget(tmp_path):
     assert row["stop_reason"] == "max-iterations"
 
 
-@pytest.mark.parametrize("line", ["stop = tolerance", "workers = 2"])
+@pytest.mark.parametrize(
+    "line", ["stop = tolerance", "workers = 2", "log_domain = on"]
+)
 def test_removed_config_keys_are_rejected(line):
     with pytest.raises(ValueError, match="config line 2: unknown entry"):
         parse_run_config(f"niter = 10\n{line}\n")
-
-
-def test_parse_run_config_booleans():
-    assert parse_run_config("log_domain = off\n") == {"log_domain": False}
-    assert parse_run_config("log_domain = TRUE\n") == {"log_domain": True}
-    with pytest.raises(ValueError):
-        parse_run_config("log_domain = maybe\n")
 
 
 def test_invalid_epsilon_exits_1(tmp_path):

@@ -124,7 +124,7 @@ def test_scale_invariance_of_shifted_limits():
 
 def profile_of(values):
     values = np.asarray(values, dtype=float)
-    return DisparityProfile(values=values, defined_mask=np.isfinite(values))
+    return DisparityProfile(values=values)
 
 
 def test_compression_of_constant_profile():

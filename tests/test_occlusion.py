@@ -17,14 +17,8 @@ from otstereo.scene import (
 )
 from otstereo.sinkhorn import SinkhornConfig
 
-# wide kernels at epsilon 0.1 underflow in the plain domain by
-# design; every solve here runs in the log domain
-pytestmark = pytest.mark.filterwarnings("ignore:kernel entries underflow")
-
 RIG = CameraRig()
-CONFIG = SinkhornConfig(
-    epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9, log_domain=True
-)
+CONFIG = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)
 
 
 def scene_rows(objects, d, h=2):
