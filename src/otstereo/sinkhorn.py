@@ -1,7 +1,10 @@
 """Scaling iterations for entropic transport on one scanline.
 
-The solver alternates diagonal scalings against the Gibbs kernel,
-carried out on logarithms of the scalings, so it survives small blur
+The solver alternates diagonal scalings against the Gibbs kernel.
+It keeps the logarithms of the scalings and absorbs them into a kernel
+block built per epsilon stage, so each half-step is a matrix-vector
+product on bounded numbers; it takes a log-domain half-step wherever
+that block would lose precision. It therefore survives small blur
 values where the kernel entries underflow. The unbalanced variant
 reads the even and odd iterate limits, which differ exactly by the
 mass quotient of the inputs. A solve can anneal: it iterates through
@@ -36,6 +39,22 @@ STOP_MAX_ITERATIONS = "max-iterations"
 # until it reaches the configured epsilon.
 ANNEAL_FACTOR = 0.7
 ANNEAL_STAGE_ITERATIONS = 20
+
+# numpy's exp leaves its vectorized path for arguments below about -708
+# and runs over a hundred times slower in the denormal range. Every sum
+# the iteration takes has a term of order one, so terms below
+# exp(LOG_FLOOR) ~ 1e-304 cannot change it and are floored instead.
+LOG_FLOOR = -700.0
+# Stabilized scaling (Schmitzer, arXiv 1610.06519, section 3, Alg. 2):
+# the potentials are absorbed into the kernel block and the iteration
+# runs on the small deviations exp(lu - alpha), exp(lv - beta). Once a
+# deviation leaves [-ABSORB_BOUND, ABSORB_BOUND] the potentials are
+# absorbed again. Kernel entries are floored at LOG_FLOOR + ABSORB_BOUND
+# so that every product with a deviation stays a normal float.
+ABSORB_BOUND = 30.0
+# A column sum of the absorbed kernel below this is too close to the
+# floored entries to trust; that half-step runs on logarithms instead.
+MIN_COLUMN_SUM = 1e-200
 
 
 @dataclass(frozen=True)
@@ -172,6 +191,8 @@ def _check_inputs(nu0, nu1, kernel: GibbsKernel):
         raise DimensionMismatchError(
             f"measures of length {a.shape} and {b.shape} against a kernel of width {kernel.d}"
         )
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("measures must be finite")
     if a.sum() <= 0.0 or b.sum() <= 0.0:
         raise EmptyScanlineError("both scanlines must carry positive mass")
     if np.any(a < 0.0) or np.any(b < 0.0):
@@ -184,7 +205,7 @@ class _Step(NamedTuple):
 
     u pairs with v_prev in the odd plan and with v_raw in the even
     plan, both against the log kernel block; col is the odd plan's
-    column marginal.
+    column marginal, computed only on final steps (None before).
     final is false while an epsilon schedule is still above the
     configured epsilon.
     """
@@ -194,15 +215,24 @@ class _Step(NamedTuple):
     v_raw: np.ndarray
     du: float
     dv: float
-    col: np.ndarray
+    col: np.ndarray | None
     block: np.ndarray
     final: bool
 
 
+def _floored_exp(exponent: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
+    """exp with the exponents raised to floor, so that nothing underflows."""
+    return np.exp(np.maximum(exponent, floor))
+
+
 def _lse(matrix: np.ndarray, axis: int) -> np.ndarray:
-    """Log-sum-exp reduction with max shift; inputs are finite."""
+    """Log-sum-exp reduction with max shift; inputs are finite.
+
+    Each sum holds its max term exp(0) = 1, so flooring the other
+    exponents at LOG_FLOOR leaves it unchanged.
+    """
     shift = matrix.max(axis=axis, keepdims=True)
-    total = np.exp(matrix - shift).sum(axis=axis)
+    total = _floored_exp(matrix - shift).sum(axis=axis)
     return shift.reshape(total.shape) + np.log(total)
 
 
@@ -221,6 +251,16 @@ def _epsilon_schedule(epsilon: float, start: float, anneal: bool) -> list[float]
 def _iterate(la_sub, cost, lb_sub, log_drift, epsilons):
     """Yield a _Step per scaling iteration over a schedule of epsilons.
 
+    The iterates are those of the log-domain scaling
+    lu = la - lse(block + lv), lv = lb - lse(block + lu), computed on
+    a kernel that absorbs the potentials alpha, beta:
+    kernel = exp(block + alpha + beta), so that each half-step is one
+    matrix-vector product with exp(lv - beta) or exp(lu - alpha).
+    The potentials are absorbed at the start of every stage and
+    whenever a deviation exceeds ABSORB_BOUND, each time from a
+    log-domain u half-step. A v half-step whose column sums fall
+    below MIN_COLUMN_SUM runs on logarithms.
+
     log v is shifted by the log mass quotient after every update so
     that the scalings stay bounded for unbalanced inputs; the shift
     cancels out of every plan built from matching iterates. Between
@@ -236,15 +276,32 @@ def _iterate(la_sub, cost, lb_sub, log_drift, epsilons):
             lu = lu * ratio
             lv = lv * ratio
         block = -cost / eps
+        kernel = None
         for _ in itertools.count() if final else range(ANNEAL_STAGE_ITERATIONS):
-            lu_new = la_sub - _lse(block + lv[None, :], axis=1)
-            lv_raw = lb_sub - _lse(block + lu_new[:, None], axis=0)
+            if kernel is not None:
+                lu_new = la_sub + alpha - np.log(kernel @ np.exp(lv - beta))
+                if np.abs(lu_new - alpha).max() > ABSORB_BOUND:
+                    kernel = None
+            if kernel is None:
+                lu_new = la_sub - _lse(block + lv[None, :], axis=1)
+                alpha, beta = lu_new, lv
+                kernel = _floored_exp(block + alpha[:, None] + beta[None, :],
+                                      LOG_FLOOR + ABSORB_BOUND)
+            col_sums = kernel.T @ np.exp(lu_new - alpha)
+            if col_sums.min() >= MIN_COLUMN_SUM:
+                lv_raw = lb_sub + beta - np.log(col_sums)
+            else:
+                lv_raw = lb_sub - _lse(block + lu_new[:, None], axis=0)
             lv_new = lv_raw + log_drift
             du = _oscillation(lu_new - lu)
             dv = _oscillation(lv_new - lv)
-            col = np.exp(lb_sub + lv - lv_raw)
+            # a column mass below exp(LOG_FLOOR) is as far from its
+            # limit as zero is, so the stop rule reads it the same
+            col = _floored_exp(lb_sub + lv - lv_raw) if final else None
             yield _Step(lu_new, lv, lv_raw, du, dv, col, block, final)
             lu, lv = lu_new, lv_new
+            if np.abs(lv - beta).max() > ABSORB_BOUND:
+                kernel = None
 
 
 def _scatter_plan(block: np.ndarray, support0, support1, d: int) -> TransportPlan:
@@ -422,7 +479,8 @@ def iteration_trace(
             u_error = _oscillation(step.u - ref_lu)
         profile_error = float("nan")
         if ref_f is not None:
-            odd_block = _plan_block(step.u, step.block, step.v_prev)
+            # each row sums to nu0_i, so the floor cannot change f
+            odd_block = _floored_exp(step.u[:, None] + step.block + step.v_prev[None, :])
             f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
             good = np.isfinite(ref_f) & np.isfinite(f)
             profile_error = float(np.abs(f[good] - ref_f[good]).max()) if good.any() else 0.0

@@ -1,3 +1,5 @@
+import importlib
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +9,21 @@ from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
 from otstereo.exact import monotone_plan
 from otstereo.kernel import build_kernel
 from otstereo.sinkhorn import (
+    ANNEAL_FACTOR,
+    ANNEAL_STAGE_ITERATIONS,
     SinkhornConfig,
     TransportPlan,
     kl_divergence,
     project_cols,
     project_rows,
     regularized_cost,
+    shifted_sinkhorn,
     sinkhorn,
     transport_cost,
 )
+
+# the package exports the function sinkhorn under the module's name
+sinkhorn_module = importlib.import_module("otstereo.sinkhorn")
 
 
 def random_probability(rng, d, zeros=0):
@@ -157,6 +165,144 @@ def test_far_apart_supports_solve_where_the_kernel_underflows():
     assert plan.entries[0, 23] == pytest.approx(1.0, rel=1e-12)
 
 
+def box(d, lo, hi, level):
+    row = np.zeros(d)
+    row[lo:hi] = level
+    return row
+
+
+# (nu0, nu1, epsilon, anneal): the four kinds of solve the pipeline runs
+HOT_LOOP_CASES = {
+    # README row: balanced, annealed down to epsilon 0.1
+    "annealed-balanced": (box(120, 20, 46, 0.5) + box(120, 47, 87, 0.6),
+                          box(120, 29, 55, 0.5) + box(120, 51, 91, 0.6), 0.1, True),
+    # mirror row: unequal masses, fixed epsilon
+    "fixed-unequal": (box(60, 10, 30, 0.05), box(60, 14, 30, 0.06), 0.1, False),
+    # peel-loop sub-solve: source-heavy pair against a probability target
+    "source-heavy": (box(60, 10, 40, 1.3 / 30), box(60, 15, 35, 1 / 20), 0.1, True),
+    # far-apart supports: every kernel entry between them underflows
+    "far-apart": (box(44, 0, 3, 1 / 3), box(44, 40, 43, 1 / 3), 0.1, False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOT_LOOP_CASES))
+def test_scaling_iteration_never_underflows(case):
+    # exp below about -708 leaves numpy's fast path, so a loop that
+    # never underflows is a loop that stays on it
+    a, b, eps, anneal = HOT_LOOP_CASES[case]
+    config = SinkhornConfig(eps, anneal=anneal)
+    steps = sinkhorn_module._prepare(a, b, build_kernel(a.size, eps), config).steps
+    with np.errstate(under="raise"):
+        for step in itertools.islice(steps, 1500):
+            assert np.all(np.isfinite(step.u)) and np.all(np.isfinite(step.v_raw))
+
+
+def _lse(x, axis):
+    shift = x.max(axis=axis, keepdims=True)
+    return (shift + np.log(np.exp(x - shift).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def log_domain_solve(a, b, eps, max_iterations, stop_tolerance, anneal, limit):
+    """The scaling iteration on logarithms, one log-sum-exp per half-step.
+
+    Returns (iterations, stop_reason, odd, even, u, v) with the plans
+    and the log scalings at full width, as the solver reports them.
+    """
+    d = a.size
+    s0 = np.flatnonzero(a > 0.0)
+    s1 = np.flatnonzero(b > 0.0)
+    la, lb = np.log(a[s0]), np.log(b[s1])
+    cost = (s0[:, None] - s1[None, :]).astype(float) ** 2
+    drift = np.log(a.sum()) - np.log(b.sum())
+    stages = []
+    stage_eps = cost.max()
+    while anneal and stage_eps > eps:
+        stages.append(stage_eps)
+        stage_eps *= ANNEAL_FACTOR
+    stages.append(eps)
+    lu = np.zeros(s0.size)
+    lv = np.zeros(s1.size)
+    iterations = 0
+    reason = None
+    for k, stage_eps in enumerate(stages):
+        final = k == len(stages) - 1
+        if k:
+            lu = lu * stages[k - 1] / stage_eps
+            lv = lv * stages[k - 1] / stage_eps
+        block = -cost / stage_eps
+        for count in itertools.count(1):
+            lu = la - _lse(block + lv[None, :], axis=1)
+            lv_prev = lv
+            lv_raw = lb - _lse(block + lu[:, None], axis=0)
+            lv = lv_raw + drift
+            iterations += 1
+            col = np.exp(lb + lv_prev - lv_raw)
+            if stop_tolerance and final and np.abs(col - limit[s1]).max() <= stop_tolerance:
+                reason = "converged"
+            elif iterations >= max_iterations:
+                reason = "max-iterations"
+            if reason or (not final and count == ANNEAL_STAGE_ITERATIONS):
+                break
+        if reason:
+            break
+    odd, even = np.zeros((d, d)), np.zeros((d, d))
+    odd[np.ix_(s0, s1)] = np.exp(lu[:, None] + block + lv_prev[None, :])
+    even[np.ix_(s0, s1)] = np.exp(lu[:, None] + block + lv_raw[None, :])
+    u, v = np.full(d, -np.inf), np.full(d, -np.inf)
+    u[s0], v[s1] = lu, lv_prev
+    return iterations, reason, odd, even, u, v
+
+
+# (nu0, nu1, epsilon, anneal, max_iterations, stop_tolerance)
+AGREEMENT_CASES = {
+    "annealed": (box(40, 5, 15, 0.1) + box(40, 16, 26, 0.15),
+                 box(40, 9, 19, 0.1) + box(40, 18, 28, 0.15), 0.1, True, 3000, 1e-6),
+    "fixed": (box(12, 1, 6, 0.2), box(12, 3, 9, 1 / 6), 0.5, False, 3000, 1e-11),
+    # every target column sits far from the source: the first v
+    # half-steps run on logarithms
+    "log-fallback": (box(44, 0, 3, 1 / 3), box(44, 40, 43, 1 / 3), 0.1, False, 200, 1e-9),
+    # the potentials move by hundreds in the first iterations and
+    # leave the absorbed kernel's range
+    "re-absorbed": (box(30, 2, 8, 1 / 6), box(30, 6, 12, 1 / 6), 0.1, False, 200, 1e-9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
+def test_absorbed_iteration_matches_the_log_domain_iteration(case, monkeypatch):
+    a, b, eps, anneal, budget, tol = AGREEMENT_CASES[case]
+    calls = {0: 0, 1: 0}
+    lse = sinkhorn_module._lse
+
+    def counted(matrix, axis):
+        calls[axis] += 1
+        return lse(matrix, axis)
+
+    monkeypatch.setattr(sinkhorn_module, "_lse", counted)
+    kern = build_kernel(a.size, eps)
+    config = SinkhornConfig(eps, max_iterations=budget, stop_tolerance=tol, anneal=anneal)
+    for scale in (1.0, 1.25):
+        nu0, nu1 = scale * a / a.sum(), b / b.sum()
+        iterations, reason, odd, even, u, v = log_domain_solve(
+            nu0, nu1, eps, budget, tol, anneal, scale * nu1)
+        if scale > 1.0:
+            limits = shifted_sinkhorn(nu0, nu1, kern, config)
+            report = limits.report
+            np.testing.assert_allclose(limits.even.entries, even, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(limits.odd.entries, odd, rtol=1e-10, atol=1e-300)
+        else:
+            plan, vectors, report = sinkhorn(nu0, nu1, kern, config)
+            np.testing.assert_allclose(plan.entries, odd, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(vectors.u, u, rtol=1e-10)
+            np.testing.assert_allclose(vectors.v, v, rtol=1e-10)
+        assert (report.iterations, report.stop_reason) == (iterations, reason)
+    # the v half-step on logarithms is the only log-sum-exp over axis 0
+    assert (calls[0] > 0) == (case == "log-fallback")
+    if case == "re-absorbed":
+        # each absorption takes one u half-step on logarithms; each of
+        # the two fixed-epsilon solves absorbs once at its start
+        assert calls[1] > 2
+
+
 def test_entropic_plan_approaches_exact_cost():
     a = np.array([0.5, 0.5, 0.0])
     b = np.array([0.0, 0.5, 0.5])
@@ -193,6 +339,16 @@ def test_config_epsilon_must_match_kernel():
     kern = build_kernel(3, 1.0)
     with pytest.raises(ValueError):
         sinkhorn(np.ones(3) / 3, np.ones(3) / 3, kern, SinkhornConfig(0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_measures_rejected(bad):
+    kern = build_kernel(3, 1.0)
+    good = np.array([0.5, 0.0, 0.5])
+    broken = np.array([0.5, bad, 0.5])
+    for nu0, nu1 in ((broken, good), (good, broken)):
+        with pytest.raises(ValueError, match="finite"):
+            sinkhorn(nu0, nu1, kern, SinkhornConfig(1.0))
 
 
 def test_config_validation():
