@@ -112,6 +112,7 @@ def _report_payload(report) -> dict:
         "y": report.y,
         "phi": report.phi,
         "intervals": [[int(lo), int(hi)] for lo, hi in report.intervals],
+        "left_frame": [[int(lo), int(hi)] for lo, hi in report.left_frame],
         "object_shifts": [
             [int(col), float(shift)] for col, shift in report.object_shifts
         ],

@@ -2,11 +2,13 @@
 
 The disparity of a source column is the barycenter of its row in the
 plan minus the column index. On a balanced scanline of a piecewise
-constant scene this recovers each object's pixel shift. When the
-source row carries more mass than the target, the surplus marks
-pixels visible in the source view only; the recovery loop peels
-objects left to right, reads their rigid shifts, and localizes the
-hidden interval by mass accounting.
+constant scene this recovers each object's pixel shift. When one
+row carries more mass than the other, the surplus marks pixels
+visible in that view only; the recovery loop peels objects left to
+right, reads their rigid shifts, localizes the hidden interval by
+mass accounting, and checks that the shifts carry the heavier row
+onto the other. A row whose left view is heavier runs the same loop
+on both rows flipped.
 """
 from __future__ import annotations
 
@@ -67,7 +69,16 @@ class OcclusionReport:
     there. compression_plateau is the repeated adjacent value of the
     disparity increments, an estimate of 1 - 1/phi. iterations sums
     the scaling iterations of the loop's sub-solves, and stop_reason
-    is max-iterations when any of them stopped on its budget.
+    is max-iterations when any of them stopped on its budget, else
+    converged (a sub-solve that stopped on its settled shift counts
+    as converged).
+
+    In a disparity map the source is the right row. A row whose left
+    view is heavier is solved on flipped rows (the renderer's
+    left_frame case); its report has no intervals, left_frame lists
+    the left-image column ranges (inclusive) hidden from the right
+    view, and its object_shifts columns are each object's rightmost
+    left-image column.
     """
 
     y: int
@@ -77,6 +88,7 @@ class OcclusionReport:
     compression_plateau: float | None
     iterations: int = 0
     stop_reason: str = STOP_CONVERGED
+    left_frame: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -181,18 +193,46 @@ def estimate_phi(delta, plateau_tolerance: float = DEFAULT_PLATEAU_TOLERANCE) ->
     return 1.0 / (1.0 - value)
 
 
+def value_runs(values) -> list[tuple[int, int]]:
+    """Inclusive (start, end) of each maximal run of one positive value, left to right."""
+    values = np.asarray(values, dtype=float)
+    starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0.0).tolist()
+    ends = [start - 1 for start in starts[1:]] + [values.size - 1]
+    return [(lo, hi) for lo, hi in zip(starts, ends) if values[lo] > 0.0]
+
+
 def mask_runs(mask) -> list[tuple[int, int]]:
     """Inclusive (start, end) of each maximal run of true entries, left to right."""
-    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
-    return [(lo, hi - 1) for lo, hi in zip(edges[::2], edges[1::2])]
+    return value_runs(np.asarray(mask, dtype=bool))
 
 
-def _run_containing(runs: list[tuple[int, int]], col: int) -> tuple[int, int] | None:
-    for lo, hi in runs:
-        if lo <= col <= hi:
-            return (lo, hi)
-    return None
+def _hides_next(source, target, runs, shift: int) -> bool:
+    """Whether the first object X hides the start of the next one, Y.
+
+    runs are the source's objects; X = runs[0] has the given shift.
+    What shows of Y in the target is the run of Y's value that starts
+    right after X's image, so X hides part of Y when that run is
+    shorter than Y. When no such run starts there, X hides all of Y
+    if Y fits inside X's image at a nonnegative shift below X's,
+    unless the next target run right of X's image has Y's value and
+    width: then that run is Y's image, and the two images do not meet.
+    """
+    if len(runs) < 2:
+        return False
+    (i0, i1), (j0, j1) = runs[0], runs[1]
+    value = source[j0]
+    after = i1 + shift + 1
+    shown = 0
+    while 0 <= after + shown < target.size and target[after + shown] == value:
+        shown += 1
+    if shown:
+        return shown < j1 - j0 + 1
+    # the shifts at which Y's image lies inside X's image
+    if max(0, i0 + shift - j0) > min(i1 + shift - j1, shift - 1):
+        return False
+    later = [(lo, hi) for lo, hi in value_runs(target) if lo >= after]
+    return not (later and target[later[0][0]] == value
+                and later[0][1] - later[0][0] == j1 - j0)
 
 
 def recover_occlusions(
@@ -204,17 +244,30 @@ def recover_occlusions(
 ) -> tuple[DisparityProfile, OcclusionReport]:
     """Disparity of a source-heavy scanline plus its hidden intervals.
 
-    The source must carry at least as much mass as the target; the
-    surplus is content visible in the source view only. The loop
-    peels the leftmost remaining object X: the unbalanced solve reads
-    its rigid shift s at its leftmost column, and X occludes its
-    right neighbor exactly when X's image run in the target outlasts
-    X's own width. In that case the columns right of X whose mass
-    accounts for the remaining surplus are flagged hidden and
-    removed. X itself is then removed from both views and the loop
+    The source must carry at least as much mass as the target, else
+    WrongPathError; the surplus is content visible in the source view
+    only. An object is a maximal run of one positive value, as the
+    cartoon model paints each object in one intensity. The loop peels
+    the leftmost remaining object X: an unbalanced solve reads its
+    rigid shift at its leftmost column, and stops once that shift has
+    settled (see shifted_sinkhorn). X occludes its right neighbor Y
+    when the run of Y's value that starts in the target right after
+    X's image is shorter than Y, or, with no such run, when Y fits
+    behind X (see _hides_next). The columns from Y's left end whose
+    mass accounts for the remaining surplus are then flagged hidden
+    and removed. X itself is removed from both views and the loop
     continues until the masses reconcile; the reconciled remainder is
     solved as a balanced problem. Balanced input short-circuits to
     that final solve and yields an empty report.
+
+    Unless a sub-solve stopped on its budget, the rounded shifts must
+    carry the source row onto the target row: each shifted pixel on a
+    target pixel of its own value, one to one, and every target pixel
+    with mass reached. Otherwise the loop raises
+    UnresolvedOcclusionError, as it does when the surplus cannot be
+    attributed; the error carries the partial report. This is what
+    happens when an occluder's image lands past the start of the
+    object it hides, which no monotone matching can read.
     """
     a = _as_values(nu0).astype(float)
     b = _as_values(nu1).astype(float)
@@ -262,7 +315,7 @@ def recover_occlusions(
                 rest = disparity_profile(plan)
                 profile[rest.defined_mask] = rest.values[rest.defined_mask]
             break
-        runs = mask_runs(remaining0 > 0.0)
+        runs = value_runs(remaining0)
         if not runs:
             raise UnresolvedOcclusionError(
                 f"mass surplus {deficit:.6f} left with no objects to attribute it to",
@@ -273,8 +326,9 @@ def recover_occlusions(
                 f"mass surplus {deficit:.6f} left but the target view is exhausted",
                 report=report(),
             )
+        i0, i1 = runs[0]
         limits = shifted_sinkhorn(
-            remaining0 / mass1, remaining1 / mass1, kernel, config
+            remaining0 / mass1, remaining1 / mass1, kernel, config, settle_column=i0
         )
         solves.append(limits.report)
         f = disparity_profile(limits.odd)
@@ -291,20 +345,11 @@ def recover_occlusions(
             except (NoPlateauError, MassMismatchError):
                 plateau = 1.0 - mass0 / mass1
 
-        i0, i1 = runs[0]
         shift_raw = float(f.values[i0])
         shift = int(round(shift_raw))
         shifts.append((i0, shift_raw))
 
-        target_runs = mask_runs(remaining1 > 0.0)
-        image_run = _run_containing(target_runs, min(max(i0 + shift, 0), d - 1))
-        width = i1 - i0 + 1
-        occludes = (
-            image_run is not None
-            and (image_run[1] - image_run[0] + 1) > width
-            and len(runs) > 1
-        )
-        if occludes:
+        if _hides_next(remaining0, remaining1, runs, shift):
             j0, j1 = runs[1]
             cum = 0.0
             i2 = None
@@ -324,7 +369,79 @@ def recover_occlusions(
         hi = min(max(i1 + shift + 1, 0), d)
         remaining1[lo:hi] = 0.0
 
-    return DisparityProfile(values=profile), report()
+    result = report()
+    # a row cut short by its budget is flagged as such already, and
+    # its shifts are provisional
+    if result.stop_reason != STOP_MAX_ITERATIONS and not _reproduces(a, b, profile):
+        raise UnresolvedOcclusionError(
+            "the recovered shifts do not carry the source row onto the target row",
+            report=result,
+        )
+    return DisparityProfile(values=profile), result
+
+
+def _reproduces(source: np.ndarray, target: np.ndarray, profile: np.ndarray) -> bool:
+    """Whether moving each source pixel by its rounded shift paints the target.
+
+    Every pixel with a shift must land inside the frame on a target
+    pixel of its own value, no two may land on the same pixel, and
+    every target pixel with mass must be reached.
+    """
+    cols = np.flatnonzero(np.isfinite(profile))
+    dest = cols + np.rint(profile[cols]).astype(int)
+    return (
+        np.all((dest >= 0) & (dest < target.size))
+        and np.unique(dest).size == dest.size
+        and np.array_equal(source[cols], target[dest])
+        and np.count_nonzero(target > 0.0) == dest.size
+    )
+
+
+def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
+    """A report of the peel loop on flipped rows, in left-image columns.
+
+    The flipped source is the left row, so the hidden intervals are
+    left-frame ones, and each object's leftmost flipped column is its
+    rightmost left-image column.
+    """
+    flip = d - 1
+    return dataclasses.replace(
+        report,
+        intervals=(),
+        left_frame=tuple((flip - hi, flip - lo) for lo, hi in reversed(report.intervals)),
+        object_shifts=tuple((flip - col, shift) for col, shift in report.object_shifts),
+    )
+
+
+def _recover_mirror(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig,
+                    mass_tolerance: float) -> tuple[np.ndarray, OcclusionReport]:
+    """Disparity of a row whose left view carries more mass.
+
+    The surplus is content hidden from the right view. Flipping both
+    rows turns this into the source-heavy case with the left row as
+    source and the shifts unchanged, so the peel loop solves it. Each
+    left pixel xl with shift s is then written to right pixel xl - s,
+    where the right row has mass; right pixels that no left pixel
+    lands on stay NaN.
+    """
+    d = kernel.d
+    try:
+        prof, report = recover_occlusions(
+            nu1.values[::-1], nu0.values[::-1], kernel, config,
+            mass_tolerance=mass_tolerance,
+        )
+    except UnresolvedOcclusionError as exc:
+        exc.report = _mirrored(exc.report, d)
+        raise
+    left = prof.values[::-1]
+    xl = np.flatnonzero(np.isfinite(left))
+    xr = np.rint(xl - left[xl]).astype(int)
+    inside = (xr >= 0) & (xr < d)
+    xl, xr = xl[inside], xr[inside]
+    lands = nu0.values[xr] > 0.0
+    values = np.full(d, np.nan)
+    values[xr[lands]] = left[xl[lands]]
+    return values, _mirrored(report, d)
 
 
 def _solve_facts(report: OcclusionReport) -> dict:
@@ -351,30 +468,25 @@ def _row_pipeline(
     if nu0.mass == 0.0 or nu1.mass == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
     cmp = compare_masses(nu1, nu0, balance_tolerance)
-    if not cmp.balanced and nu0.mass > nu1.mass:
-        prof, report = recover_occlusions(
-            nu0, nu1, kernel, config, mass_tolerance=mass_tolerance
-        )
+    if not cmp.balanced:
+        if nu0.mass > nu1.mass:
+            prof, report = recover_occlusions(
+                nu0, nu1, kernel, config, mass_tolerance=mass_tolerance
+            )
+            values = prof.values
+        else:
+            values, report = _recover_mirror(nu0, nu1, kernel, config, mass_tolerance)
         occluded = np.zeros(d, dtype=bool)
         for lo, hi in report.intervals:
             occluded[lo : hi + 1] = True
         info = {"path": "occlusion", "phi": report.phi, "lam": kernel.lam,
                 **_solve_facts(report)}
-        return prof.values, occluded, report, info
-    # balanced rows, and the mirror case where content is hidden in
-    # the source view: one sinkhorn solve; only the profile is extracted
-    if not cmp.balanced:
-        # with unequal masses the iteration converges to a uniform
-        # stretch of the matching, and annealing gets there and loses
-        # accuracy; the mirror rows keep the fixed-epsilon solve until
-        # they get their own recovery (ROADMAP item 5)
-        config = dataclasses.replace(config, anneal=False)
+        return values, occluded, report, info
     plan, _, rep = sinkhorn(
         nu0.values / nu1.mass, nu1.values / nu1.mass, kernel, config
     )
-    prof = disparity_profile(plan)
     info = {
-        "path": "balanced" if cmp.balanced else "unbalanced-mirror",
+        "path": "balanced",
         "iterations": rep.iterations,
         "stop_reason": rep.stop_reason,
         "hilbert_u": rep.hilbert_u[-1],
@@ -382,7 +494,7 @@ def _row_pipeline(
         "marginal_violation": rep.marginal_violation,
         "lam": rep.lam,
     }
-    return prof.values, no_occlusion, None, info
+    return disparity_profile(plan).values, no_occlusion, None, info
 
 
 def disparity_map(

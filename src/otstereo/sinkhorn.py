@@ -10,10 +10,12 @@ reads the even and odd iterate limits, which differ exactly by the
 mass quotient of the inputs. A solve can anneal: it iterates through
 a geometric epsilon schedule before the configured epsilon.
 A solve stops on the marginal violation of its odd plan, or on its
-iteration budget.
+iteration budget; an unbalanced solve that is asked for the shift at one
+column can also stop once that shift has settled.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,6 +33,7 @@ from .measures import ScanlineMeasure
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
+STOP_SHIFT_SETTLED = "shift-settled"
 
 # Geometric epsilon schedule of the annealed solve (Schmitzer,
 # arXiv 1610.06519, section 3). It starts at the largest cost on the
@@ -55,6 +58,12 @@ ABSORB_BOUND = 30.0
 # A column sum of the absorbed kernel below this is too close to the
 # floored entries to trust; that half-step runs on logarithms instead.
 MIN_COLUMN_SUM = 1e-200
+# Settle stop of an unbalanced solve asked for the shift at one column:
+# at the final epsilon, the shift has moved at most SETTLE_TOLERANCE
+# over the last SETTLE_WINDOW iterations and lies within
+# SETTLE_TOLERANCE of an integer pixel count.
+SETTLE_WINDOW = 20
+SETTLE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,9 @@ class ConvergenceReport:
     update, measured on the positive support, including the updates
     of an epsilon schedule. marginal_violation is the max-norm gap
     between the returned plan's column sums and their limit, the
-    quantity the tolerance stop tests.
+    quantity the tolerance stop tests. stop_reason is converged,
+    max-iterations, or shift-settled for a shifted_sinkhorn solve
+    given a settle column.
     """
 
     iterations: int
@@ -342,19 +353,40 @@ def _plan_block(u, block, v) -> np.ndarray:
     return np.exp(u[:, None] + block + v[None, :])
 
 
-def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
+def _row_shift(step: _Step, row: int, cols: np.ndarray, column: int) -> float:
+    """Disparity of one source column in the step's odd plan.
+
+    The row's scaling u cancels out of its barycenter, and each
+    weight is relative to the row's largest, so the floor cannot
+    change it.
+    """
+    logits = step.block[row] + step.v_prev
+    weights = _floored_exp(logits - logits.max())
+    return float(weights @ cols / weights.sum()) - column
+
+
+def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit,
+         observe=None, settle_column=None):
     """Drive the scaling iteration and package plans plus report.
 
     limit is the full-width vector the odd plan's column marginal
     converges to; the tolerance stop compares against it. observe, if
     given, is called with (iteration, step) after every iteration.
-    Returns (odd_plan, even_plan, vectors, report); the odd plan pairs
-    the final u with the previous v, so its row marginal is exactly
-    nu0, while the even plan's column marginal is exactly nu1.
+    settle_column, if given, is a source column whose disparity the
+    settle stop watches. Returns (odd_plan, even_plan, vectors,
+    report); the odd plan pairs the final u with the previous v, so
+    its row marginal is exactly nu0, while the even plan's column
+    marginal is exactly nu1.
     """
     support0, support1 = prep.support0, prep.support1
     limit_sub = limit[support1]
     d = kernel.d
+    if settle_column is not None:
+        cols = support1.astype(float)
+        settle_row = int(np.searchsorted(support0, settle_column))
+        if settle_row == support0.size or support0[settle_row] != settle_column:
+            raise ValueError(f"settle column {settle_column} carries no source mass")
+        shifts = collections.deque(maxlen=SETTLE_WINDOW + 1)
 
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
@@ -366,13 +398,20 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         hilbert_v.append(step.dv)
         if observe is not None:
             observe(iterations, step)
-        if (
-            config.stop_tolerance > 0.0
-            and step.final
-            and np.abs(step.col - limit_sub).max() <= config.stop_tolerance
-        ):
-            stop_reason = STOP_CONVERGED
-            break
+        if config.stop_tolerance > 0.0 and step.final:
+            if np.abs(step.col - limit_sub).max() <= config.stop_tolerance:
+                stop_reason = STOP_CONVERGED
+                break
+            if settle_column is not None:
+                shift = _row_shift(step, settle_row, cols, settle_column)
+                shifts.append(shift)
+                if (
+                    len(shifts) > SETTLE_WINDOW
+                    and max(shifts) - min(shifts) <= SETTLE_TOLERANCE
+                    and abs(shift - round(shift)) <= SETTLE_TOLERANCE
+                ):
+                    stop_reason = STOP_SHIFT_SETTLED
+                    break
         if iterations >= config.max_iterations:
             break
 
@@ -416,7 +455,9 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     return odd, vectors, report
 
 
-def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> ShiftedLimits:
+def shifted_sinkhorn(
+    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, settle_column=None
+) -> ShiftedLimits:
     """Unbalanced solve for a source carrying more mass than the target.
 
     Requires m(nu0) > 1 with nu1 a probability vector. The iteration
@@ -426,6 +467,14 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
     m0 times that plan (row marginal exactly nu0). Both limits share
     one disparity profile. The tolerance stop therefore compares the
     odd plan's column marginal with m0 * nu1.
+
+    settle_column names a source column with mass when the caller
+    reads only the disparity there. The solve then also stops, with
+    stop reason shift-settled, once at the final epsilon that
+    disparity has moved at most SETTLE_TOLERANCE over the last
+    SETTLE_WINDOW iterations and lies within SETTLE_TOLERANCE of an
+    integer. Like the tolerance stop, it is off when stop_tolerance
+    is zero. Without settle_column the solve stops as sinkhorn does.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
     m0 = float(a.sum())
@@ -437,7 +486,8 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
     prep = _prepare(a, b, kernel, config)
-    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b)
+    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b,
+                                settle_column=settle_column)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
 

@@ -133,6 +133,53 @@ def test_budget_stops_are_named_on_stderr(tmp_path, capsys):
         assert row["iterations"] >= 30
 
 
+# row 0 hides content from the right camera, row 1 from the left one
+BOTH_FRAMES = """\
+width = 80
+height = 2
+object = x0:8 width:30 shift:2 intensity:0.4 y0:0 height:1
+object = x0:34 width:20 shift:7 intensity:0.8 y0:0 height:1
+object = x0:10 width:10 shift:7 intensity:0.5 y0:1 height:1
+object = x0:21 width:20 shift:4 intensity:0.6 y0:1 height:1
+"""
+
+
+def test_report_names_the_hidden_columns_of_either_frame(tmp_path, capsys):
+    out = generate(tmp_path, BOTH_FRAMES)
+    run = tmp_path / "run"
+    code = main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--niter", "10000", "--out-dir", str(run)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    mirror, plain = json.loads((run / "occlusion_report.json").read_text())["scanlines"]
+    assert (mirror["intervals"], mirror["left_frame"]) == ([], [[36, 39]])
+    # the occluder's rightmost left-image column
+    assert mirror["object_shifts"][0][0] == 60
+    assert (plain["intervals"], plain["left_frame"]) == ([[21, 22]], [])
+    assert plain["object_shifts"][0][0] == 10
+    for row in json.loads((run / "diagnostics.json").read_text())["scanlines"]:
+        assert (row["path"], row["stop_reason"]) == ("occlusion", "converged")
+    got = fileio.read_csv(run / "disparity.csv")
+    truth = fileio.read_csv(out / "truth_disparity.csv")
+    visible = np.isfinite(truth)
+    visible[1, 21:23] = False
+    assert np.array_equal(np.isfinite(got), visible)
+    assert np.abs(got - truth)[visible].max() < 1e-4
+
+
+def test_budget_stops_in_either_frame_are_named_on_stderr(tmp_path, capsys):
+    out = generate(tmp_path, BOTH_FRAMES)
+    run = tmp_path / "run"
+    code = main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--niter", "30", "--out-dir", str(run)])
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "otstereo: scanlines [0, 1] stopped on the iteration budget before converging"
+    ]
+    for row in json.loads((run / "diagnostics.json").read_text())["scanlines"]:
+        assert (row["path"], row["stop_reason"]) == ("occlusion", "max-iterations")
+
+
 def test_disparity_occlusion_report(tmp_path):
     out = generate(tmp_path, OCCLUDED)
     run = tmp_path / "run"

@@ -1,0 +1,125 @@
+"""Seeded random scanlines against the renderer's ground truth.
+
+A row holds 2-3 objects laid out left to right in one view, its base
+view, with gaps of 0-3 px; objects that touch in either view have
+distinct intensities. A row is kept when the renderer hides exactly
+one interval, inside one object, in one frame: content hidden from
+the left camera when the base view is the right one, and from the
+right camera when it is the left one.
+"""
+import itertools
+
+import numpy as np
+
+from otstereo.cli import RunConfig
+from otstereo.disparity import disparity_map, disparity_profile, value_runs
+from otstereo.errors import OutOfFrameError
+from otstereo.exact import monotone_plan
+from otstereo.kernel import build_kernel
+from otstereo.scene import (
+    CameraRig,
+    CartoonScene,
+    SceneObject,
+    depth_from_disparity,
+    render_pair,
+)
+from otstereo.sinkhorn import SETTLE_TOLERANCE, shifted_sinkhorn
+
+RIG = CameraRig()
+WIDTH = 100
+INTENSITIES = (0.3, 0.45, 0.6, 0.75, 0.9)
+CONFIG = RunConfig(niter=10000).sinkhorn_config()
+FRAMES = ("right_frame", "left_frame")
+
+
+def spans(obj):
+    """Inclusive columns of an (x0, width, shift, intensity) object, right then left view."""
+    x0, width, shift, _ = obj
+    return (x0, x0 + width - 1), (x0 + shift, x0 + shift + width - 1)
+
+
+def touch(p, q):
+    return any(max(a[0], b[0]) <= min(a[1], b[1]) + 1 for a, b in zip(spans(p), spans(q)))
+
+
+def layout(rng):
+    base_is_left = rng.random() < 0.5
+    x = int(rng.integers(0, 12))
+    objects = []
+    for _ in range(int(rng.integers(2, 4))):
+        width = int(rng.integers(4, 21))
+        shift = int(rng.integers(1, 10))
+        intensity = float(rng.choice(INTENSITIES))
+        objects.append((x - shift if base_is_left else x, width, shift, intensity))
+        x += width + int(rng.integers(0, 4))
+    return objects
+
+
+def random_row(rng):
+    """A rendered one-row pair drawn until it has the one hidden interval."""
+    while True:
+        objects = layout(rng)
+        if any(touch(p, q) and p[3] == q[3] for p, q in itertools.combinations(objects, 2)):
+            continue
+        scene = CartoonScene(WIDTH, 1, tuple(
+            SceneObject(x0, width, depth_from_disparity(shift, RIG), intensity)
+            for x0, width, shift, intensity in objects
+        ))
+        try:
+            pair = render_pair(scene, RIG)
+        except OutOfFrameError:
+            continue
+        hidden = pair.hidden.get(0, {})
+        found = [(view, iv) for view, key in enumerate(FRAMES) for iv in hidden.get(key, [])]
+        if len(found) != 1:
+            continue
+        view, (lo, hi) = found[0]
+        if any(span[view][0] <= lo and hi <= span[view][1] for span in map(spans, objects)):
+            return pair
+
+
+def test_random_single_occlusion_rows():
+    rng = np.random.default_rng(1)
+    pairs = [random_row(rng) for _ in range(30)]
+    left = np.vstack([p.left for p in pairs])
+    right = np.vstack([p.right for p in pairs])
+    truth = np.vstack([p.truth.values for p in pairs])
+    visible = np.isfinite(truth) & ~np.vstack([p.truth.occluded for p in pairs])
+    result = disparity_map(left, right, CONFIG)
+    error = np.abs(result.values - truth)
+    ok = ~visible | (error <= 0.5) | result.no_data
+    budget = [info.get("stop_reason") == "max-iterations" for info in result.diagnostics]
+    # a row cut short by its budget is flagged as such instead
+    assert [y for y in range(len(pairs)) if not ok[y].all() and not budget[y]] == []
+    solved = [y for y in range(len(pairs)) if (error[y][visible[y]] <= 1e-3).all()]
+    assert len(solved) >= 24
+    reports = {report.y: report for report in result.reports}
+    for y in solved:
+        hidden = pairs[y].hidden[0]
+        assert list(reports[y].intervals) == hidden["right_frame"]
+        assert list(reports[y].left_frame) == hidden["left_frame"]
+    # runs are deterministic, and a row's result does not depend on the others
+    again = disparity_map(left[:8], right[:8], CONFIG)
+    assert np.array_equal(again.values, result.values[:8], equal_nan=True)
+    assert again.diagnostics == result.diagnostics[:8]
+
+
+def test_settled_shift_agrees_with_the_exact_matching():
+    rng = np.random.default_rng(2)
+    kernel = build_kernel(WIDTH, CONFIG.epsilon)
+    settled = 0
+    for _ in range(12):
+        pair = random_row(rng)
+        a, b = pair.right[0], pair.left[0]
+        if a.sum() < b.sum():
+            # the peel loop runs rows whose left view is heavier flipped
+            a, b = b[::-1], a[::-1]
+        i0 = value_runs(a)[0][0]
+        limits = shifted_sinkhorn(a / b.sum(), b / b.sum(), kernel, CONFIG, settle_column=i0)
+        if limits.report.stop_reason != "shift-settled":
+            continue
+        settled += 1
+        shift = disparity_profile(limits.odd).values[i0]
+        exact = disparity_profile(monotone_plan(a / a.sum(), b / b.sum()).plan).values[i0]
+        assert abs(shift - exact) <= SETTLE_TOLERANCE
+    assert settled >= 9
