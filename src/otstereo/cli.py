@@ -42,8 +42,8 @@ class RunConfig:
     A solve stops once the odd plan's column marginal is within
     stop_tolerance of its limit (max norm, in mass units of a
     unit-mass row); stop_tolerance 0 runs exactly niter iterations.
-    Solves anneal epsilon down to the configured value first; the
-    schedule's iterations count toward niter. Every field
+    Solves start at epsilon from the dual potentials of the exact
+    monotone matching (SinkhornConfig.warm_start). Every field
     can be set in a key=value config file; command-line flags
     override file values.
     """
@@ -63,7 +63,7 @@ class RunConfig:
             epsilon=self.epsilon,
             max_iterations=self.niter,
             stop_tolerance=self.stop_tolerance,
-            anneal=True,
+            warm_start=True,
         )
 
 
@@ -234,7 +234,7 @@ def cmd_diagnose(args) -> int:
     nu0 = measure_from_row(right[args.y], require_mass=True)
     nu1 = measure_from_row(left[args.y], require_mass=True)
     # the series measures the contraction of the fixed-epsilon iteration
-    sk = replace(config.sinkhorn_config(), anneal=False)
+    sk = replace(config.sinkhorn_config(), warm_start=False)
     kernel = build_kernel(left.shape[1], sk.epsilon)
 
     # the reference is this very run's endpoint, so the series shows

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, MassMismatchError, QuantizationError
-from .sinkhorn import TransportPlan, _as_values, transport_cost
+from .sinkhorn import TransportPlan, _as_values, monotone_cells, transport_cost
 
 BRUTE_FORCE_LIMIT = 4
 MASS_EQUALITY_RTOL = 1e-10
@@ -35,33 +35,17 @@ def _check_equal_masses(a: np.ndarray, b: np.ndarray):
 
 
 def monotone_plan(nu0, nu1) -> ExactSolution:
-    """Optimal plan by the greedy monotone sweep.
+    """Optimal plan by the greedy monotone sweep (monotone_cells).
 
-    Walks both measures left to right, always moving as much mass as
-    the current source column still holds and the current target
-    column still accepts. Exhausting both at once advances both
-    pointers. The positive entries of the result never cross, which
-    is the optimality certificate for the quadratic cost.
+    The positive entries of the result never cross, which is the
+    optimality certificate for the quadratic cost.
     """
-    a = _as_values(nu0).copy()
-    b = _as_values(nu1).copy()
+    a = _as_values(nu0)
+    b = _as_values(nu1)
     _check_equal_masses(a, b)
-    n = a.shape[0]
-    m = b.shape[0]
-    plan = np.zeros((n, m))
-    i = j = 0
-    while i < n and j < m:
-        move = min(a[i], b[j])
-        if move > 0.0:
-            plan[i, j] += move
-            a[i] -= move
-            b[j] -= move
-        done_row = a[i] <= 0.0
-        done_col = b[j] <= 0.0
-        if done_row:
-            i += 1
-        if done_col:
-            j += 1
+    plan = np.zeros((a.shape[0], b.shape[0]))
+    for i, j, move, _ in monotone_cells(a, b):
+        plan[i, j] = move
     wrapped = TransportPlan(plan)
     return ExactSolution(plan=wrapped, cost=transport_cost(wrapped))
 

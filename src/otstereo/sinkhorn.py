@@ -2,21 +2,22 @@
 
 The solver alternates diagonal scalings against the Gibbs kernel.
 It keeps the logarithms of the scalings and absorbs them into a kernel
-block built per epsilon stage, so each half-step is a matrix-vector
-product on bounded numbers; it takes a log-domain half-step wherever
-that block would lose precision. It therefore survives small blur
-values where the kernel entries underflow. The unbalanced variant
-reads the even and odd iterate limits, which differ exactly by the
-mass quotient of the inputs. A solve can anneal: it iterates through
-a geometric epsilon schedule before the configured epsilon.
-A solve stops on the marginal violation of its odd plan, or on its
-iteration budget; an unbalanced solve that is asked for the shift at one
-column can also stop once that shift has settled.
+block, so each half-step is a matrix-vector product on bounded
+numbers; it takes a log-domain half-step wherever that block would
+lose precision. It therefore survives small blur values where the
+kernel entries underflow. The unbalanced variant reads the even and
+odd iterate limits, which differ exactly by the mass quotient of the
+inputs. A solve can start warm, from the dual potentials of the exact
+monotone matching, which on the line are read off the northwest-corner
+staircase in one sweep; at small epsilon the entropic potentials lie
+close to them. A solve stops on the marginal violation of its odd
+plan, or on its iteration budget; an unbalanced solve that is asked
+for the shift at one column can also stop once that shift has
+settled.
 """
 from __future__ import annotations
 
 import collections
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,13 +36,10 @@ STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
 STOP_SHIFT_SETTLED = "shift-settled"
 
-# Geometric epsilon schedule of the annealed solve (Schmitzer,
-# arXiv 1610.06519, section 3). It starts at the largest cost on the
-# support block, where the plan is close to the product of its marginals,
-# and shrinks by ANNEAL_FACTOR every ANNEAL_STAGE_ITERATIONS iterations
-# until it reaches the configured epsilon.
-ANNEAL_FACTOR = 0.7
-ANNEAL_STAGE_ITERATIONS = 20
+# Two remainders of the monotone walk that are both within this
+# fraction of the total mass have run out together: the walk starts a
+# new block there instead of a cell that carries only rounding error.
+BLOCK_RTOL = 1e-12
 
 # numpy's exp leaves its vectorized path for arguments below about -708
 # and runs over a hundred times slower in the denormal range. Every sum
@@ -59,9 +57,9 @@ ABSORB_BOUND = 30.0
 # floored entries to trust; that half-step runs on logarithms instead.
 MIN_COLUMN_SUM = 1e-200
 # Settle stop of an unbalanced solve asked for the shift at one column:
-# at the final epsilon, the shift has moved at most SETTLE_TOLERANCE
-# over the last SETTLE_WINDOW iterations and lies within
-# SETTLE_TOLERANCE of an integer pixel count.
+# the shift has moved at most SETTLE_TOLERANCE over the last
+# SETTLE_WINDOW iterations and lies within SETTLE_TOLERANCE of an
+# integer pixel count.
 SETTLE_WINDOW = 20
 SETTLE_TOLERANCE = 1e-3
 
@@ -73,17 +71,16 @@ class SinkhornConfig:
     stop_tolerance > 0 stops the solve once the odd plan's column
     marginal is within stop_tolerance of its limit in the max norm
     (nu1 for sinkhorn, m0 * nu1 for shifted_sinkhorn), checked at
-    every iteration at the final epsilon; zero reproduces a fixed
-    iteration count. epsilon must match the kernel the solve runs
-    against. anneal runs the solve through the geometric epsilon
-    schedule above before iterating at epsilon; the schedule's
-    iterations count toward max_iterations.
+    every iteration; zero reproduces a fixed iteration count.
+    epsilon must match the kernel the solve runs against. warm_start
+    starts the scalings at the exact dual potentials divided by
+    epsilon (see monotone_potentials) instead of at one.
     """
 
     epsilon: float
     max_iterations: int = 1000
     stop_tolerance: float = 0.0
-    anneal: bool = False
+    warm_start: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -135,12 +132,11 @@ class ConvergenceReport:
     """Per-solve diagnostics.
 
     hilbert_u and hilbert_v hold the Hilbert-metric step of each
-    update, measured on the positive support, including the updates
-    of an epsilon schedule. marginal_violation is the max-norm gap
-    between the returned plan's column sums and their limit, the
-    quantity the tolerance stop tests. stop_reason is converged,
-    max-iterations, or shift-settled for a shifted_sinkhorn solve
-    given a settle column.
+    update, measured on the positive support. marginal_violation is
+    the max-norm gap between the returned plan's column sums and their
+    limit, the quantity the tolerance stop tests. stop_reason is
+    converged, max-iterations, or shift-settled for a
+    shifted_sinkhorn solve given a settle column.
     """
 
     iterations: int
@@ -216,9 +212,7 @@ class _Step(NamedTuple):
 
     u pairs with v_prev in the odd plan and with v_raw in the even
     plan, both against the log kernel block; col is the odd plan's
-    column marginal, computed only on final steps (None before).
-    final is false while an epsilon schedule is still above the
-    configured epsilon.
+    column marginal.
     """
 
     u: np.ndarray
@@ -226,9 +220,8 @@ class _Step(NamedTuple):
     v_raw: np.ndarray
     du: float
     dv: float
-    col: np.ndarray | None
+    col: np.ndarray
     block: np.ndarray
-    final: bool
 
 
 def _floored_exp(exponent: np.ndarray, floor: float = LOG_FLOOR) -> np.ndarray:
@@ -247,72 +240,136 @@ def _lse(matrix: np.ndarray, axis: int) -> np.ndarray:
     return shift.reshape(total.shape) + np.log(total)
 
 
-def _epsilon_schedule(epsilon: float, start: float, anneal: bool) -> list[float]:
-    """Stage epsilons; every stage but the last runs ANNEAL_STAGE_ITERATIONS."""
-    stages = []
-    if anneal:
-        eps = start
-        while eps > epsilon:
-            stages.append(eps)
-            eps *= ANNEAL_FACTOR
-    stages.append(epsilon)
-    return stages
+def monotone_cells(a: np.ndarray, b: np.ndarray):
+    """Walk the northwest-corner staircase between two equal masses.
+
+    Moves as much mass as the current source entry still holds and the
+    current target entry still accepts, left to right, and yields
+    (i, j, mass, starts_block) for every cell that moves mass.
+    starts_block is true on the first cell and after both entries ran
+    out together. An entry whose remainder is within BLOCK_RTOL of
+    the total mass counts as run out, so rounding leaves no cell
+    between blocks. On the line these cells are the optimal plan for
+    any convex cost.
+    """
+    tol = BLOCK_RTOL * max(float(a.sum()), float(b.sum()))
+    n, m = len(a), len(b)
+    i = j = 0
+    left_a, left_b = float(a[0]), float(b[0])
+    starts = True
+    while True:
+        move = min(left_a, left_b)
+        if move > 0.0:
+            yield i, j, move, starts
+            starts = False
+        left_a -= move
+        left_b -= move
+        done_row = left_a <= tol
+        done_col = left_b <= tol
+        starts = starts or (done_row and done_col)
+        i += done_row
+        j += done_col
+        if i == n or j == m:
+            return
+        if done_row:
+            left_a = float(a[i])
+        if done_col:
+            left_b = float(b[j])
 
 
-def _iterate(la_sub, cost, lb_sub, log_drift, epsilons):
-    """Yield a _Step per scaling iteration over a schedule of epsilons.
+def _shift_block(cost, f, g, i0, j0, i1, j1):
+    """Move block [i0, i1) x [j0, j1) by the midpoint of its free constant.
+
+    The constant t enters as f + t, g - t; its range keeps
+    f_i + g_j <= cost_ij between the block and every earlier one.
+    """
+    if i0 == 0:
+        return
+    upper = (cost[i0:i1, :j0] - f[i0:i1, None] - g[None, :j0]).min()
+    lower = (f[:i0, None] + g[None, j0:j1] - cost[:i0, j0:j1]).max()
+    t = 0.5 * (lower + upper)
+    f[i0:i1] += t
+    g[j0:j1] -= t
+
+
+def monotone_potentials(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
+    """Dual potentials (f, g) of the monotone matching of p onto q.
+
+    p and q are positive masses of equal total on increasing support
+    points, and cost is the squared distance between those points.
+    f_i + g_j equals cost_ij on every cell of monotone_cells and is at
+    most cost_ij everywhere, so sum p f + sum q g is the exact cost
+    (Thornton & Cuturi, arXiv 2206.07630). Each cell fixes one new
+    potential; the walk's blocks are free up to one constant each,
+    which _shift_block sets. Points the walk leaves, carrying at most
+    rounding error, get the c-transform of the others.
+    """
+    n, m = cost.shape
+    f = np.empty(n)
+    g = np.empty(m)
+    i0 = j0 = 0
+    i = j = -1
+    for i_new, j_new, _, starts in monotone_cells(p, q):
+        if starts:
+            _shift_block(cost, f, g, i0, j0, i_new, j_new)
+            i0, j0 = i_new, j_new
+            f[i_new] = 0.0
+            g[j_new] = cost[i_new, j_new]
+        elif i_new > i:
+            f[i_new] = cost[i_new, j_new] - g[j_new]
+        else:
+            g[j_new] = cost[i_new, j_new] - f[i_new]
+        i, j = i_new, j_new
+    _shift_block(cost, f, g, i0, j0, i + 1, j + 1)
+    f[i + 1:] = (cost[i + 1:, :] - g[None, :]).min(axis=1)
+    g[j + 1:] = (cost[:, j + 1:] - f[:, None]).min(axis=0)
+    return f, g
+
+
+def _iterate(la_sub, cost, lb_sub, log_drift, epsilon, lu, lv):
+    """Yield a _Step per scaling iteration at epsilon, from lu, lv.
 
     The iterates are those of the log-domain scaling
     lu = la - lse(block + lv), lv = lb - lse(block + lu), computed on
     a kernel that absorbs the potentials alpha, beta:
     kernel = exp(block + alpha + beta), so that each half-step is one
     matrix-vector product with exp(lv - beta) or exp(lu - alpha).
-    The potentials are absorbed at the start of every stage and
-    whenever a deviation exceeds ABSORB_BOUND, each time from a
-    log-domain u half-step. A v half-step whose column sums fall
-    below MIN_COLUMN_SUM runs on logarithms.
+    The potentials are absorbed at the start and whenever a deviation
+    exceeds ABSORB_BOUND, each time from a log-domain u half-step. A
+    v half-step whose column sums fall below MIN_COLUMN_SUM runs on
+    logarithms. lv is the start; lu only enters the first step's du.
 
     log v is shifted by the log mass quotient after every update so
     that the scalings stay bounded for unbalanced inputs; the shift
-    cancels out of every plan built from matching iterates. Between
-    stages the log scalings are rescaled by the ratio of the epsilons,
-    which keeps the dual potentials epsilon * log u fixed.
+    cancels out of every plan built from matching iterates.
     """
-    lu = np.zeros_like(la_sub)
-    lv = np.zeros_like(lb_sub)
-    for k, eps in enumerate(epsilons):
-        final = k == len(epsilons) - 1
-        if k:
-            ratio = epsilons[k - 1] / eps
-            lu = lu * ratio
-            lv = lv * ratio
-        block = -cost / eps
-        kernel = None
-        for _ in itertools.count() if final else range(ANNEAL_STAGE_ITERATIONS):
-            if kernel is not None:
-                lu_new = la_sub + alpha - np.log(kernel @ np.exp(lv - beta))
-                if np.abs(lu_new - alpha).max() > ABSORB_BOUND:
-                    kernel = None
-            if kernel is None:
-                lu_new = la_sub - _lse(block + lv[None, :], axis=1)
-                alpha, beta = lu_new, lv
-                kernel = _floored_exp(block + alpha[:, None] + beta[None, :],
-                                      LOG_FLOOR + ABSORB_BOUND)
-            col_sums = kernel.T @ np.exp(lu_new - alpha)
-            if col_sums.min() >= MIN_COLUMN_SUM:
-                lv_raw = lb_sub + beta - np.log(col_sums)
-            else:
-                lv_raw = lb_sub - _lse(block + lu_new[:, None], axis=0)
-            lv_new = lv_raw + log_drift
-            du = _oscillation(lu_new - lu)
-            dv = _oscillation(lv_new - lv)
-            # a column mass below exp(LOG_FLOOR) is as far from its
-            # limit as zero is, so the stop rule reads it the same
-            col = _floored_exp(lb_sub + lv - lv_raw) if final else None
-            yield _Step(lu_new, lv, lv_raw, du, dv, col, block, final)
-            lu, lv = lu_new, lv_new
-            if np.abs(lv - beta).max() > ABSORB_BOUND:
+    block = -cost / epsilon
+    kernel = None
+    while True:
+        if kernel is not None:
+            lu_new = la_sub + alpha - np.log(kernel @ np.exp(lv - beta))
+            if np.abs(lu_new - alpha).max() > ABSORB_BOUND:
                 kernel = None
+        if kernel is None:
+            lu_new = la_sub - _lse(block + lv[None, :], axis=1)
+            alpha, beta = lu_new, lv
+            kernel = _floored_exp(block + alpha[:, None] + beta[None, :],
+                                  LOG_FLOOR + ABSORB_BOUND)
+        col_sums = kernel.T @ np.exp(lu_new - alpha)
+        if col_sums.min() >= MIN_COLUMN_SUM:
+            lv_raw = lb_sub + beta - np.log(col_sums)
+        else:
+            lv_raw = lb_sub - _lse(block + lu_new[:, None], axis=0)
+        lv_new = lv_raw + log_drift
+        du = _oscillation(lu_new - lu)
+        dv = _oscillation(lv_new - lv)
+        # a column mass below exp(LOG_FLOOR) is as far from its
+        # limit as zero is, so the stop rule reads it the same
+        col = _floored_exp(lb_sub + lv - lv_raw)
+        yield _Step(lu_new, lv, lv_raw, du, dv, col, block)
+        lu, lv = lu_new, lv_new
+        if np.abs(lv - beta).max() > ABSORB_BOUND:
+            kernel = None
 
 
 def _scatter_plan(block: np.ndarray, support0, support1, d: int) -> TransportPlan:
@@ -343,9 +400,16 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared
     b_sub = b[support1]
     diff = support0[:, None].astype(float) - support1[None, :].astype(float)
     cost = diff * diff
-    epsilons = _epsilon_schedule(kernel.epsilon, float(cost.max()), config.anneal)
+    if config.warm_start:
+        # unit masses: the even limit of shifted_sinkhorn is the
+        # projection for nu0 / m0, so one matching serves both solves
+        f, g = monotone_potentials(cost, a_sub / a_sub.sum(), b_sub / b_sub.sum())
+        lu, lv = f / kernel.epsilon, g / kernel.epsilon
+    else:
+        lu, lv = np.zeros_like(a_sub), np.zeros_like(b_sub)
     log_drift = np.log(a_sub.sum()) - np.log(b_sub.sum())
-    steps = _iterate(np.log(a_sub), cost, np.log(b_sub), log_drift, epsilons)
+    steps = _iterate(np.log(a_sub), cost, np.log(b_sub), log_drift, kernel.epsilon,
+                     lu, lv)
     return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
 
 
@@ -398,7 +462,7 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit,
         hilbert_v.append(step.dv)
         if observe is not None:
             observe(iterations, step)
-        if config.stop_tolerance > 0.0 and step.final:
+        if config.stop_tolerance > 0.0:
             if np.abs(step.col - limit_sub).max() <= config.stop_tolerance:
                 stop_reason = STOP_CONVERGED
                 break
@@ -443,7 +507,7 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         nu0: source measure, the rows of the returned plan.
         nu1: target measure, the columns.
         kernel: Gibbs kernel built for the same width and epsilon.
-        config: iteration budget, stopping rule and schedule.
+        config: iteration budget, stopping rule and start.
 
     Returns:
         (TransportPlan, ScalingVectors, ConvergenceReport). The plan
@@ -470,11 +534,11 @@ def shifted_sinkhorn(
 
     settle_column names a source column with mass when the caller
     reads only the disparity there. The solve then also stops, with
-    stop reason shift-settled, once at the final epsilon that
-    disparity has moved at most SETTLE_TOLERANCE over the last
-    SETTLE_WINDOW iterations and lies within SETTLE_TOLERANCE of an
-    integer. Like the tolerance stop, it is off when stop_tolerance
-    is zero. Without settle_column the solve stops as sinkhorn does.
+    stop reason shift-settled, once that disparity has moved at most
+    SETTLE_TOLERANCE over the last SETTLE_WINDOW iterations and lies
+    within SETTLE_TOLERANCE of an integer. Like the tolerance stop,
+    it is off when stop_tolerance is zero. Without settle_column the
+    solve stops as sinkhorn does.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
     m0 = float(a.sum())

@@ -3,6 +3,7 @@ import pytest
 
 from otstereo.errors import InstanceTooLargeError, MassMismatchError, QuantizationError
 from otstereo.exact import brute_force_plan, exact_cost, monotone_plan
+from otstereo.sinkhorn import monotone_cells, monotone_potentials
 
 
 def test_monotone_shift_instance():
@@ -84,3 +85,58 @@ def test_exact_cost_quadratic_in_shift():
     for shift in (1, 2):
         target = np.roll(base, shift)
         assert exact_cost(base, target) == pytest.approx(float(shift**2))
+
+
+def boxes(d, spans):
+    row = np.zeros(d)
+    for lo, hi, level in spans:
+        row[lo:hi] = level
+    return row
+
+
+def potential_cases():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        d = int(rng.integers(2, 25))
+        a = rng.uniform(0.1, 1.0, d) * (rng.uniform(size=d) < 0.7)
+        b = rng.uniform(0.1, 1.0, d) * (rng.uniform(size=d) < 0.7)
+        a[rng.integers(d)] = b[rng.integers(d)] = 0.5
+        yield a, b
+    # equal-mass objects: the staircase breaks into one block per object
+    yield (boxes(60, [(5, 15, 0.3), (16, 36, 0.7), (40, 45, 0.2)]),
+           boxes(60, [(9, 19, 0.3), (21, 41, 0.7), (42, 47, 0.2)]))
+    # single-point supports, alone and against a spread measure
+    yield boxes(9, [(2, 3, 1.0)]), boxes(9, [(7, 8, 1.0)])
+    yield boxes(9, [(4, 5, 1.0)]), boxes(9, [(0, 9, 1.0)])
+    # 0.1 + 0.2 != 0.3 in floating point, so the block break at 0.3
+    # is only equal up to rounding
+    yield np.array([0.1, 0.2, 0.7, 0.0]), np.array([0.0, 0.3, 0.3, 0.4])
+    # a last point lighter than the block tolerance: the walk ends
+    # before it, and its potential is the c-transform of the others
+    yield np.array([1.0, 1e-13, 0.0]), np.array([0.0, 0.0, 1.0])
+
+
+POTENTIAL_CASES = list(potential_cases())
+
+
+@pytest.mark.parametrize("case", range(len(POTENTIAL_CASES)))
+def test_potentials_certify_the_monotone_plan(case):
+    a, b = POTENTIAL_CASES[case]
+    a, b = a / a.sum(), b / b.sum()
+    s0, s1 = np.flatnonzero(a), np.flatnonzero(b)
+    cost = (s0[:, None] - s1[None, :]).astype(float) ** 2
+    f, g = monotone_potentials(cost, a[s0], b[s1])
+    exact = monotone_plan(a, b)
+    slack = cost - f[:, None] - g[None, :]
+    scale = cost.max() + 1.0
+    # tight on the plan's support, feasible everywhere
+    assert np.abs(slack[exact.plan.entries[np.ix_(s0, s1)] > 0.0]).max() <= 1e-12 * scale
+    assert slack.min() >= -1e-12 * scale
+    assert a[s0] @ f + b[s1] @ g == pytest.approx(exact.cost, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_block_break_drops_the_rounding_residue():
+    a = np.array([0.1, 0.2, 0.7, 0.0])
+    b = np.array([0.0, 0.3, 0.3, 0.4])
+    cells = [(i, j, starts) for i, j, _, starts in monotone_cells(a, b)]
+    assert cells == [(0, 1, True), (1, 1, False), (2, 2, True), (2, 3, False)]

@@ -17,7 +17,7 @@ from otstereo.sinkhorn import SinkhornConfig
 
 RIG = CameraRig()
 CONFIG = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)
-ANNEALED = RunConfig(niter=10000).sinkhorn_config()
+WARM = RunConfig(niter=10000).sinkhorn_config()
 
 
 def scene_rows(objects, d, h=2):
@@ -159,7 +159,7 @@ def test_touching_objects_split_at_the_intensity_change():
         (obj(8, 20, 7, 0.45), obj(28, 16, 3, 0.8), obj(48, 20, 3, 0.6)), d=80, h=1
     )
     assert pair.hidden[0]["right_frame"] == [(28, 31)]
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     assert result.reports[0].intervals == ((28, 31),)
     truth = pair.truth.values
     visible = np.isfinite(truth) & ~pair.truth.occluded
@@ -172,7 +172,7 @@ def test_neighbor_hidden_in_full_is_one_interval():
         (obj(1, 7, 8, 0.9), obj(10, 4, 1, 0.45), obj(15, 14, 5, 0.6)), d=80, h=1
     )
     assert pair.hidden[0]["right_frame"] == [(10, 13)]
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     assert result.reports[0].intervals == ((10, 13),)
     truth = pair.truth.values
     visible = np.isfinite(truth) & ~pair.truth.occluded
@@ -187,7 +187,7 @@ def test_hidden_neighbor_is_told_from_a_later_object_of_its_value():
         (obj(0, 10, 8, 0.45), obj(17, 4, 2, 0.45), obj(17, 13, 8, 0.75)), d=80, h=1
     )
     assert pair.hidden[0] == {"right_frame": [], "left_frame": [(19, 22)]}
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     assert result.reports[0].left_frame == ((19, 22),)
     truth = pair.truth.values
     assert np.array_equal(result.defined_mask, np.isfinite(truth))
@@ -200,7 +200,7 @@ def test_occluder_landing_past_its_neighbors_start_fails_the_row():
     # reads that, and the recovered shifts fail the check
     pair = scene_rows((obj(8, 4, 9, 0.3), obj(12, 15, 3, 0.75)), d=80, h=1)
     assert pair.hidden[0]["right_frame"] == [(14, 17)]
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     info = result.diagnostics[0]
     assert info["path"] == "failed"
     assert info["stop_reason"] == "converged"
@@ -217,7 +217,7 @@ def mirror_pair(h=2):
 def test_mirror_row_profile_and_left_frame_are_exact():
     pair = mirror_pair()
     assert pair.hidden[0] == {"right_frame": [], "left_frame": [(36, 39)]}
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     report = result.reports[0]
     assert result.diagnostics[0]["path"] == "occlusion"
     assert result.diagnostics[0]["stop_reason"] == "converged"
@@ -233,9 +233,9 @@ def test_mirror_row_profile_and_left_frame_are_exact():
     assert not result.occluded.any()
 
 
-def test_mirror_rows_agree_with_and_without_annealing():
+def test_mirror_rows_agree_with_and_without_warm_start():
     pair = mirror_pair(h=1)
-    result = disparity_map(pair.left, pair.right, ANNEALED)
+    result = disparity_map(pair.left, pair.right, WARM)
     fixed = disparity_map(pair.left, pair.right, CONFIG)
     assert result.reports[0].left_frame == fixed.reports[0].left_frame == ((36, 39),)
     assert [round(s) for _, s in result.reports[0].object_shifts] == [
@@ -243,7 +243,7 @@ def test_mirror_rows_agree_with_and_without_annealing():
     ]
     assert np.array_equal(result.defined_mask, fixed.defined_mask)
     # at a fixed epsilon the balanced remainder stops on its budget,
-    # about 0.01 px short of the annealed solve's accuracy
+    # about 0.01 px short of the warm-started solve's accuracy
     assert fixed.diagnostics[0]["stop_reason"] == "max-iterations"
     assert np.array_equal(np.rint(result.values), np.rint(fixed.values), equal_nan=True)
     assert np.allclose(result.values, fixed.values, atol=0.05, equal_nan=True)

@@ -6,7 +6,7 @@ import pytest
 from otstereo.disparity import disparity_profile
 from otstereo.errors import WrongPathError
 from otstereo.kernel import build_kernel
-from otstereo.sinkhorn import SETTLE_TOLERANCE, SinkhornConfig, shifted_sinkhorn
+from otstereo.sinkhorn import SETTLE_TOLERANCE, SETTLE_WINDOW, SinkhornConfig, shifted_sinkhorn
 
 TIGHT = dict(max_iterations=200000, stop_tolerance=1e-14)
 
@@ -86,14 +86,14 @@ def test_target_must_be_probability():
         shifted_sinkhorn(a, a, kern, SinkhornConfig(1.0))
 
 
-@pytest.mark.parametrize("anneal", [False, True])
-def test_tolerance_stop_fires_on_the_scaled_target(anneal):
+@pytest.mark.parametrize("warm_start", [False, True])
+def test_tolerance_stop_fires_on_the_scaled_target(warm_start):
     rng = np.random.default_rng(12)
     m0 = 1.4
     a, b = unbalanced_pair(rng, 7, m0)
     kern = build_kernel(7, 0.5)
     config = SinkhornConfig(0.5, max_iterations=100000, stop_tolerance=1e-10,
-                            anneal=anneal)
+                            warm_start=warm_start)
     limits = shifted_sinkhorn(a, b, kern, config)
     assert limits.report.stop_reason == "converged"
     assert limits.report.iterations < 100000
@@ -115,14 +115,14 @@ def peel_pair(d=60):
     return right / left.sum(), left / left.sum()
 
 
-ANNEALED = SinkhornConfig(0.1, max_iterations=10000, stop_tolerance=1e-6, anneal=True)
+WARM = SinkhornConfig(0.1, max_iterations=10000, stop_tolerance=1e-6, warm_start=True)
 
 
 def test_settle_stop_reports_shift_settled():
     a, b = peel_pair()
     kern = build_kernel(60, 0.1)
-    settled = shifted_sinkhorn(a, b, kern, ANNEALED, settle_column=10)
-    full = shifted_sinkhorn(a, b, kern, ANNEALED)
+    settled = shifted_sinkhorn(a, b, kern, WARM, settle_column=10)
+    full = shifted_sinkhorn(a, b, kern, WARM)
     assert settled.report.stop_reason == "shift-settled"
     assert full.report.stop_reason == "converged"
     assert settled.report.iterations < full.report.iterations
@@ -134,12 +134,13 @@ def test_settle_stop_reports_shift_settled():
 def test_settle_stop_keeps_budget_stops_named():
     a, b = peel_pair()
     kern = build_kernel(60, 0.1)
-    # the budget ends inside the epsilon schedule
-    short = replace(ANNEALED, max_iterations=40)
+    # the budget ends before the settle window has filled
+    short = replace(WARM, max_iterations=SETTLE_WINDOW)
     limits = shifted_sinkhorn(a, b, kern, short, settle_column=10)
-    assert (limits.report.iterations, limits.report.stop_reason) == (40, "max-iterations")
+    assert (limits.report.iterations, limits.report.stop_reason) == (
+        SETTLE_WINDOW, "max-iterations")
     # a zero tolerance turns the settle stop off with the marginal one
-    exact = replace(ANNEALED, max_iterations=700, stop_tolerance=0.0)
+    exact = replace(WARM, max_iterations=700, stop_tolerance=0.0)
     limits = shifted_sinkhorn(a, b, kern, exact, settle_column=10)
     assert (limits.report.iterations, limits.report.stop_reason) == (700, "max-iterations")
 
@@ -147,7 +148,7 @@ def test_settle_stop_keeps_budget_stops_named():
 def test_solve_without_settle_column_stops_on_the_marginal():
     a, b = unbalanced_pair(np.random.default_rng(12), 7, 1.4)
     kern = build_kernel(7, 0.5)
-    config = SinkhornConfig(0.5, max_iterations=100000, stop_tolerance=1e-10, anneal=True)
+    config = SinkhornConfig(0.5, max_iterations=100000, stop_tolerance=1e-10, warm_start=True)
     report = shifted_sinkhorn(a, b, kern, config).report
     assert report.stop_reason == "converged"
     assert report.marginal_violation <= config.stop_tolerance
@@ -163,4 +164,4 @@ def test_settle_column_must_carry_mass():
     a, b = peel_pair()
     kern = build_kernel(60, 0.1)
     with pytest.raises(ValueError, match="settle column 5"):
-        shifted_sinkhorn(a, b, kern, ANNEALED, settle_column=5)
+        shifted_sinkhorn(a, b, kern, WARM, settle_column=5)

@@ -9,11 +9,10 @@ from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
 from otstereo.exact import monotone_plan
 from otstereo.kernel import build_kernel
 from otstereo.sinkhorn import (
-    ANNEAL_FACTOR,
-    ANNEAL_STAGE_ITERATIONS,
     SinkhornConfig,
     TransportPlan,
     kl_divergence,
+    monotone_potentials,
     project_cols,
     project_rows,
     regularized_cost,
@@ -81,7 +80,7 @@ def test_tolerance_stop_reports_convergence():
     assert report.marginal_violation <= 1e-12
 
 
-def test_annealed_solve_matches_long_fixed_epsilon_solve():
+def test_warm_started_solve_matches_long_fixed_epsilon_solve():
     rng = np.random.default_rng(29)
     for _ in range(5):
         d = int(rng.integers(5, 13))
@@ -90,22 +89,24 @@ def test_annealed_solve_matches_long_fixed_epsilon_solve():
         a = random_probability(rng, d, zeros=int(rng.integers(0, 3)))
         b = random_probability(rng, d, zeros=int(rng.integers(0, 3)))
         fixed = SinkhornConfig(eps, max_iterations=200000, stop_tolerance=1e-13)
-        annealed = SinkhornConfig(eps, max_iterations=200000, stop_tolerance=1e-10,
-                                  anneal=True)
+        warm = SinkhornConfig(eps, max_iterations=200000, stop_tolerance=1e-10,
+                              warm_start=True)
         reference, _, _ = sinkhorn(a, b, kern, fixed)
-        plan, _, report = sinkhorn(a, b, kern, annealed)
+        plan, _, report = sinkhorn(a, b, kern, warm)
         assert report.stop_reason == "converged"
         assert report.marginal_violation <= 1e-10
         assert np.abs(plan.entries - reference.entries).max() < 1e-8
 
 
-def test_annealing_iterations_count_toward_the_budget():
+def test_warm_start_iterations_count_toward_the_budget():
+    rng = np.random.default_rng(3)
     kern = build_kernel(8, 0.5)
-    a = np.full(8, 1 / 8)
-    b = np.roll(a, 3)
-    config = SinkhornConfig(0.5, max_iterations=30, stop_tolerance=1e-6, anneal=True)
+    a = random_probability(rng, 8)
+    b = random_probability(rng, 8)
+    config = SinkhornConfig(0.5, max_iterations=30, stop_tolerance=1e-6, warm_start=True)
     plan, _, report = sinkhorn(a, b, kern, config)
-    # the schedule from epsilon 49 down to 0.5 alone takes 13 stages of 20
+    # at epsilon 0.5 the entropic potentials of this pair lie far from
+    # the exact ones: the warm-started solve needs about 200 iterations
     assert report.stop_reason == "max-iterations"
     assert report.iterations == len(report.hilbert_u) == 30
     assert np.allclose(plan.row_marginal, a, atol=1e-13)
@@ -116,9 +117,9 @@ def test_unequal_masses_never_report_convergence():
     kern = build_kernel(6, 1.0)
     a = 0.8 * random_probability(rng, 6)
     b = random_probability(rng, 6)
-    for anneal in (False, True):
+    for warm_start in (False, True):
         config = SinkhornConfig(1.0, max_iterations=2000, stop_tolerance=1e-3,
-                                anneal=anneal)
+                                warm_start=warm_start)
         _, _, report = sinkhorn(a, b, kern, config)
         assert report.stop_reason == "max-iterations"
         assert report.iterations == 2000
@@ -171,10 +172,10 @@ def box(d, lo, hi, level):
     return row
 
 
-# (nu0, nu1, epsilon, anneal): the four kinds of solve the pipeline runs
+# (nu0, nu1, epsilon, warm_start): the four kinds of solve the pipeline runs
 HOT_LOOP_CASES = {
-    # README row: balanced, annealed down to epsilon 0.1
-    "annealed-balanced": (box(120, 20, 46, 0.5) + box(120, 47, 87, 0.6),
+    # README row: balanced, warm-started at epsilon 0.1
+    "warm-balanced": (box(120, 20, 46, 0.5) + box(120, 47, 87, 0.6),
                           box(120, 29, 55, 0.5) + box(120, 51, 91, 0.6), 0.1, True),
     # mirror row: unequal masses, fixed epsilon
     "fixed-unequal": (box(60, 10, 30, 0.05), box(60, 14, 30, 0.06), 0.1, False),
@@ -189,8 +190,8 @@ HOT_LOOP_CASES = {
 def test_scaling_iteration_never_underflows(case):
     # exp below about -708 leaves numpy's fast path, so a loop that
     # never underflows is a loop that stays on it
-    a, b, eps, anneal = HOT_LOOP_CASES[case]
-    config = SinkhornConfig(eps, anneal=anneal)
+    a, b, eps, warm_start = HOT_LOOP_CASES[case]
+    config = SinkhornConfig(eps, warm_start=warm_start)
     steps = sinkhorn_module._prepare(a, b, build_kernel(a.size, eps), config).steps
     with np.errstate(under="raise"):
         for step in itertools.islice(steps, 1500):
@@ -202,7 +203,7 @@ def _lse(x, axis):
     return (shift + np.log(np.exp(x - shift).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
-def log_domain_solve(a, b, eps, max_iterations, stop_tolerance, anneal, limit):
+def log_domain_solve(a, b, eps, max_iterations, stop_tolerance, warm_start, limit):
     """The scaling iteration on logarithms, one log-sum-exp per half-step.
 
     Returns (iterations, stop_reason, odd, even, u, v) with the plans
@@ -214,37 +215,24 @@ def log_domain_solve(a, b, eps, max_iterations, stop_tolerance, anneal, limit):
     la, lb = np.log(a[s0]), np.log(b[s1])
     cost = (s0[:, None] - s1[None, :]).astype(float) ** 2
     drift = np.log(a.sum()) - np.log(b.sum())
-    stages = []
-    stage_eps = cost.max()
-    while anneal and stage_eps > eps:
-        stages.append(stage_eps)
-        stage_eps *= ANNEAL_FACTOR
-    stages.append(eps)
-    lu = np.zeros(s0.size)
     lv = np.zeros(s1.size)
+    if warm_start:
+        _, g = monotone_potentials(cost, a[s0] / a.sum(), b[s1] / b.sum())
+        lv = g / eps
+    block = -cost / eps
     iterations = 0
     reason = None
-    for k, stage_eps in enumerate(stages):
-        final = k == len(stages) - 1
-        if k:
-            lu = lu * stages[k - 1] / stage_eps
-            lv = lv * stages[k - 1] / stage_eps
-        block = -cost / stage_eps
-        for count in itertools.count(1):
-            lu = la - _lse(block + lv[None, :], axis=1)
-            lv_prev = lv
-            lv_raw = lb - _lse(block + lu[:, None], axis=0)
-            lv = lv_raw + drift
-            iterations += 1
-            col = np.exp(lb + lv_prev - lv_raw)
-            if stop_tolerance and final and np.abs(col - limit[s1]).max() <= stop_tolerance:
-                reason = "converged"
-            elif iterations >= max_iterations:
-                reason = "max-iterations"
-            if reason or (not final and count == ANNEAL_STAGE_ITERATIONS):
-                break
-        if reason:
-            break
+    while not reason:
+        lu = la - _lse(block + lv[None, :], axis=1)
+        lv_prev = lv
+        lv_raw = lb - _lse(block + lu[:, None], axis=0)
+        lv = lv_raw + drift
+        iterations += 1
+        col = np.exp(lb + lv_prev - lv_raw)
+        if stop_tolerance and np.abs(col - limit[s1]).max() <= stop_tolerance:
+            reason = "converged"
+        elif iterations >= max_iterations:
+            reason = "max-iterations"
     odd, even = np.zeros((d, d)), np.zeros((d, d))
     odd[np.ix_(s0, s1)] = np.exp(lu[:, None] + block + lv_prev[None, :])
     even[np.ix_(s0, s1)] = np.exp(lu[:, None] + block + lv_raw[None, :])
@@ -253,9 +241,9 @@ def log_domain_solve(a, b, eps, max_iterations, stop_tolerance, anneal, limit):
     return iterations, reason, odd, even, u, v
 
 
-# (nu0, nu1, epsilon, anneal, max_iterations, stop_tolerance)
+# (nu0, nu1, epsilon, warm_start, max_iterations, stop_tolerance)
 AGREEMENT_CASES = {
-    "annealed": (box(40, 5, 15, 0.1) + box(40, 16, 26, 0.15),
+    "warm": (box(40, 5, 15, 0.1) + box(40, 16, 26, 0.15),
                  box(40, 9, 19, 0.1) + box(40, 18, 28, 0.15), 0.1, True, 3000, 1e-6),
     "fixed": (box(12, 1, 6, 0.2), box(12, 3, 9, 1 / 6), 0.5, False, 3000, 1e-11),
     # every target column sits far from the source: the first v
@@ -269,7 +257,7 @@ AGREEMENT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(AGREEMENT_CASES))
 def test_absorbed_iteration_matches_the_log_domain_iteration(case, monkeypatch):
-    a, b, eps, anneal, budget, tol = AGREEMENT_CASES[case]
+    a, b, eps, warm_start, budget, tol = AGREEMENT_CASES[case]
     calls = {0: 0, 1: 0}
     lse = sinkhorn_module._lse
 
@@ -279,11 +267,12 @@ def test_absorbed_iteration_matches_the_log_domain_iteration(case, monkeypatch):
 
     monkeypatch.setattr(sinkhorn_module, "_lse", counted)
     kern = build_kernel(a.size, eps)
-    config = SinkhornConfig(eps, max_iterations=budget, stop_tolerance=tol, anneal=anneal)
+    config = SinkhornConfig(eps, max_iterations=budget, stop_tolerance=tol,
+                            warm_start=warm_start)
     for scale in (1.0, 1.25):
         nu0, nu1 = scale * a / a.sum(), b / b.sum()
         iterations, reason, odd, even, u, v = log_domain_solve(
-            nu0, nu1, eps, budget, tol, anneal, scale * nu1)
+            nu0, nu1, eps, budget, tol, warm_start, scale * nu1)
         if scale > 1.0:
             limits = shifted_sinkhorn(nu0, nu1, kern, config)
             report = limits.report
