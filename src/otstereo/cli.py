@@ -26,7 +26,7 @@ from . import fileio
 from .disparity import DisparityMap, disparity_map, disparity_profile
 from .errors import OtStereoError, UnresolvedOcclusionError
 from .kernel import build_kernel
-from .measures import DEFAULT_BALANCE_TOLERANCE, measure_from_row
+from .measures import measure_from_row
 from .scene import CameraRig, load_scene, map_from_values, reconstruct, render_pair
 from .sinkhorn import (
     STOP_MAX_ITERATIONS,
@@ -50,8 +50,6 @@ class RunConfig:
 
     epsilon: float = 0.1
     niter: int = 100000
-    balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE
-    mass_tolerance: float = 1e-3
     stop_tolerance: float = 1e-6
     out_dir: str = "."
 
@@ -70,8 +68,6 @@ class RunConfig:
 _CONFIG_PARSERS = {
     "epsilon": float,
     "niter": int,
-    "balance_tolerance": float,
-    "mass_tolerance": float,
     "stop_tolerance": float,
     "out_dir": str.strip,
 }
@@ -176,13 +172,7 @@ def cmd_disparity(args) -> int:
     config = resolve_config(args)
     left = fileio.read_pgm(args.left)
     right = fileio.read_pgm(args.right)
-    result = disparity_map(
-        left,
-        right,
-        config.sinkhorn_config(),
-        balance_tolerance=config.balance_tolerance,
-        mass_tolerance=config.mass_tolerance,
-    )
+    result = disparity_map(left, right, config.sinkhorn_config())
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_map(out, result)
@@ -291,14 +281,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file with RunConfig fields")
     parser.add_argument("--epsilon", type=float, help="entropic regularization")
     parser.add_argument("--niter", type=int, help="iteration budget per scanline")
-    parser.add_argument(
-        "--balance-tolerance", dest="balance_tolerance", type=float,
-        help="relative mass gap treated as balanced",
-    )
-    parser.add_argument(
-        "--mass-tolerance", dest="mass_tolerance", type=float,
-        help="absolute mass left unexplained by occlusion recovery",
-    )
     parser.add_argument(
         "--stop-tolerance", dest="stop_tolerance", type=float,
         help="largest column-marginal violation (max norm, unit-mass rows) "

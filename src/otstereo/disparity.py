@@ -5,10 +5,10 @@ plan minus the column index. On a balanced scanline of a piecewise
 constant scene this recovers each object's pixel shift. When one
 row carries more mass than the other, the surplus marks pixels
 visible in that view only; the recovery loop peels objects left to
-right, reads their rigid shifts, localizes the hidden interval by
-mass accounting, and checks that the shifts carry the heavier row
-onto the other. A row whose left view is heavier runs the same loop
-on both rows flipped.
+right, reads their rigid shifts off the exact monotone matching,
+localizes the hidden interval by mass accounting, and checks that
+the shifts carry the heavier row onto the other. A row whose left
+view is heavier runs the same loop on both rows flipped.
 """
 from __future__ import annotations
 
@@ -25,18 +25,14 @@ from .errors import (
 )
 from .exact import monotone_plan
 from .kernel import GibbsKernel, build_kernel
-from .measures import (
-    DEFAULT_BALANCE_TOLERANCE,
-    compare_masses,
-    measure_from_row,
-)
+from .measures import compare_masses, measure_from_row
 from .sinkhorn import (
     STOP_CONVERGED,
     STOP_MAX_ITERATIONS,
     SinkhornConfig,
     TransportPlan,
     _as_values,
-    shifted_sinkhorn,
+    shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
 )
 
@@ -65,13 +61,13 @@ class OcclusionReport:
 
     intervals lists the source-frame column ranges (inclusive) whose
     content is hidden in the target view. object_shifts pairs each
-    processed object's leftmost column with the raw disparity read
-    there. compression_plateau is the repeated adjacent value of the
-    disparity increments, an estimate of 1 - 1/phi. iterations sums
-    the scaling iterations of the loop's sub-solves, and stop_reason
-    is max-iterations when any of them stopped on its budget, else
-    converged (a sub-solve that stopped on its settled shift counts
-    as converged).
+    processed object's leftmost column with the whole-pixel shift the
+    loop gives the object: the exact matching's disparity there,
+    rounded. compression_plateau is the repeated adjacent value of
+    the disparity increments, an estimate of 1 - 1/phi. iterations
+    and stop_reason are those of the regularized solve of the
+    balanced remainder; a loop that ends before that solve reports
+    zero iterations, converged.
 
     In a disparity map the source is the right row. A row whose left
     view is heavier is solved on flipped rows (the renderer's
@@ -236,11 +232,7 @@ def _hides_next(source, target, runs, shift: int) -> bool:
 
 
 def recover_occlusions(
-    nu0,
-    nu1,
-    kernel: GibbsKernel,
-    config: SinkhornConfig,
-    mass_tolerance: float = DEFAULT_MASS_TOLERANCE,
+    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
 ) -> tuple[DisparityProfile, OcclusionReport]:
     """Disparity of a source-heavy scanline plus its hidden intervals.
 
@@ -248,19 +240,21 @@ def recover_occlusions(
     WrongPathError; the surplus is content visible in the source view
     only. An object is a maximal run of one positive value, as the
     cartoon model paints each object in one intensity. The loop peels
-    the leftmost remaining object X: an unbalanced solve reads its
-    rigid shift at its leftmost column, and stops once that shift has
-    settled (see shifted_sinkhorn). X occludes its right neighbor Y
+    the leftmost remaining object X and reads its rigid shift at its
+    leftmost column, from the exact monotone matching of the
+    remaining source, rescaled to the remaining target's mass, onto
+    that target (monotone_plan). X occludes its right neighbor Y
     when the run of Y's value that starts in the target right after
     X's image is shorter than Y, or, with no such run, when Y fits
     behind X (see _hides_next). The columns from Y's left end whose
     mass accounts for the remaining surplus are then flagged hidden
     and removed. X itself is removed from both views and the loop
     continues until the masses reconcile; the reconciled remainder is
-    solved as a balanced problem. Balanced input short-circuits to
-    that final solve and yields an empty report.
+    solved as a balanced problem by regularized scaling (sinkhorn).
+    Balanced input short-circuits to that final solve and yields an
+    empty report.
 
-    Unless a sub-solve stopped on its budget, the rounded shifts must
+    Unless the remainder's solve stopped on its budget, the shifts must
     carry the source row onto the target row: each shifted pixel on a
     target pixel of its own value, one to one, and every target pixel
     with mass reached. Otherwise the loop raises
@@ -287,31 +281,28 @@ def recover_occlusions(
     intervals: list[tuple[int, int]] = []
     shifts: list[tuple[int, float]] = []
     plateau: float | None = None
-    first_pass = True
-    solves = []
+    rest_report = None
 
     def report() -> OcclusionReport:
-        budget = any(r.stop_reason == STOP_MAX_ITERATIONS for r in solves)
         return OcclusionReport(
             y=-1,
             phi=phi,
             intervals=tuple(intervals),
             object_shifts=tuple(shifts),
             compression_plateau=plateau,
-            iterations=sum(r.iterations for r in solves),
-            stop_reason=STOP_MAX_ITERATIONS if budget else STOP_CONVERGED,
+            iterations=rest_report.iterations if rest_report else 0,
+            stop_reason=rest_report.stop_reason if rest_report else STOP_CONVERGED,
         )
 
     while True:
         mass0 = float(remaining0.sum())
         mass1 = float(remaining1.sum())
         deficit = mass0 - mass1
-        if deficit <= mass_tolerance:
+        if deficit <= DEFAULT_MASS_TOLERANCE:
             if mass0 > 0.0 and mass1 > 0.0:
-                plan, _, rep = sinkhorn(
+                plan, _, rest_report = sinkhorn(
                     remaining0 / mass0, remaining1 / mass1, kernel, config
                 )
-                solves.append(rep)
                 rest = disparity_profile(plan)
                 profile[rest.defined_mask] = rest.values[rest.defined_mask]
             break
@@ -327,27 +318,19 @@ def recover_occlusions(
                 report=report(),
             )
         i0, i1 = runs[0]
-        limits = shifted_sinkhorn(
-            remaining0 / mass1, remaining1 / mass1, kernel, config, settle_column=i0
-        )
-        solves.append(limits.report)
-        f = disparity_profile(limits.odd)
-        if first_pass:
-            # the plateau is read off the exact matching of the mass
-            # rescaled pair; the regularized profile blurs the repeats
-            first_pass = False
+        try:
+            exact = monotone_plan(remaining0 * (mass1 / mass0), remaining1)
+        except MassMismatchError as exc:
+            raise UnresolvedOcclusionError(str(exc), report=report()) from exc
+        f = disparity_profile(exact.plan)
+        if plateau is None:
             try:
-                exact = monotone_plan(remaining0 * (mass1 / mass0), remaining1)
-                plateau = _plateau_value(
-                    compression(disparity_profile(exact.plan)),
-                    DEFAULT_PLATEAU_TOLERANCE,
-                )
-            except (NoPlateauError, MassMismatchError):
+                plateau = _plateau_value(compression(f), DEFAULT_PLATEAU_TOLERANCE)
+            except NoPlateauError:
                 plateau = 1.0 - mass0 / mass1
 
-        shift_raw = float(f.values[i0])
-        shift = int(round(shift_raw))
-        shifts.append((i0, shift_raw))
+        shift = int(round(f.values[i0]))
+        shifts.append((i0, float(shift)))
 
         if _hides_next(remaining0, remaining1, runs, shift):
             j0, j1 = runs[1]
@@ -355,7 +338,7 @@ def recover_occlusions(
             i2 = None
             for col in range(j0, j1 + 1):
                 cum += remaining0[col]
-                if cum >= deficit - mass_tolerance:
+                if cum >= deficit - DEFAULT_MASS_TOLERANCE:
                     i2 = col
                     break
             if i2 is None:
@@ -370,8 +353,8 @@ def recover_occlusions(
         remaining1[lo:hi] = 0.0
 
     result = report()
-    # a row cut short by its budget is flagged as such already, and
-    # its shifts are provisional
+    # a row whose remainder solve stopped on its budget is flagged as
+    # such already, and the remainder's shifts are provisional
     if result.stop_reason != STOP_MAX_ITERATIONS and not _reproduces(a, b, profile):
         raise UnresolvedOcclusionError(
             "the recovered shifts do not carry the source row onto the target row",
@@ -413,8 +396,9 @@ def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
     )
 
 
-def _recover_mirror(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig,
-                    mass_tolerance: float) -> tuple[np.ndarray, OcclusionReport]:
+def _recover_mirror(
+    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
+) -> tuple[np.ndarray, OcclusionReport]:
     """Disparity of a row whose left view carries more mass.
 
     The surplus is content hidden from the right view. Flipping both
@@ -426,10 +410,7 @@ def _recover_mirror(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig,
     """
     d = kernel.d
     try:
-        prof, report = recover_occlusions(
-            nu1.values[::-1], nu0.values[::-1], kernel, config,
-            mass_tolerance=mass_tolerance,
-        )
+        prof, report = recover_occlusions(nu1.values[::-1], nu0.values[::-1], kernel, config)
     except UnresolvedOcclusionError as exc:
         exc.report = _mirrored(exc.report, d)
         raise
@@ -445,18 +426,11 @@ def _recover_mirror(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig,
 
 
 def _solve_facts(report: OcclusionReport) -> dict:
-    """Iteration count and stop reason of a peel loop's sub-solves."""
+    """Iteration count and stop reason of a peel loop's remainder solve."""
     return {"iterations": report.iterations, "stop_reason": report.stop_reason}
 
 
-def _row_pipeline(
-    right_row,
-    left_row,
-    kernel: GibbsKernel,
-    config: SinkhornConfig,
-    balance_tolerance: float,
-    mass_tolerance: float,
-):
+def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConfig):
     """Solve one scanline pair; returns (values, occluded, report, info)."""
     d = kernel.d
     nan = np.full(d, np.nan)
@@ -467,15 +441,13 @@ def _row_pipeline(
         return nan, no_occlusion, None, {"path": "empty"}
     if nu0.mass == 0.0 or nu1.mass == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
-    cmp = compare_masses(nu1, nu0, balance_tolerance)
+    cmp = compare_masses(nu1, nu0)
     if not cmp.balanced:
         if nu0.mass > nu1.mass:
-            prof, report = recover_occlusions(
-                nu0, nu1, kernel, config, mass_tolerance=mass_tolerance
-            )
+            prof, report = recover_occlusions(nu0, nu1, kernel, config)
             values = prof.values
         else:
-            values, report = _recover_mirror(nu0, nu1, kernel, config, mass_tolerance)
+            values, report = _recover_mirror(nu0, nu1, kernel, config)
         occluded = np.zeros(d, dtype=bool)
         for lo, hi in report.intervals:
             occluded[lo : hi + 1] = True
@@ -501,8 +473,6 @@ def disparity_map(
     left_image: np.ndarray,
     right_image: np.ndarray,
     config: SinkhornConfig,
-    balance_tolerance: float = DEFAULT_BALANCE_TOLERANCE,
-    mass_tolerance: float = DEFAULT_MASS_TOLERANCE,
 ) -> DisparityMap:
     """Per-scanline disparity for a rectified stereo pair.
 
@@ -520,9 +490,7 @@ def disparity_map(
 
     def solve(y):
         try:
-            return _row_pipeline(
-                right[y], left[y], kernel, config, balance_tolerance, mass_tolerance
-            )
+            return _row_pipeline(right[y], left[y], kernel, config)
         except UnresolvedOcclusionError as exc:
             nan = np.full(d, np.nan)
             none = np.zeros(d, dtype=bool)

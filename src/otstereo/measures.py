@@ -36,9 +36,6 @@ class ScanlineMeasure:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.mass - 1.0) <= tol
-
 
 @dataclass(frozen=True)
 class MassComparison:

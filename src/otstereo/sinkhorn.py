@@ -5,19 +5,17 @@ It keeps the logarithms of the scalings and absorbs them into a kernel
 block, so each half-step is a matrix-vector product on bounded
 numbers; it takes a log-domain half-step wherever that block would
 lose precision. It therefore survives small blur values where the
-kernel entries underflow. The unbalanced variant reads the even and
+kernel entries underflow. The unbalanced variant, the paper's
+projection for a source heavier than its target, reads the even and
 odd iterate limits, which differ exactly by the mass quotient of the
 inputs. A solve can start warm, from the dual potentials of the exact
 monotone matching, which on the line are read off the northwest-corner
 staircase in one sweep; at small epsilon the entropic potentials lie
 close to them. A solve stops on the marginal violation of its odd
-plan, or on its iteration budget; an unbalanced solve that is asked
-for the shift at one column can also stop once that shift has
-settled.
+plan, or on its iteration budget.
 """
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -34,7 +32,6 @@ from .measures import ScanlineMeasure
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
-STOP_SHIFT_SETTLED = "shift-settled"
 
 # Two remainders of the monotone walk that are both within this
 # fraction of the total mass have run out together: the walk starts a
@@ -56,12 +53,6 @@ ABSORB_BOUND = 30.0
 # A column sum of the absorbed kernel below this is too close to the
 # floored entries to trust; that half-step runs on logarithms instead.
 MIN_COLUMN_SUM = 1e-200
-# Settle stop of an unbalanced solve asked for the shift at one column:
-# the shift has moved at most SETTLE_TOLERANCE over the last
-# SETTLE_WINDOW iterations and lies within SETTLE_TOLERANCE of an
-# integer pixel count.
-SETTLE_WINDOW = 20
-SETTLE_TOLERANCE = 1e-3
 
 
 @dataclass(frozen=True)
@@ -135,8 +126,7 @@ class ConvergenceReport:
     update, measured on the positive support. marginal_violation is
     the max-norm gap between the returned plan's column sums and their
     limit, the quantity the tolerance stop tests. stop_reason is
-    converged, max-iterations, or shift-settled for a
-    shifted_sinkhorn solve given a settle column.
+    converged or max-iterations.
     """
 
     iterations: int
@@ -417,41 +407,19 @@ def _plan_block(u, block, v) -> np.ndarray:
     return np.exp(u[:, None] + block + v[None, :])
 
 
-def _row_shift(step: _Step, row: int, cols: np.ndarray, column: int) -> float:
-    """Disparity of one source column in the step's odd plan.
-
-    The row's scaling u cancels out of its barycenter, and each
-    weight is relative to the row's largest, so the floor cannot
-    change it.
-    """
-    logits = step.block[row] + step.v_prev
-    weights = _floored_exp(logits - logits.max())
-    return float(weights @ cols / weights.sum()) - column
-
-
-def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit,
-         observe=None, settle_column=None):
+def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
     """Drive the scaling iteration and package plans plus report.
 
     limit is the full-width vector the odd plan's column marginal
     converges to; the tolerance stop compares against it. observe, if
     given, is called with (iteration, step) after every iteration.
-    settle_column, if given, is a source column whose disparity the
-    settle stop watches. Returns (odd_plan, even_plan, vectors,
-    report); the odd plan pairs the final u with the previous v, so
-    its row marginal is exactly nu0, while the even plan's column
-    marginal is exactly nu1.
+    Returns (odd_plan, even_plan, vectors, report); the odd plan pairs
+    the final u with the previous v, so its row marginal is exactly
+    nu0, while the even plan's column marginal is exactly nu1.
     """
     support0, support1 = prep.support0, prep.support1
     limit_sub = limit[support1]
     d = kernel.d
-    if settle_column is not None:
-        cols = support1.astype(float)
-        settle_row = int(np.searchsorted(support0, settle_column))
-        if settle_row == support0.size or support0[settle_row] != settle_column:
-            raise ValueError(f"settle column {settle_column} carries no source mass")
-        shifts = collections.deque(maxlen=SETTLE_WINDOW + 1)
-
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
     stop_reason = STOP_MAX_ITERATIONS
@@ -462,20 +430,12 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit,
         hilbert_v.append(step.dv)
         if observe is not None:
             observe(iterations, step)
-        if config.stop_tolerance > 0.0:
-            if np.abs(step.col - limit_sub).max() <= config.stop_tolerance:
-                stop_reason = STOP_CONVERGED
-                break
-            if settle_column is not None:
-                shift = _row_shift(step, settle_row, cols, settle_column)
-                shifts.append(shift)
-                if (
-                    len(shifts) > SETTLE_WINDOW
-                    and max(shifts) - min(shifts) <= SETTLE_TOLERANCE
-                    and abs(shift - round(shift)) <= SETTLE_TOLERANCE
-                ):
-                    stop_reason = STOP_SHIFT_SETTLED
-                    break
+        if (
+            config.stop_tolerance > 0.0
+            and np.abs(step.col - limit_sub).max() <= config.stop_tolerance
+        ):
+            stop_reason = STOP_CONVERGED
+            break
         if iterations >= config.max_iterations:
             break
 
@@ -519,9 +479,7 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
     return odd, vectors, report
 
 
-def shifted_sinkhorn(
-    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig, settle_column=None
-) -> ShiftedLimits:
+def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> ShiftedLimits:
     """Unbalanced solve for a source carrying more mass than the target.
 
     Requires m(nu0) > 1 with nu1 a probability vector. The iteration
@@ -532,13 +490,9 @@ def shifted_sinkhorn(
     one disparity profile. The tolerance stop therefore compares the
     odd plan's column marginal with m0 * nu1.
 
-    settle_column names a source column with mass when the caller
-    reads only the disparity there. The solve then also stops, with
-    stop reason shift-settled, once that disparity has moved at most
-    SETTLE_TOLERANCE over the last SETTLE_WINDOW iterations and lies
-    within SETTLE_TOLERANCE of an integer. Like the tolerance stop,
-    it is off when stop_tolerance is zero. Without settle_column the
-    solve stops as sinkhorn does.
+    The occlusion loop of the disparity pipeline does not run this
+    solve: on the line the exact monotone matching of the rescaled
+    pair already gives each occluder's whole-pixel shift.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
     m0 = float(a.sum())
@@ -550,8 +504,7 @@ def shifted_sinkhorn(
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
     prep = _prepare(a, b, kernel, config)
-    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b,
-                                settle_column=settle_column)
+    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
 

@@ -12,10 +12,8 @@ import itertools
 import numpy as np
 
 from otstereo.cli import RunConfig
-from otstereo.disparity import disparity_map, disparity_profile, value_runs
+from otstereo.disparity import disparity_map
 from otstereo.errors import OutOfFrameError
-from otstereo.exact import monotone_plan
-from otstereo.kernel import build_kernel
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -23,7 +21,6 @@ from otstereo.scene import (
     depth_from_disparity,
     render_pair,
 )
-from otstereo.sinkhorn import SETTLE_TOLERANCE, shifted_sinkhorn
 
 RIG = CameraRig()
 WIDTH = 100
@@ -104,22 +101,23 @@ def test_random_single_occlusion_rows():
     assert again.diagnostics == result.diagnostics[:8]
 
 
-def test_settled_shift_agrees_with_the_exact_matching():
+def test_object_shifts_are_the_rendered_whole_pixel_shifts():
     rng = np.random.default_rng(2)
-    kernel = build_kernel(WIDTH, CONFIG.epsilon)
-    settled = 0
-    for _ in range(12):
-        pair = random_row(rng)
-        a, b = pair.right[0], pair.left[0]
-        if a.sum() < b.sum():
-            # the peel loop runs rows whose left view is heavier flipped
-            a, b = b[::-1], a[::-1]
-        i0 = value_runs(a)[0][0]
-        limits = shifted_sinkhorn(a / b.sum(), b / b.sum(), kernel, CONFIG, settle_column=i0)
-        if limits.report.stop_reason != "shift-settled":
+    pairs = [random_row(rng) for _ in range(12)]
+    result = disparity_map(
+        np.vstack([p.left for p in pairs]), np.vstack([p.right for p in pairs]), CONFIG
+    )
+    checked = 0
+    for report in result.reports:
+        if result.diagnostics[report.y]["path"] == "failed":
             continue
-        settled += 1
-        shift = disparity_profile(limits.odd).values[i0]
-        exact = disparity_profile(monotone_plan(a / a.sum(), b / b.sum()).plan).values[i0]
-        assert abs(shift - exact) <= SETTLE_TOLERANCE
-    assert settled >= 9
+        pair = pairs[report.y]
+        left_heavy = pair.left.sum() > pair.right.sum()
+        for col, shift in report.object_shifts:
+            assert shift == round(shift)
+            # a left-image column shows the right-image pixel shift px
+            # to its left, whose rendered shift the truth holds
+            xr = col - int(shift) if left_heavy else col
+            assert pair.truth.values[0, xr] == shift
+            checked += 1
+    assert checked >= 15

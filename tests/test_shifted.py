@@ -3,10 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otstereo.disparity import disparity_profile
 from otstereo.errors import WrongPathError
 from otstereo.kernel import build_kernel
-from otstereo.sinkhorn import SETTLE_TOLERANCE, SETTLE_WINDOW, SinkhornConfig, shifted_sinkhorn
+from otstereo.sinkhorn import SinkhornConfig, shifted_sinkhorn
 
 TIGHT = dict(max_iterations=200000, stop_tolerance=1e-14)
 
@@ -102,50 +101,7 @@ def test_tolerance_stop_fires_on_the_scaled_target(warm_start):
     assert limits.report.marginal_violation <= 1e-10
 
 
-def peel_pair(d=60):
-    # right row of a scene whose first object (columns 10-19, shift 7)
-    # hides columns 21-22 of the second one from the left camera; both
-    # rows scaled by the left row's mass, as the peel loop scales them
-    right = np.zeros(d)
-    right[10:20] = 0.5
-    right[21:41] = 0.6
-    left = np.zeros(d)
-    left[17:27] = 0.5
-    left[27:43] = 0.6
-    return right / left.sum(), left / left.sum()
-
-
-WARM = SinkhornConfig(0.1, max_iterations=10000, stop_tolerance=1e-6, warm_start=True)
-
-
-def test_settle_stop_reports_shift_settled():
-    a, b = peel_pair()
-    kern = build_kernel(60, 0.1)
-    settled = shifted_sinkhorn(a, b, kern, WARM, settle_column=10)
-    full = shifted_sinkhorn(a, b, kern, WARM)
-    assert settled.report.stop_reason == "shift-settled"
-    assert full.report.stop_reason == "converged"
-    assert settled.report.iterations < full.report.iterations
-    shift = disparity_profile(settled.odd).values[10]
-    assert abs(shift - 7.0) <= SETTLE_TOLERANCE
-    assert abs(shift - disparity_profile(full.odd).values[10]) <= SETTLE_TOLERANCE
-
-
-def test_settle_stop_keeps_budget_stops_named():
-    a, b = peel_pair()
-    kern = build_kernel(60, 0.1)
-    # the budget ends before the settle window has filled
-    short = replace(WARM, max_iterations=SETTLE_WINDOW)
-    limits = shifted_sinkhorn(a, b, kern, short, settle_column=10)
-    assert (limits.report.iterations, limits.report.stop_reason) == (
-        SETTLE_WINDOW, "max-iterations")
-    # a zero tolerance turns the settle stop off with the marginal one
-    exact = replace(WARM, max_iterations=700, stop_tolerance=0.0)
-    limits = shifted_sinkhorn(a, b, kern, exact, settle_column=10)
-    assert (limits.report.iterations, limits.report.stop_reason) == (700, "max-iterations")
-
-
-def test_solve_without_settle_column_stops_on_the_marginal():
+def test_warm_solve_stops_on_the_marginal():
     a, b = unbalanced_pair(np.random.default_rng(12), 7, 1.4)
     kern = build_kernel(7, 0.5)
     config = SinkhornConfig(0.5, max_iterations=100000, stop_tolerance=1e-10, warm_start=True)
@@ -158,10 +114,3 @@ def test_solve_without_settle_column_stops_on_the_marginal():
     cut = shifted_sinkhorn(a, b, kern, early).report
     assert cut.stop_reason == "max-iterations"
     assert cut.marginal_violation > config.stop_tolerance
-
-
-def test_settle_column_must_carry_mass():
-    a, b = peel_pair()
-    kern = build_kernel(60, 0.1)
-    with pytest.raises(ValueError, match="settle column 5"):
-        shifted_sinkhorn(a, b, kern, WARM, settle_column=5)
