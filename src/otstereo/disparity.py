@@ -3,12 +3,15 @@
 The disparity of a source column is the barycenter of its row in the
 plan minus the column index. On a balanced scanline of a piecewise
 constant scene this recovers each object's pixel shift. When one
-row carries more mass than the other, the surplus marks pixels
-visible in that view only; the recovery loop peels objects left to
-right, reads their rigid shifts off the exact monotone matching,
-localizes the hidden interval by mass accounting, and checks that
-the shifts carry the heavier row onto the other. A row whose left
-view is heavier runs the same loop on both rows flipped.
+row carries more mass than the other, beyond the balance tolerance
+of measures.DEFAULT_BALANCE_TOLERANCE, the surplus marks pixels
+visible in that view only. Every scanline with mass in both views
+runs one recovery loop: it peels objects left to right, reads their
+rigid shifts off the exact monotone matching, localizes the hidden
+interval by mass accounting, and checks that the shifts carry the
+heavier row onto the other; balanced rows peel nothing and go
+straight to the loop's one regularized solve. A row whose left view
+is heavier runs the same loop on both rows flipped.
 """
 from __future__ import annotations
 
@@ -25,10 +28,11 @@ from .errors import (
 )
 from .exact import monotone_plan
 from .kernel import GibbsKernel, build_kernel
-from .measures import compare_masses, measure_from_row
+from .measures import DEFAULT_BALANCE_TOLERANCE, compare_masses, measure_from_row
 from .sinkhorn import (
     STOP_CONVERGED,
     STOP_MAX_ITERATIONS,
+    ConvergenceReport,
     SinkhornConfig,
     TransportPlan,
     _as_values,
@@ -36,7 +40,6 @@ from .sinkhorn import (
     sinkhorn,
 )
 
-DEFAULT_MASS_TOLERANCE = 1e-3
 DEFAULT_PLATEAU_TOLERANCE = 1e-3
 
 
@@ -57,17 +60,17 @@ class DisparityProfile:
 
 @dataclass(frozen=True)
 class OcclusionReport:
-    """Outcome of the recovery loop on one unbalanced scanline.
+    """Outcome of the recovery loop on one scanline.
 
     intervals lists the source-frame column ranges (inclusive) whose
     content is hidden in the target view. object_shifts pairs each
-    processed object's leftmost column with the whole-pixel shift the
+    peeled object's leftmost column with the whole-pixel shift the
     loop gives the object: the exact matching's disparity there,
-    rounded. compression_plateau is the repeated adjacent value of
-    the disparity increments, an estimate of 1 - 1/phi. iterations
-    and stop_reason are those of the regularized solve of the
-    balanced remainder; a loop that ends before that solve reports
-    zero iterations, converged.
+    rounded; it is empty when the masses balanced from the start.
+    compression_plateau is the repeated adjacent value of the
+    disparity increments, an estimate of 1 - 1/phi. solve is the
+    report of the regularized solve of what the loop left, the whole
+    row when it peeled nothing; None when no solve ran.
 
     In a disparity map the source is the right row. A row whose left
     view is heavier is solved on flipped rows (the renderer's
@@ -82,8 +85,7 @@ class OcclusionReport:
     intervals: tuple[tuple[int, int], ...]
     object_shifts: tuple[tuple[int, float], ...]
     compression_plateau: float | None
-    iterations: int = 0
-    stop_reason: str = STOP_CONVERGED
+    solve: ConvergenceReport | None = None
     left_frame: tuple[tuple[int, int], ...] = ()
 
 
@@ -234,40 +236,43 @@ def _hides_next(source, target, runs, shift: int) -> bool:
 def recover_occlusions(
     nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
 ) -> tuple[DisparityProfile, OcclusionReport]:
-    """Disparity of a source-heavy scanline plus its hidden intervals.
+    """Disparity of a scanline plus the intervals its source view alone shows.
 
-    The source must carry at least as much mass as the target, else
-    WrongPathError; the surplus is content visible in the source view
-    only. An object is a maximal run of one positive value, as the
-    cartoon model paints each object in one intensity. The loop peels
-    the leftmost remaining object X and reads its rigid shift at its
-    leftmost column, from the exact monotone matching of the
-    remaining source, rescaled to the remaining target's mass, onto
-    that target (monotone_plan). X occludes its right neighbor Y
-    when the run of Y's value that starts in the target right after
-    X's image is shorter than Y, or, with no such run, when Y fits
-    behind X (see _hides_next). The columns from Y's left end whose
-    mass accounts for the remaining surplus are then flagged hidden
-    and removed. X itself is removed from both views and the loop
-    continues until the masses reconcile; the reconciled remainder is
-    solved as a balanced problem by regularized scaling (sinkhorn).
-    Balanced input short-circuits to that final solve and yields an
-    empty report.
+    The target must not carry more mass than the source beyond the
+    balance tolerance (DEFAULT_BALANCE_TOLERANCE, relative to the
+    larger mass), else WrongPathError; the surplus is content visible
+    in the source view only. An object is a maximal run of one
+    positive value, as the cartoon model paints each object in one
+    intensity. The loop peels the leftmost remaining object X and
+    reads its rigid shift at its leftmost column, from the exact
+    monotone matching of the remaining source, rescaled to the
+    remaining target's mass, onto that target (monotone_plan). X
+    occludes its right neighbor Y when the run of Y's value that
+    starts in the target right after X's image is shorter than Y, or,
+    with no such run, when Y fits behind X (see _hides_next). The
+    columns from Y's left end whose mass accounts for the remaining
+    surplus are then flagged hidden and removed. X itself is removed
+    from both views and the loop continues until the masses agree
+    within the balance tolerance; the reconciled remainder is solved
+    as a balanced problem by regularized scaling (sinkhorn). Balanced
+    input short-circuits to that final solve and yields a report with
+    no objects.
 
-    Unless the remainder's solve stopped on its budget, the shifts must
-    carry the source row onto the target row: each shifted pixel on a
-    target pixel of its own value, one to one, and every target pixel
-    with mass reached. Otherwise the loop raises
-    UnresolvedOcclusionError, as it does when the surplus cannot be
-    attributed; the error carries the partial report. This is what
-    happens when an occluder's image lands past the start of the
-    object it hides, which no monotone matching can read.
+    Once an object was peeled, and unless the remainder's solve
+    stopped on its budget, the shifts must carry the source row onto
+    the target row: each shifted pixel on a target pixel of its own
+    value, one to one, and every target pixel with mass reached.
+    Otherwise the loop raises UnresolvedOcclusionError, as it does
+    when the surplus cannot be attributed; the error carries the
+    partial report. This is what happens when an occluder's image
+    lands past the start of the object it hides, which no monotone
+    matching can read.
     """
     a = _as_values(nu0).astype(float)
     b = _as_values(nu1).astype(float)
     m0 = float(a.sum())
     m1 = float(b.sum())
-    if m0 < m1:
+    if m1 - m0 > DEFAULT_BALANCE_TOLERANCE * max(m0, m1):
         raise WrongPathError(
             f"source mass {m0} is below target mass {m1}; "
             "this loop recovers content hidden from the target view only"
@@ -281,7 +286,7 @@ def recover_occlusions(
     intervals: list[tuple[int, int]] = []
     shifts: list[tuple[int, float]] = []
     plateau: float | None = None
-    rest_report = None
+    solve = None
 
     def report() -> OcclusionReport:
         return OcclusionReport(
@@ -290,17 +295,17 @@ def recover_occlusions(
             intervals=tuple(intervals),
             object_shifts=tuple(shifts),
             compression_plateau=plateau,
-            iterations=rest_report.iterations if rest_report else 0,
-            stop_reason=rest_report.stop_reason if rest_report else STOP_CONVERGED,
+            solve=solve,
         )
 
     while True:
         mass0 = float(remaining0.sum())
         mass1 = float(remaining1.sum())
         deficit = mass0 - mass1
-        if deficit <= DEFAULT_MASS_TOLERANCE:
+        tolerance = DEFAULT_BALANCE_TOLERANCE * max(mass0, mass1)
+        if deficit <= tolerance:
             if mass0 > 0.0 and mass1 > 0.0:
-                plan, _, rest_report = sinkhorn(
+                plan, _, solve = sinkhorn(
                     remaining0 / mass0, remaining1 / mass1, kernel, config
                 )
                 rest = disparity_profile(plan)
@@ -338,7 +343,7 @@ def recover_occlusions(
             i2 = None
             for col in range(j0, j1 + 1):
                 cum += remaining0[col]
-                if cum >= deficit - DEFAULT_MASS_TOLERANCE:
+                if cum >= deficit - tolerance:
                     i2 = col
                     break
             if i2 is None:
@@ -355,7 +360,8 @@ def recover_occlusions(
     result = report()
     # a row whose remainder solve stopped on its budget is flagged as
     # such already, and the remainder's shifts are provisional
-    if result.stop_reason != STOP_MAX_ITERATIONS and not _reproduces(a, b, profile):
+    budget_stop = solve is not None and solve.stop_reason == STOP_MAX_ITERATIONS
+    if shifts and not budget_stop and not _reproduces(a, b, profile):
         raise UnresolvedOcclusionError(
             "the recovered shifts do not carry the source row onto the target row",
             report=result,
@@ -425,9 +431,18 @@ def _recover_mirror(
     return values, _mirrored(report, d)
 
 
-def _solve_facts(report: OcclusionReport) -> dict:
-    """Iteration count and stop reason of a peel loop's remainder solve."""
-    return {"iterations": report.iterations, "stop_reason": report.stop_reason}
+def _solve_facts(solve: ConvergenceReport | None) -> dict:
+    """Diagnostics of a row's one regularized solve; None gives 0 iterations, converged."""
+    if solve is None:
+        return {"iterations": 0, "stop_reason": STOP_CONVERGED}
+    return {
+        "iterations": solve.iterations,
+        "stop_reason": solve.stop_reason,
+        "hilbert_u": solve.hilbert_u[-1],
+        "hilbert_v": solve.hilbert_v[-1],
+        "marginal_violation": solve.marginal_violation,
+        "lam": solve.lam,
+    }
 
 
 def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConfig):
@@ -441,32 +456,19 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
         return nan, no_occlusion, None, {"path": "empty"}
     if nu0.mass == 0.0 or nu1.mass == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
-    cmp = compare_masses(nu1, nu0)
-    if not cmp.balanced:
-        if nu0.mass > nu1.mass:
-            prof, report = recover_occlusions(nu0, nu1, kernel, config)
-            values = prof.values
-        else:
-            values, report = _recover_mirror(nu0, nu1, kernel, config)
-        occluded = np.zeros(d, dtype=bool)
-        for lo, hi in report.intervals:
-            occluded[lo : hi + 1] = True
-        info = {"path": "occlusion", "phi": report.phi, "lam": kernel.lam,
-                **_solve_facts(report)}
-        return values, occluded, report, info
-    plan, _, rep = sinkhorn(
-        nu0.values / nu1.mass, nu1.values / nu1.mass, kernel, config
-    )
-    info = {
-        "path": "balanced",
-        "iterations": rep.iterations,
-        "stop_reason": rep.stop_reason,
-        "hilbert_u": rep.hilbert_u[-1],
-        "hilbert_v": rep.hilbert_v[-1],
-        "marginal_violation": rep.marginal_violation,
-        "lam": rep.lam,
-    }
-    return disparity_profile(plan).values, no_occlusion, None, info
+    if not compare_masses(nu1, nu0).balanced and nu1.mass > nu0.mass:
+        values, report = _recover_mirror(nu0, nu1, kernel, config)
+    else:
+        prof, report = recover_occlusions(nu0, nu1, kernel, config)
+        values = prof.values
+    if not report.object_shifts:
+        info = {"path": "balanced", **_solve_facts(report.solve)}
+        return values, no_occlusion, None, info
+    occluded = np.zeros(d, dtype=bool)
+    for lo, hi in report.intervals:
+        occluded[lo : hi + 1] = True
+    info = {"path": "occlusion", "phi": report.phi, **_solve_facts(report.solve)}
+    return values, occluded, report, info
 
 
 def disparity_map(
@@ -494,7 +496,7 @@ def disparity_map(
         except UnresolvedOcclusionError as exc:
             nan = np.full(d, np.nan)
             none = np.zeros(d, dtype=bool)
-            info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report)}
+            info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report.solve)}
             return nan, none, exc.report, info
 
     values = np.empty((h, d))

@@ -99,8 +99,10 @@ def compare_masses(
 
     phi is the right-to-left quotient m1 / m0. The pair counts as
     balanced when |m0 - m1| is within balance_tolerance relative to
-    the larger mass, so that pure quantization noise does not push a
-    scanline onto the occlusion path.
+    the larger mass. The disparity pipeline uses the default, and the
+    same tolerance ends its occlusion loop: a row that is not
+    balanced carries content one view hides, and a balanced one is
+    solved as it is.
     """
     m0 = left.mass
     m1 = right.mass

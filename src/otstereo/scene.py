@@ -146,42 +146,34 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     right_owner = np.full((h, d), -1, dtype=int)
     left_owner = np.full((h, d), -1, dtype=int)
     right_shift = np.zeros((h, d), dtype=int)
+    left_shift = np.zeros((h, d), dtype=int)
 
     order = sorted(range(len(scene.objects)), key=lambda k: -scene.objects[k].depth)
     for k in order:
         obj = scene.objects[k]
         s = shifts[k]
-        for y in obj.rows(h):
-            sl_r = slice(obj.x0, obj.x0 + obj.width)
-            sl_l = slice(obj.x0 + s, obj.x0 + obj.width + s)
-            right[y, sl_r] = obj.intensity
-            right_owner[y, sl_r] = k
-            right_shift[y, sl_r] = s
-            truth_values[y, sl_r] = float(s)
-            left[y, sl_l] = obj.intensity
-            left_owner[y, sl_l] = k
+        ys = obj.rows(h)
+        sl_r = slice(obj.x0, obj.x0 + obj.width)
+        sl_l = slice(obj.x0 + s, obj.x0 + obj.width + s)
+        right[ys, sl_r] = obj.intensity
+        right_owner[ys, sl_r] = k
+        right_shift[ys, sl_r] = s
+        truth_values[ys, sl_r] = float(s)
+        left[ys, sl_l] = obj.intensity
+        left_owner[ys, sl_l] = k
+        left_shift[ys, sl_l] = s
 
+    # a pixel is hidden from the other view when the pixel its shift
+    # leads to there belongs to another object; every object fits the
+    # frame in both views, so those pixels lie inside it
+    ys = np.arange(h)[:, None]
     cols = np.arange(d)
-    occluded = np.zeros((h, d), dtype=bool)
-    hidden: dict[int, dict[str, list[tuple[int, int]]]] = {}
-    for y in range(h):
-        visible_r = right_owner[y] >= 0
-        image_cols = np.clip(cols + right_shift[y], 0, d - 1)
-        hidden_r = visible_r & (left_owner[y, image_cols] != right_owner[y])
-        occluded[y] = hidden_r
-
-        hidden_l = np.zeros(d, dtype=bool)
-        visible_l = np.flatnonzero(left_owner[y] >= 0)
-        for xl in visible_l:
-            k = left_owner[y, xl]
-            xr = xl - shifts[k]
-            if right_owner[y, xr] != k:
-                hidden_l[xl] = True
-        if hidden_r.any() or hidden_l.any():
-            hidden[y] = {
-                "right_frame": mask_runs(hidden_r),
-                "left_frame": mask_runs(hidden_l),
-            }
+    occluded = (right_owner >= 0) & (left_owner[ys, cols + right_shift] != right_owner)
+    hidden_l = (left_owner >= 0) & (right_owner[ys, cols - left_shift] != left_owner)
+    hidden = {
+        y: {"right_frame": mask_runs(occluded[y]), "left_frame": mask_runs(hidden_l[y])}
+        for y in np.flatnonzero((occluded | hidden_l).any(axis=1)).tolist()
+    }
 
     return RenderedPair(
         left=left,

@@ -221,7 +221,39 @@ def test_disparity_occlusion_report(tmp_path):
     got = fileio.read_csv(run / "disparity.csv")
     assert np.isnan(got[:, 21:23]).all()
     diag = json.loads((run / "diagnostics.json").read_text())
-    assert {"iterations", "stop_reason"} <= set(diag["scanlines"][0])
+    # an occlusion row reports its remainder solve's full record
+    assert set(diag["scanlines"][0]) == {
+        "y", "path", "phi", "iterations", "stop_reason", "hilbert_u", "hilbert_v",
+        "marginal_violation", "lam",
+    }
+
+
+# the near object hides columns 47-50 of a dim one: a mass gap of 3.7e-4
+DIM_BAND = """\
+width = 320
+height = 1
+object = x0:20 width:26 shift:9 intensity:0.5
+object = x0:47 width:40 shift:4 intensity:0.02
+object = x0:100 width:200 shift:3 intensity:1.0
+"""
+
+
+def test_small_mass_gap_is_peeled_at_the_defaults(tmp_path):
+    out = generate(tmp_path, DIM_BAND)
+    run = tmp_path / "run"
+    code = main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--out-dir", str(run)])
+    assert code == 0
+    row = json.loads((run / "diagnostics.json").read_text())["scanlines"][0]
+    assert (row["path"], row["stop_reason"]) == ("occlusion", "converged")
+    report = json.loads((run / "occlusion_report.json").read_text())["scanlines"][0]
+    assert report["intervals"] == [[47, 50]]
+    got = fileio.read_csv(run / "disparity.csv")
+    truth = fileio.read_csv(out / "truth_disparity.csv")
+    visible = np.isfinite(truth)
+    visible[0, 47:51] = False
+    assert np.array_equal(np.isfinite(got), visible)
+    assert np.abs(got - truth)[visible].max() <= 1e-4
 
 
 def test_disparity_round_trip_precision(tmp_path):

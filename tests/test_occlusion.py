@@ -66,6 +66,23 @@ def test_balanced_input_gives_empty_report():
     assert np.allclose(prof.values[prof.defined_mask], 3.0, atol=0.01)
 
 
+def test_stretched_balanced_row_is_solved_unchecked():
+    # equal masses, one view twice as wide: no whole-pixel shifts carry
+    # one row onto the other, so the reproduction check must not run
+    right = np.zeros((1, 40))
+    right[0, 10:20] = 0.5
+    left = np.zeros((1, 40))
+    left[0, 12:32] = 0.25
+    result = disparity_map(left, right, RunConfig().sinkhorn_config())
+    info = result.diagnostics[0]
+    assert (info["path"], info["iterations"], info["stop_reason"]) == (
+        "balanced", 2, "converged"
+    )
+    assert result.reports == ()
+    assert np.array_equal(result.defined_mask[0], right[0] > 0.0)
+    assert np.abs(result.values[0, 10:20] - (np.arange(10) + 2.5)).max() < 1e-4
+
+
 def test_two_column_hidden_interval_is_exact():
     pair = scene_rows((obj(10, 10, 7, 0.5), obj(21, 20, 4, 0.6)), d=60)
     assert pair.hidden[0]["right_frame"] == [(21, 22)]

@@ -10,6 +10,7 @@ right camera when it is the left one.
 import itertools
 
 import numpy as np
+import pytest
 
 from otstereo.cli import RunConfig
 from otstereo.disparity import disparity_map
@@ -25,6 +26,8 @@ from otstereo.scene import (
 RIG = CameraRig()
 WIDTH = 100
 INTENSITIES = (0.3, 0.45, 0.6, 0.75, 0.9)
+# dim objects leave mass gaps of the order of 1e-4 between the views
+DIM_INTENSITIES = (0.02, 0.05, 0.6, 0.9, 1.0)
 CONFIG = RunConfig(niter=10000).sinkhorn_config()
 FRAMES = ("right_frame", "left_frame")
 
@@ -39,23 +42,23 @@ def touch(p, q):
     return any(max(a[0], b[0]) <= min(a[1], b[1]) + 1 for a, b in zip(spans(p), spans(q)))
 
 
-def layout(rng):
+def layout(rng, intensities):
     base_is_left = rng.random() < 0.5
     x = int(rng.integers(0, 12))
     objects = []
     for _ in range(int(rng.integers(2, 4))):
         width = int(rng.integers(4, 21))
         shift = int(rng.integers(1, 10))
-        intensity = float(rng.choice(INTENSITIES))
+        intensity = float(rng.choice(intensities))
         objects.append((x - shift if base_is_left else x, width, shift, intensity))
         x += width + int(rng.integers(0, 4))
     return objects
 
 
-def random_row(rng):
+def random_row(rng, intensities=INTENSITIES):
     """A rendered one-row pair drawn until it has the one hidden interval."""
     while True:
-        objects = layout(rng)
+        objects = layout(rng, intensities)
         if any(touch(p, q) and p[3] == q[3] for p, q in itertools.combinations(objects, 2)):
             continue
         scene = CartoonScene(WIDTH, 1, tuple(
@@ -75,9 +78,12 @@ def random_row(rng):
             return pair
 
 
-def test_random_single_occlusion_rows():
-    rng = np.random.default_rng(1)
-    pairs = [random_row(rng) for _ in range(30)]
+@pytest.mark.parametrize(
+    "seed, intensities", [(1, INTENSITIES), (3, DIM_INTENSITIES)], ids=["seed1", "seed3-dim"]
+)
+def test_random_single_occlusion_rows(seed, intensities):
+    rng = np.random.default_rng(seed)
+    pairs = [random_row(rng, intensities) for _ in range(30)]
     left = np.vstack([p.left for p in pairs])
     right = np.vstack([p.right for p in pairs])
     truth = np.vstack([p.truth.values for p in pairs])
@@ -85,9 +91,9 @@ def test_random_single_occlusion_rows():
     result = disparity_map(left, right, CONFIG)
     error = np.abs(result.values - truth)
     ok = ~visible | (error <= 0.5) | result.no_data
-    budget = [info.get("stop_reason") == "max-iterations" for info in result.diagnostics]
-    # a row cut short by its budget is flagged as such instead
-    assert [y for y in range(len(pairs)) if not ok[y].all() and not budget[y]] == []
+    assert [info["y"] for info in result.diagnostics
+            if info.get("stop_reason") == "max-iterations"] == []
+    assert [y for y in range(len(pairs)) if not ok[y].all()] == []
     solved = [y for y in range(len(pairs)) if (error[y][visible[y]] <= 1e-3).all()]
     assert len(solved) >= 24
     reports = {report.y: report for report in result.reports}

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from otstereo.disparity import mask_runs
 from otstereo.errors import OutOfFrameError, SceneFormatError
 from otstereo.scene import (
     CameraRig,
@@ -120,6 +121,54 @@ def test_hidden_content_in_both_frames():
     assert not pair.non_occluded
     assert pair.hidden[0]["right_frame"] == [(18, 21)]
     assert pair.hidden[0]["left_frame"] == [(15, 15)]
+
+
+def hidden_by_loop(scene, rig):
+    """Reference hidden masks, pixel by pixel: paint owners far to near, follow each shift."""
+    d, h = scene.width, scene.height
+    shifts = [pixel_shift(o.depth, rig) for o in scene.objects]
+    right = np.full((h, d), -1)
+    left = np.full((h, d), -1)
+    for k in sorted(range(len(shifts)), key=lambda k: -scene.objects[k].depth):
+        o = scene.objects[k]
+        for y in o.rows(h):
+            for x in range(o.x0, o.x0 + o.width):
+                right[y, x] = k
+                left[y, x + shifts[k]] = k
+    hidden_r = np.zeros((h, d), dtype=bool)
+    hidden_l = np.zeros((h, d), dtype=bool)
+    for y in range(h):
+        for x in range(d):
+            k = right[y, x]
+            hidden_r[y, x] = k >= 0 and left[y, x + shifts[k]] != k
+            k = left[y, x]
+            hidden_l[y, x] = k >= 0 and right[y, x - shifts[k]] != k
+    return hidden_r, hidden_l
+
+
+def test_hidden_masks_match_the_pixel_loop():
+    rng = np.random.default_rng(0)
+    checked = hidden_rows = 0
+    while checked < 60:
+        d, h = int(rng.integers(10, 60)), int(rng.integers(1, 6))
+        scene = CartoonScene(d, h, tuple(
+            obj(int(rng.integers(0, d)), int(rng.integers(1, 16)), int(rng.integers(1, 10)),
+                0.5, y0=int(rng.integers(0, h)), height=int(rng.integers(1, h + 1)))
+            for _ in range(int(rng.integers(1, 5)))
+        ))
+        try:
+            pair = render_pair(scene, RIG)
+        except OutOfFrameError:
+            continue
+        hidden_r, hidden_l = hidden_by_loop(scene, RIG)
+        assert np.array_equal(pair.truth.occluded, hidden_r)
+        for y in range(h):
+            rows = pair.hidden.get(y, {"right_frame": [], "left_frame": []})
+            assert rows == {"right_frame": mask_runs(hidden_r[y]),
+                            "left_frame": mask_runs(hidden_l[y])}
+        checked += 1
+        hidden_rows += len(pair.hidden)
+    assert hidden_rows >= 20
 
 
 def test_out_of_frame_right_view():
