@@ -5,6 +5,14 @@ P2 is written). Disparity grids travel as CSV with a literal NaN
 token for no-data cells, at 9 significant digits so a write/read
 round trip is lossless at that precision. Point clouds are ASCII PLY
 with float x, y, z, intensity vertex properties.
+
+No codec formats or parses cells one at a time in Python. The text
+writers work a block of rows at a time: each distinct cell spelling
+in the block is formatted once, and the block is written as one byte
+gather from a table of those spellings, so memory stays bounded
+whatever the grid's size. The readers hand the raster or grid to
+numpy's C parsers once the text has passed the checks that name a
+malformed sample or row.
 """
 from __future__ import annotations
 
@@ -16,6 +24,9 @@ import numpy as np
 
 _COMMENT = re.compile(rb"#[^\n]*")
 _DIGITS_AND_SPACE = re.compile(rb"[0-9 \t\n\r\v\f]*")
+# cells per block of rows a text writer formats and gathers at once
+_BLOCK_CELLS = 1 << 15
+_LEVELS = [str(level) for level in range(256)]
 
 
 def _pgm_tokens(raw: bytes):
@@ -65,24 +76,81 @@ def read_pgm(path) -> np.ndarray:
         raster = _COMMENT.sub(b"", raw[header_end:])
         if not _DIGITS_AND_SPACE.fullmatch(raster):
             raise ValueError(f"{path}: P2 raster holds a non-integer sample")
-        samples = raster.split()
-        if len(samples) != width * height:
+        # exact once the regex passed; it reads a blank raster as one 0
+        samples = (
+            np.fromstring(raster, dtype=np.int64, sep=" ")
+            if raster.strip()
+            else np.empty(0)
+        )
+        if samples.size != width * height:
             raise ValueError(
-                f"{path}: expected {width * height} samples, found {len(samples)}"
+                f"{path}: expected {width * height} samples, found {samples.size}"
             )
-        values = np.array(samples, dtype=float)
+        values = samples.astype(float)
     if values.max(initial=0.0) > maxval:
         raise ValueError(f"{path}: sample exceeds maxval {maxval}")
     return (values / maxval).reshape(height, width)
 
 
-def _write_p2(path, levels: np.ndarray, comment: str | None = None) -> None:
-    """Write 0-255 integer levels as an ASCII P2 image, comment after the magic."""
-    h, w = levels.shape
-    lines = ["P2", *([f"# {comment}"] if comment else []), f"{w} {h}", "255"]
-    lines.extend(" ".join(map(str, row)) for row in levels.tolist())
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
+    """Write a 2-d grid one line per row, its cells joined by `sep`.
+
+    `spell(cells)` takes a flat block of cells and returns the list of
+    their distinct spellings with each cell's index into it, as a
+    fresh array. Each block is written as one gather from a byte table
+    of those spellings, each ending in `sep`, or in a newline for the
+    last cell of a row.
+    """
+    rows, width = grid.shape
+    if width == 0:
+        handle.write(b"\n" * rows)
+        return
+    step = max(1, _BLOCK_CELLS // width)
+    for start in range(0, rows, step):
+        tokens, index = spell(grid[start : start + step].ravel())
+        count = len(tokens)
+        text = np.array(tokens, dtype=bytes)
+        size = text.dtype.itemsize
+        length = np.fromiter(map(len, tokens), dtype=np.intp, count=count)
+        table = np.zeros((2, count, size + 1), dtype=np.uint8)
+        table[:, :, :size] = text.view(np.uint8).reshape(count, size)
+        table[0, np.arange(count), length] = ord(sep)
+        table[1, np.arange(count), length] = ord("\n")
+        index[width - 1 :: width] += count
+        cells = table.reshape(2 * count, -1).take(index, axis=0).ravel()
+        # spellings hold no NUL, so dropping NULs drops the padding
+        handle.write(cells.compress(cells != 0))
+
+
+def _spell_floats(spell_one):
+    """A `_write_lines` speller over the distinct float64 bit patterns.
+
+    Bit patterns, not values: 0.0 and -0.0 compare equal but spell
+    differently.
+    """
+
+    def spell(cells: np.ndarray):
+        bits, index = np.unique(cells.view(np.int64), return_inverse=True)
+        return [spell_one(v) for v in bits.view(np.float64).tolist()], index
+
+    return spell
+
+
+def _spell_csv(value: float) -> str:
+    return f"{value:.9g}" if math.isfinite(value) else "NaN"
+
+
+def _write_p2(path, grid: np.ndarray, levels, comment: str | None = None) -> None:
+    """Write a grid as an ASCII P2 image, comment after the magic.
+
+    `levels(cells)` maps a flat block of the grid to integer levels
+    0-255, so no whole-frame level array is ever held.
+    """
+    h, w = grid.shape
+    header = ["P2", *([f"# {comment}"] if comment else []), f"{w} {h}", "255"]
+    with open(path, "wb") as handle:
+        handle.write(("\n".join(header) + "\n").encode("ascii"))
+        _write_lines(handle, grid, " ", lambda cells: (_LEVELS, levels(cells)))
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -90,7 +158,11 @@ def write_pgm(path, image: np.ndarray) -> None:
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError(f"expected a 2-d image, got shape {image.shape}")
-    _write_p2(path, np.clip(np.rint(image * 255.0), 0, 255).astype(int))
+    if np.isnan(image).any():
+        raise ValueError("image holds a NaN intensity")
+    _write_p2(
+        path, image, lambda cells: np.clip(np.rint(cells * 255.0), 0, 255).astype(np.intp)
+    )
 
 
 def write_disparity_pgm(path, values: np.ndarray) -> None:
@@ -101,12 +173,14 @@ def write_disparity_pgm(path, values: np.ndarray) -> None:
     written as `# disparity-scale <s>` so viewers can invert it.
     """
     values = np.asarray(values, dtype=float)
-    finite = np.isfinite(values)
-    peak = values[finite].max() if finite.any() else 0.0
+    peak = np.max(values, where=np.isfinite(values), initial=0.0)
     scale = 255.0 / peak if peak > 0 else 1.0
-    levels = np.zeros(values.shape, dtype=int)
-    levels[finite] = np.clip(np.rint(values[finite] * scale), 0, 255).astype(int)
-    _write_p2(path, levels, f"disparity-scale {scale:.9g}")
+
+    def levels(cells):
+        scaled = np.clip(np.rint(cells * scale), 0, 255)
+        return np.where(np.isfinite(cells), scaled, 0).astype(np.intp)
+
+    _write_p2(path, values, levels, f"disparity-scale {scale:.9g}")
 
 
 def write_csv(path, values: np.ndarray) -> None:
@@ -114,36 +188,45 @@ def write_csv(path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-    fmt = "{:.9g}".format
-    with open(path, "w", encoding="ascii") as handle:
-        for row in values.tolist():
-            handle.write(",".join(fmt(v) if math.isfinite(v) else "NaN" for v in row))
-            handle.write("\n")
+    with open(path, "wb") as handle:
+        _write_lines(handle, values, ",", _spell_floats(_spell_csv))
 
 
 def read_csv(path) -> np.ndarray:
-    """Read a NaN-tokened CSV grid; malformed rows name their index."""
-    rows = []
-    width = None
+    """Read a NaN-tokened CSV grid; malformed rows name their index.
+
+    Blank lines are skipped. A row is malformed if its cell count
+    differs from the first row's, or if numpy's parser rejects a cell;
+    the first malformed row in the file is named.
+    """
     with open(path, encoding="ascii") as handle:
-        for index, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ValueError(
-                    f"{path}: row {index} has {len(cells)} cells, expected {width}"
-                )
-            try:
-                rows.append([float(cell) for cell in cells])
-            except ValueError:
-                raise ValueError(f"{path}: row {index} holds a non-numeric cell")
-    if not rows:
+        numbered = [(index, line.strip()) for index, line in enumerate(handle)]
+    numbered = [(index, line) for index, line in numbered if line]
+    if not numbered:
         return np.empty((0, 0))
-    return np.array(rows, dtype=float)
+    rows, lines = zip(*numbered)
+    cells = [line.count(",") + 1 for line in lines]
+    even = next((k for k, n in enumerate(cells) if n != cells[0]), len(lines))
+    try:
+        values = _parse_csv(lines[:even])
+    except ValueError:
+        for k in range(even):
+            try:
+                _parse_csv(lines[k : k + 1])
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {rows[k]} holds a non-numeric cell"
+                ) from None
+        raise
+    if even < len(lines):
+        raise ValueError(
+            f"{path}: row {rows[even]} has {cells[even]} cells, expected {cells[0]}"
+        )
+    return values
+
+
+def _parse_csv(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
 
 def write_ply(path, points: np.ndarray) -> None:
@@ -162,10 +245,9 @@ def write_ply(path, points: np.ndarray) -> None:
         "property float intensity",
         "end_header",
     ]
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(header) + "\n")
-        for row in points.reshape(count, 4):
-            handle.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+    with open(path, "wb") as handle:
+        handle.write(("\n".join(header) + "\n").encode("ascii"))
+        _write_lines(handle, points.reshape(count, 4), " ", _spell_floats("{:.9g}".format))
 
 
 def write_json(path, payload) -> None:

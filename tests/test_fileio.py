@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +82,14 @@ def test_p2_read_matches_a_token_by_token_parse(tmp_path):
     width, height, maxval, *samples = tokens
     expected = np.array(samples, dtype=float).reshape(height, width) / maxval
     assert np.array_equal(fileio.read_pgm(path), expected)
+
+
+def test_pgm_writer_rejects_nan_and_clamps_infinities(tmp_path):
+    path = tmp_path / "img.pgm"
+    with pytest.raises(ValueError, match="NaN intensity"):
+        fileio.write_pgm(path, np.array([[0.5, np.nan]]))
+    fileio.write_pgm(path, np.array([[np.inf, -np.inf]]))
+    assert path.read_text() == "P2\n2 1\n255\n255 0\n"
 
 
 def test_truncated_p5_rejected(tmp_path):
@@ -195,3 +205,229 @@ def test_json_is_deterministic(tmp_path):
     fileio.write_json(b, {"a": [1, 2], "z": 1})
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text()) == {"a": [1, 2], "z": 1}
+
+
+# Per-element spellings the block writers must reproduce byte for byte.
+def p2_reference(levels, comment=None):
+    h, w = levels.shape
+    lines = ["P2", *([f"# {comment}"] if comment else []), f"{w} {h}", "255"]
+    lines.extend(" ".join(map(str, row)) for row in levels.tolist())
+    return ("\n".join(lines) + "\n").encode()
+
+
+def csv_reference(values):
+    return "".join(
+        ",".join(f"{v:.9g}" if math.isfinite(v) else "NaN" for v in row) + "\n"
+        for row in values.tolist()
+    ).encode()
+
+
+def ply_reference(points):
+    header = (
+        "ply\nformat ascii 1.0\n"
+        f"element vertex {len(points)}\n"
+        "property float x\nproperty float y\nproperty float z\n"
+        "property float intensity\nend_header\n"
+    )
+    body = "".join(" ".join(f"{v:.9g}" for v in row) + "\n" for row in points.tolist())
+    return (header + body).encode()
+
+
+def mixed_grid(shape, seed):
+    """Signed magnitudes 1e-12..1e12 with repeats, both zeros, NaN and +-inf."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-12, 12, size=shape)
+    pick = rng.uniform(size=shape)
+    values[pick < 0.1] = 0.0
+    values[(0.1 <= pick) & (pick < 0.2)] = -0.0
+    values[(0.2 <= pick) & (pick < 0.25)] = np.nan
+    values[(0.25 <= pick) & (pick < 0.28)] = np.inf
+    values[(0.28 <= pick) & (pick < 0.3)] = -np.inf
+    values[pick > 0.9] = 2.5
+    if values.size >= 2:
+        values.flat[:2] = 0.0, -0.0  # merged by value, spelled 0 and -0
+    return values
+
+
+# one block of the writers holds fileio._BLOCK_CELLS cells
+GRID_SHAPES = [(0, 6), (4, 0), (1, 1), (9, 13), (fileio._BLOCK_CELLS // 640 + 3, 640)]
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_csv_writer_matches_the_per_element_spelling(tmp_path, shape):
+    values = mixed_grid(shape, seed=sum(shape))
+    path = tmp_path / "grid.csv"
+    fileio.write_csv(path, values)
+    assert path.read_bytes() == csv_reference(values)
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES)
+def test_pgm_writers_match_the_per_element_spelling(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    image = rng.uniform(-0.1, 1.1, size=shape)
+    path = tmp_path / "img.pgm"
+    fileio.write_pgm(path, image)
+    levels = np.clip(np.rint(image * 255.0), 0, 255).astype(int)
+    assert path.read_bytes() == p2_reference(levels)
+
+    values = mixed_grid(shape, seed=sum(shape)) * 1e-10
+    fileio.write_disparity_pgm(path, values)
+    finite = np.isfinite(values)
+    peak = values[finite].max() if finite.any() else 0.0
+    scale = 255.0 / peak if peak > 0 else 1.0
+    levels = np.zeros(shape, dtype=int)
+    levels[finite] = np.clip(np.rint(values[finite] * scale), 0, 255).astype(int)
+    assert path.read_bytes() == p2_reference(levels, f"disparity-scale {scale:.9g}")
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, fileio._BLOCK_CELLS // 4 + 5])
+def test_ply_writer_matches_the_per_element_spelling(tmp_path, count):
+    points = mixed_grid((count, 4), seed=count)
+    path = tmp_path / "cloud.ply"
+    fileio.write_ply(path, points)
+    assert path.read_bytes() == ply_reference(points)
+
+
+def test_writers_cross_many_block_seams(tmp_path, monkeypatch):
+    # blocks of one row, and rows wider than a block
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 5)
+    for shape in [(11, 3), (6, 5), (4, 9)]:
+        values = mixed_grid(shape, seed=shape[1])
+        path = tmp_path / "grid.csv"
+        fileio.write_csv(path, values)
+        assert path.read_bytes() == csv_reference(values)
+        image = np.abs(np.nan_to_num(values, posinf=1.0)) % 1.0
+        fileio.write_pgm(path, image)
+        assert path.read_bytes() == p2_reference(
+            np.clip(np.rint(image * 255.0), 0, 255).astype(int)
+        )
+
+
+def p2_token_parse(raw: bytes) -> np.ndarray:
+    tokens = [
+        token
+        for line in raw.decode("ascii").splitlines()
+        for token in line.split("#", 1)[0].split()
+    ]
+    _magic, width, height, maxval, *samples = tokens
+    grid = np.array([int(s) for s in samples], dtype=float)
+    return grid.reshape(int(height), int(width)) / int(maxval)
+
+
+def test_p2_reader_matches_a_token_parse_on_hand_written_files(tmp_path):
+    rng = np.random.default_rng(5)
+    levels = rng.integers(0, 256, size=(6, 11))
+    gaps = [" ", "\t", "\r\n", "  \t ", " # note 12 34\r\n", "\n#\n"]
+    body = "".join(
+        f"{level:0{rng.integers(1, 5)}d}" + gaps[rng.integers(len(gaps))]
+        for level in levels.ravel()
+    )
+    raw = f"P2\r\n# by hand\r\n11\t6 # size\r\n255\r\n{body}".encode()
+    path = tmp_path / "img.pgm"
+    path.write_bytes(raw)
+    assert b"007" in raw or b"00" in raw
+    assert np.array_equal(fileio.read_pgm(path), p2_token_parse(raw))
+    assert np.array_equal(fileio.read_pgm(path) * 255.0, levels)
+
+    path.write_bytes(b"P2\r\n3 1\r\n255\r\n007\t010 # ten, not eight\r\n0255\r\n")
+    assert np.array_equal(fileio.read_pgm(path) * 255.0, [[7, 10, 255]])
+
+
+@pytest.mark.parametrize("raster", [b"", b" \t\r\n", b"\n# only a comment\n \n"])
+def test_p2_blank_raster_reports_its_sample_count(tmp_path, raster):
+    # numpy reads a blank string as one 0, which would pass as a 1x1 image
+    path = tmp_path / "img.pgm"
+    for size in (b"1 1", b"2 1"):
+        path.write_bytes(b"P2\n" + size + b"\n255\n" + raster)
+        with pytest.raises(ValueError, match="samples, found 0"):
+            fileio.read_pgm(path)
+
+
+def wide_csv_lines(rows=40, width=640):
+    rng = np.random.default_rng(9)
+    grid = np.round(rng.uniform(0, 30, size=(rows, width)), 3)
+    return [",".join(f"{v:.9g}" for v in row) for row in grid]
+
+
+def test_csv_names_a_ragged_row_deep_in_a_wide_file(tmp_path):
+    lines = wide_csv_lines()
+    lines[33] += ",1"
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 33 has 641 cells, expected 640"):
+        fileio.read_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["abc", "#5", "1_0", "", "0x1"])
+def test_csv_names_a_non_numeric_row_deep_in_a_wide_file(tmp_path, cell):
+    lines = wide_csv_lines()
+    cells = lines[37].split(",")
+    cells[500] = cell
+    lines[37] = ",".join(cells)
+    lines.insert(2, "   ")  # blank lines count toward the row index
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="row 38 holds a non-numeric cell"):
+        fileio.read_csv(path)
+
+
+def test_csv_comment_marks_are_cells_not_comments(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("1,2\n#3,4\n")
+    with pytest.raises(ValueError, match="row 1 holds a non-numeric cell"):
+        fileio.read_csv(path)
+
+
+def test_csv_names_the_first_malformed_row(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("1,2\n3,x\n5\n")
+    with pytest.raises(ValueError, match="row 1 holds a non-numeric cell"):
+        fileio.read_csv(path)
+    path.write_text("1,2\n5\n3,x\n")
+    with pytest.raises(ValueError, match="row 1 has 1 cells, expected 2"):
+        fileio.read_csv(path)
+
+
+def test_csv_reader_matches_float_on_every_written_spelling(tmp_path):
+    text = "\r\n \t\nnan,NaN, 2 \r\n\n-0,+3,.5\n1e-12,-inf,inf\n  \n5.,1e999,-1e-400\n"
+    path = tmp_path / "grid.csv"
+    path.write_text(text, newline="")
+    expected = np.array(
+        [[float(c) for c in line.split(",")] for line in text.splitlines() if line.strip()]
+    )
+    got = fileio.read_csv(path)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_csv_single_row_and_single_column_stay_2d(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_text("1,2,3\n")
+    assert fileio.read_csv(path).shape == (1, 3)
+    path.write_text("1\n\n2\n")
+    assert fileio.read_csv(path).shape == (2, 1)
+
+
+def traced_peak(write, path, grid) -> int:
+    tracemalloc.start()
+    try:
+        write(path, grid)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "write, bound_mib",
+    # the peaks of the per-cell writers these replaced, 480x640
+    [(fileio.write_csv, 9.4), (fileio.write_pgm, 5.8)],
+)
+def test_writer_memory_is_bounded_per_block(tmp_path, write, bound_mib):
+    peaks = []
+    for height in (480, 960):
+        grid = (np.arange(height * 640, dtype=float).reshape(height, 640) + 0.5) / (height * 640)
+        peaks.append(traced_peak(write, tmp_path / "out", grid))
+    assert peaks[0] <= bound_mib * 2**20
+    # a whole-frame writer's peak doubles with the frame
+    assert peaks[1] < 1.25 * peaks[0]

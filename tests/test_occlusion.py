@@ -3,7 +3,8 @@ import pytest
 
 from otstereo.cli import RunConfig
 from otstereo.disparity import disparity_map, estimate_phi, recover_occlusions
-from otstereo.errors import UnresolvedOcclusionError, WrongPathError
+from otstereo import disparity
+from otstereo.errors import MassMismatchError, UnresolvedOcclusionError, WrongPathError
 from otstereo.kernel import build_kernel
 from otstereo.measures import measure_from_row
 from otstereo.scene import (
@@ -275,6 +276,27 @@ def test_mirror_rows_write_nothing_on_right_background():
     info = result.diagnostics[0]
     assert (info["path"], info["iterations"]) == ("failed", 0)
     assert result.no_data.all()
+
+
+def test_mass_mismatch_in_the_matching_fails_only_its_rows(monkeypatch):
+    # an occlusion row, a mirror row and an unoccluded row
+    occlusion, mirror = four_object_pair(), mirror_pair(h=1)
+    plain = np.zeros((1, 120))
+    plain[0, 30:60] = 0.5
+    left = np.vstack([occlusion.left[:1], mirror.left, plain])
+    right = np.vstack([occlusion.right[:1], mirror.right, plain])
+
+    def mismatch(*args, **kwargs):
+        raise MassMismatchError("masses differ")
+
+    monkeypatch.setattr(disparity, "monotone_plan", mismatch)
+    result = disparity_map(left, right, WARM)
+    paths = [info["path"] for info in result.diagnostics]
+    assert paths == ["failed", "failed", "balanced"]
+    assert all("masses differ" in info["error"] for info in result.diagnostics[:2])
+    assert np.isnan(result.values[:2]).all()
+    assert not result.occluded[:2].any()
+    assert not np.isnan(result.values[2, 30:60]).any()
 
 
 def test_map_rejects_mismatched_shapes():
