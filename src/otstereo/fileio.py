@@ -161,7 +161,9 @@ def write_pgm(path, image: np.ndarray) -> None:
     if np.isnan(image).any():
         raise ValueError("image holds a NaN intensity")
     _write_p2(
-        path, image, lambda cells: np.clip(np.rint(cells * 255.0), 0, 255).astype(np.intp)
+        path,
+        image,
+        lambda cells: np.clip(np.rint(cells * 255.0), 0, 255).astype(np.intp),
     )
 
 
@@ -200,8 +202,9 @@ def read_csv(path) -> np.ndarray:
     the first malformed row in the file is named.
     """
     with open(path, encoding="ascii") as handle:
-        numbered = [(index, line.strip()) for index, line in enumerate(handle)]
-    numbered = [(index, line) for index, line in numbered if line]
+        numbered = [
+            (index, line) for index, line in enumerate(map(str.strip, handle)) if line
+        ]
     if not numbered:
         return np.empty((0, 0))
     rows, lines = zip(*numbered)
@@ -247,7 +250,8 @@ def write_ply(path, points: np.ndarray) -> None:
     ]
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
-        _write_lines(handle, points.reshape(count, 4), " ", _spell_floats("{:.9g}".format))
+        spell = _spell_floats("{:.9g}".format)
+        _write_lines(handle, points.reshape(count, 4), " ", spell)
 
 
 def write_json(path, payload) -> None:

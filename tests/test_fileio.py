@@ -325,7 +325,6 @@ def test_p2_reader_matches_a_token_parse_on_hand_written_files(tmp_path):
     raw = f"P2\r\n# by hand\r\n11\t6 # size\r\n255\r\n{body}".encode()
     path = tmp_path / "img.pgm"
     path.write_bytes(raw)
-    assert b"007" in raw or b"00" in raw
     assert np.array_equal(fileio.read_pgm(path), p2_token_parse(raw))
     assert np.array_equal(fileio.read_pgm(path) * 255.0, levels)
 
