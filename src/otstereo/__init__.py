@@ -6,130 +6,91 @@ between them, and reads the disparity off the plan's barycenters.
 Rows whose masses differ route through an occlusion recovery loop
 that localizes the hidden interval and the rigid shift of the
 occluding object.
-"""
-from .disparity import (
-    DisparityMap,
-    DisparityProfile,
-    OcclusionReport,
-    compression,
-    disparity_map,
-    disparity_profile,
-    estimate_phi,
-    recover_occlusions,
-)
-from .errors import (
-    DimensionMismatchError,
-    EmptyScanlineError,
-    InfeasibleProjectionError,
-    InstanceTooLargeError,
-    InvalidIntensityError,
-    MassMismatchError,
-    NoPlateauError,
-    OtStereoError,
-    OutOfFrameError,
-    QuantizationError,
-    SceneFormatError,
-    SupportMismatchError,
-    UnresolvedOcclusionError,
-    WrongPathError,
-)
-from .exact import ExactSolution, brute_force_plan, exact_cost, monotone_plan
-from .kernel import GibbsKernel, build_kernel, hilbert_distance
-from .measures import (
-    MassComparison,
-    ScanlineMeasure,
-    compare_masses,
-    measure_from_row,
-    normalize,
-)
-from .scene import (
-    CameraRig,
-    CartoonScene,
-    PointCloud,
-    RenderedPair,
-    SceneObject,
-    depth_from_disparity,
-    load_scene,
-    map_from_values,
-    parse_scene,
-    pixel_shift,
-    reconstruct,
-    render_pair,
-)
-from .sinkhorn import (
-    ConvergenceReport,
-    ScalingVectors,
-    ShiftedLimits,
-    SinkhornConfig,
-    TransportPlan,
-    iteration_trace,
-    kl_divergence,
-    project_cols,
-    project_rows,
-    regularized_cost,
-    shifted_sinkhorn,
-    sinkhorn,
-    transport_cost,
-)
 
-__all__ = [
-    "CameraRig",
-    "CartoonScene",
-    "ConvergenceReport",
-    "DimensionMismatchError",
-    "DisparityMap",
-    "DisparityProfile",
-    "EmptyScanlineError",
-    "ExactSolution",
-    "GibbsKernel",
-    "InfeasibleProjectionError",
-    "InstanceTooLargeError",
-    "InvalidIntensityError",
-    "MassComparison",
-    "MassMismatchError",
-    "NoPlateauError",
-    "OcclusionReport",
-    "OtStereoError",
-    "OutOfFrameError",
-    "PointCloud",
-    "QuantizationError",
-    "RenderedPair",
-    "ScalingVectors",
-    "ScanlineMeasure",
-    "SceneFormatError",
-    "SceneObject",
-    "ShiftedLimits",
-    "SinkhornConfig",
-    "SupportMismatchError",
-    "TransportPlan",
-    "UnresolvedOcclusionError",
-    "WrongPathError",
-    "brute_force_plan",
-    "build_kernel",
-    "compare_masses",
-    "compression",
-    "depth_from_disparity",
-    "disparity_map",
-    "disparity_profile",
-    "estimate_phi",
-    "exact_cost",
-    "hilbert_distance",
-    "iteration_trace",
-    "kl_divergence",
-    "load_scene",
-    "map_from_values",
-    "measure_from_row",
-    "monotone_plan",
-    "normalize",
-    "parse_scene",
-    "pixel_shift",
-    "project_cols",
-    "project_rows",
-    "reconstruct",
-    "recover_occlusions",
-    "regularized_cost",
-    "render_pair",
-    "shifted_sinkhorn",
-    "sinkhorn",
-    "transport_cost",
-]
+Importing the package loads none of its submodules: each exported
+name imports its submodule on first access (PEP 562), so a command
+that never solves never loads the solver stack.
+"""
+from importlib import import_module
+
+_SUBMODULES = {
+    "disparity": (
+        "DisparityProfile",
+        "OcclusionReport",
+        "compression",
+        "disparity_map",
+        "disparity_profile",
+        "estimate_phi",
+        "recover_occlusions",
+    ),
+    "errors": (
+        "DimensionMismatchError",
+        "EmptyScanlineError",
+        "InfeasibleProjectionError",
+        "InstanceTooLargeError",
+        "InvalidIntensityError",
+        "MassMismatchError",
+        "NoPlateauError",
+        "OtStereoError",
+        "OutOfFrameError",
+        "QuantizationError",
+        "SceneFormatError",
+        "SupportMismatchError",
+        "UnresolvedOcclusionError",
+        "WrongPathError",
+    ),
+    "exact": ("ExactSolution", "brute_force_plan", "exact_cost", "monotone_plan"),
+    "kernel": ("GibbsKernel", "build_kernel", "hilbert_distance"),
+    "maps": ("DisparityMap",),
+    "measures": (
+        "MassComparison",
+        "ScanlineMeasure",
+        "compare_masses",
+        "measure_from_row",
+        "normalize",
+    ),
+    "scaling": (
+        "ConvergenceReport",
+        "ScalingVectors",
+        "ShiftedLimits",
+        "SinkhornConfig",
+        "TransportPlan",
+        "iteration_trace",
+        "kl_divergence",
+        "project_cols",
+        "project_rows",
+        "regularized_cost",
+        "shifted_sinkhorn",
+        "sinkhorn",
+        "transport_cost",
+    ),
+    "scene": (
+        "CameraRig",
+        "CartoonScene",
+        "PointCloud",
+        "RenderedPair",
+        "SceneObject",
+        "depth_from_disparity",
+        "load_scene",
+        "map_from_values",
+        "parse_scene",
+        "pixel_shift",
+        "reconstruct",
+        "render_pair",
+    ),
+}
+_EXPORTS = {name: module for module, names in _SUBMODULES.items() for name in names}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -23,17 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .disparity import DisparityMap, disparity_map, disparity_profile
 from .errors import OtStereoError, UnresolvedOcclusionError
-from .kernel import build_kernel
-from .measures import measure_from_row
+from .maps import DisparityMap
 from .scene import CameraRig, load_scene, map_from_values, reconstruct, render_pair
-from .sinkhorn import (
-    STOP_MAX_ITERATIONS,
-    SinkhornConfig,
-    iteration_trace,
-    sinkhorn,
-)
+
+# `generate` and `reconstruct` never solve, so the solver stack
+# (disparity, scaling, exact, kernel, measures) is imported only where
+# a command calls into it.
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -56,7 +52,9 @@ class RunConfig:
     def __post_init__(self):
         self.sinkhorn_config()
 
-    def sinkhorn_config(self) -> SinkhornConfig:
+    def sinkhorn_config(self):
+        from .scaling import SinkhornConfig
+
         return SinkhornConfig(
             epsilon=self.epsilon,
             max_iterations=self.niter,
@@ -125,6 +123,13 @@ def _clean(value):
     return value
 
 
+def disparity_map(left, right, config):
+    """The pipeline's disparity_map; the first call loads the solver stack."""
+    from .disparity import disparity_map as solve
+
+    return solve(left, right, config)
+
+
 def cmd_generate(args) -> int:
     scene, rig = load_scene(args.scene)
     pair = render_pair(scene, rig)
@@ -169,6 +174,8 @@ def _write_map(out: Path, result: DisparityMap) -> None:
 
 
 def cmd_disparity(args) -> int:
+    from .scaling import STOP_MAX_ITERATIONS
+
     config = resolve_config(args)
     left = fileio.read_pgm(args.left)
     right = fileio.read_pgm(args.right)
@@ -214,6 +221,11 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    from .disparity import disparity_profile
+    from .kernel import build_kernel
+    from .measures import measure_from_row
+    from .scaling import iteration_trace, sinkhorn
+
     config = resolve_config(args)
     left = fileio.read_pgm(args.left)
     right = fileio.read_pgm(args.right)

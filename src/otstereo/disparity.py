@@ -28,8 +28,13 @@ from .errors import (
 )
 from .exact import monotone_plan
 from .kernel import GibbsKernel, build_kernel
+from .maps import (
+    DisparityMap,
+    mask_runs,  # not called here; kept importable from this module
+    value_runs,
+)
 from .measures import DEFAULT_BALANCE_TOLERANCE, compare_masses, measure_from_row
-from .sinkhorn import (
+from .scaling import (
     STOP_CONVERGED,
     STOP_MAX_ITERATIONS,
     ConvergenceReport,
@@ -87,45 +92,6 @@ class OcclusionReport:
     compression_plateau: float | None
     solve: ConvergenceReport | None = None
     left_frame: tuple[tuple[int, int], ...] = ()
-
-
-@dataclass(frozen=True)
-class DisparityMap:
-    """Per-pixel disparity of a full image pair, one row per scanline.
-
-    values is an (h, d) array, NaN where there is no data: empty
-    scanlines, columns without source mass, and recovered occluded
-    intervals. occluded marks the latter alone and defaults to none.
-    """
-
-    values: np.ndarray
-    occluded: np.ndarray | None = None
-    reports: tuple[OcclusionReport, ...] = ()
-    diagnostics: tuple[dict, ...] = ()
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-        if self.occluded is None:
-            object.__setattr__(self, "occluded", np.zeros(values.shape, dtype=bool))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def defined_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
-    @property
-    def no_data(self) -> np.ndarray:
-        return ~self.defined_mask
 
 
 def disparity_profile(plan) -> DisparityProfile:
@@ -189,19 +155,6 @@ def estimate_phi(delta, plateau_tolerance: float = DEFAULT_PLATEAU_TOLERANCE) ->
     if value >= 1.0:
         raise NoPlateauError(f"plateau value {value} admits no positive quotient")
     return 1.0 / (1.0 - value)
-
-
-def value_runs(values) -> list[tuple[int, int]]:
-    """Inclusive (start, end) of each maximal run of one positive value, left to right."""
-    values = np.asarray(values, dtype=float)
-    starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0.0).tolist()
-    ends = [start - 1 for start in starts[1:]] + [values.size - 1]
-    return [(lo, hi) for lo, hi in zip(starts, ends) if values[lo] > 0.0]
-
-
-def mask_runs(mask) -> list[tuple[int, int]]:
-    """Inclusive (start, end) of each maximal run of true entries, left to right."""
-    return value_runs(np.asarray(mask, dtype=bool))
 
 
 def _hides_next(source, target, runs, shift: int) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, MassMismatchError, QuantizationError
-from .sinkhorn import TransportPlan, _as_values, monotone_cells, transport_cost
+from .scaling import TransportPlan, _as_values, monotone_cells, transport_cost
 
 BRUTE_FORCE_LIMIT = 4
 MASS_EQUALITY_RTOL = 1e-10

@@ -175,6 +175,8 @@ def write_disparity_pgm(path, values: np.ndarray) -> None:
     written as `# disparity-scale <s>` so viewers can invert it.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {values.shape}")
     peak = np.max(values, where=np.isfinite(values), initial=0.0)
     scale = 255.0 / peak if peak > 0 else 1.0
 
@@ -235,9 +237,9 @@ def _parse_csv(lines) -> np.ndarray:
 def write_ply(path, points: np.ndarray) -> None:
     """ASCII PLY with float x, y, z, intensity per vertex."""
     points = np.asarray(points, dtype=float)
-    if points.size and (points.ndim != 2 or points.shape[1] != 4):
+    if points.ndim != 2 or points.shape[1] != 4:
         raise ValueError(f"expected an (n, 4) array, got shape {points.shape}")
-    count = 0 if points.size == 0 else points.shape[0]
+    count = points.shape[0]
     header = [
         "ply",
         "format ascii 1.0",
@@ -251,7 +253,7 @@ def write_ply(path, points: np.ndarray) -> None:
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
         spell = _spell_floats("{:.9g}".format)
-        _write_lines(handle, points.reshape(count, 4), " ", spell)
+        _write_lines(handle, points, " ", spell)
 
 
 def write_json(path, payload) -> None:

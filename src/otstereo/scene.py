@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .disparity import DisparityMap, mask_runs
 from .errors import OutOfFrameError, SceneFormatError
+from .maps import DisparityMap, mask_runs
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from otstereo.scene import (
     reconstruct,
     render_pair,
 )
-from otstereo.sinkhorn import (
+from otstereo.scaling import (
     SinkhornConfig,
     TransportPlan,
     iteration_trace,

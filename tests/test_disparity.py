@@ -10,7 +10,7 @@ from otstereo.disparity import (
 )
 from otstereo.errors import NoPlateauError
 from otstereo.kernel import build_kernel
-from otstereo.sinkhorn import SinkhornConfig, TransportPlan, shifted_sinkhorn
+from otstereo.scaling import SinkhornConfig, TransportPlan, shifted_sinkhorn
 
 
 def plan_of(entries):

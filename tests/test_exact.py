@@ -3,7 +3,7 @@ import pytest
 
 from otstereo.errors import InstanceTooLargeError, MassMismatchError, QuantizationError
 from otstereo.exact import brute_force_plan, exact_cost, monotone_plan
-from otstereo.sinkhorn import monotone_cells, monotone_potentials
+from otstereo.scaling import monotone_cells, monotone_potentials
 
 
 def test_monotone_shift_instance():

@@ -198,6 +198,22 @@ def test_empty_ply_is_valid(tmp_path):
     assert lines[-1] == "end_header"
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_disparity_pgm_rejects_a_grid_that_is_not_2d(tmp_path, shape):
+    path = tmp_path / "disp.pgm"
+    with pytest.raises(ValueError, match=r"expected a 2-d array, got shape"):
+        fileio.write_disparity_pgm(path, np.zeros(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (4,), (2, 3), (1, 4, 1), (0, 4, 0)])
+def test_ply_rejects_points_not_shaped_n_by_4(tmp_path, shape):
+    path = tmp_path / "cloud.ply"
+    with pytest.raises(ValueError, match=r"expected an \(n, 4\) array"):
+        fileio.write_ply(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_json_is_deterministic(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -14,7 +14,7 @@ from otstereo.scene import (
     depth_from_disparity,
     render_pair,
 )
-from otstereo.sinkhorn import SinkhornConfig
+from otstereo.scaling import SinkhornConfig
 
 RIG = CameraRig()
 CONFIG = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)

@@ -1,0 +1,111 @@
+"""The package loads each submodule on first use, and commands that
+never solve never load the solver stack."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import otstereo
+
+SOLVER = {
+    "otstereo.disparity",
+    "otstereo.exact",
+    "otstereo.kernel",
+    "otstereo.measures",
+    "otstereo.scaling",
+}
+
+LOADED = 'sorted(m for m in sys.modules if m.startswith("otstereo."))'
+
+SCENE = """\
+width = 40
+height = 3
+object = x0:5 width:8 shift:4 intensity:0.5
+object = x0:20 width:6 shift:3 intensity:0.8
+"""
+
+
+def fresh(code: str, *args) -> object:
+    """Run code in a new interpreter and parse the JSON it prints."""
+    src = str(Path(otstereo.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = f"import json, sys\nimport otstereo\nprint(json.dumps({LOADED}))"
+    assert fresh(code) == []
+
+
+def test_generate_and_reconstruct_leave_the_solver_unloaded(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    out = tmp_path / "out"
+    code = f"""\
+import json, sys
+import otstereo.cli
+scene, out = sys.argv[1:]
+codes = [
+    otstereo.cli.main(["generate", scene, "--out-dir", out]),
+    otstereo.cli.main(["reconstruct", out + "/truth_disparity.csv",
+                       out + "/right.pgm", "--out", out + "/cloud.ply"]),
+]
+print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+"""
+    result = fresh(code, scene, out)
+    assert result["codes"] == [0, 0]
+    assert "otstereo.scene" in result["loaded"]
+    assert SOLVER.isdisjoint(result["loaded"])
+    assert "element vertex 42" in (out / "cloud.ply").read_text()
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(otstereo)
+    for name in otstereo.__all__:
+        value = getattr(otstereo, name)
+        assert not isinstance(value, types.ModuleType), name
+        assert value.__module__.startswith("otstereo."), name
+        assert name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        otstereo.no_such_name
+
+
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        ("import otstereo.scaling, otstereo.disparity", ""),
+        ("", "import otstereo.scaling, otstereo.disparity"),
+    ],
+)
+def test_readme_import_gives_the_function_sinkhorn(before, after):
+    code = f"""\
+import json
+{before}
+from otstereo import SinkhornConfig, build_kernel, disparity_map, sinkhorn
+{after}
+import otstereo
+print(json.dumps([
+    type(sinkhorn).__name__,
+    type(otstereo.sinkhorn).__name__,
+    sinkhorn is otstereo.scaling.sinkhorn,
+    disparity_map is otstereo.disparity.disparity_map,
+]))
+"""
+    assert fresh(code) == ["function", "function", True, True]
+
+
+def test_there_is_no_sinkhorn_submodule():
+    assert callable(otstereo.sinkhorn)
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("otstereo.sinkhorn")

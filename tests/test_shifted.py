@@ -5,7 +5,7 @@ import pytest
 
 from otstereo.errors import WrongPathError
 from otstereo.kernel import build_kernel
-from otstereo.sinkhorn import SinkhornConfig, shifted_sinkhorn
+from otstereo.scaling import SinkhornConfig, shifted_sinkhorn
 
 TIGHT = dict(max_iterations=200000, stop_tolerance=1e-14)
 

@@ -1,14 +1,14 @@
-import importlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+import otstereo.scaling as scaling_module
 from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
 from otstereo.exact import monotone_plan
 from otstereo.kernel import build_kernel
-from otstereo.sinkhorn import (
+from otstereo.scaling import (
     SinkhornConfig,
     TransportPlan,
     kl_divergence,
@@ -20,9 +20,6 @@ from otstereo.sinkhorn import (
     sinkhorn,
     transport_cost,
 )
-
-# the package exports the function sinkhorn under the module's name
-sinkhorn_module = importlib.import_module("otstereo.sinkhorn")
 
 
 def random_probability(rng, d, zeros=0):
@@ -192,7 +189,7 @@ def test_scaling_iteration_never_underflows(case):
     # never underflows is a loop that stays on it
     a, b, eps, warm_start = HOT_LOOP_CASES[case]
     config = SinkhornConfig(eps, warm_start=warm_start)
-    steps = sinkhorn_module._prepare(a, b, build_kernel(a.size, eps), config).steps
+    steps = scaling_module._prepare(a, b, build_kernel(a.size, eps), config).steps
     with np.errstate(under="raise"):
         for step in itertools.islice(steps, 1500):
             assert np.all(np.isfinite(step.u)) and np.all(np.isfinite(step.v_raw))
@@ -259,13 +256,13 @@ AGREEMENT_CASES = {
 def test_absorbed_iteration_matches_the_log_domain_iteration(case, monkeypatch):
     a, b, eps, warm_start, budget, tol = AGREEMENT_CASES[case]
     calls = {0: 0, 1: 0}
-    lse = sinkhorn_module._lse
+    lse = scaling_module._lse
 
     def counted(matrix, axis):
         calls[axis] += 1
         return lse(matrix, axis)
 
-    monkeypatch.setattr(sinkhorn_module, "_lse", counted)
+    monkeypatch.setattr(scaling_module, "_lse", counted)
     kern = build_kernel(a.size, eps)
     config = SinkhornConfig(eps, max_iterations=budget, stop_tolerance=tol,
                             warm_start=warm_start)
