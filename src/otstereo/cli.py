@@ -16,6 +16,7 @@ numerical failures such as an unresolved occlusion.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,11 +26,12 @@ import numpy as np
 from . import fileio
 from .errors import OtStereoError, UnresolvedOcclusionError
 from .maps import DisparityMap
-from .scene import CameraRig, load_scene, map_from_values, reconstruct, render_pair
 
-# `generate` and `reconstruct` never solve, so the solver stack
-# (disparity, scaling, exact, kernel, measures) is imported only where
-# a command calls into it.
+# Each command loads only the modules it runs: the solver stack
+# (disparity, scaling, exact, kernel, measures) and otstereo.scene are
+# imported where a command calls into them. The commands call the
+# scene and pipeline functions through the module-level wrappers
+# below, the names perfbench/spans.py replaces with timed ones.
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -123,11 +125,69 @@ def _clean(value):
     return value
 
 
+def _diagnostics_text(records) -> str:
+    """{"scanlines": records} as fileio.write_json spells it.
+
+    Row pairs solved once share one record but for "y", so each
+    distinct record is cleaned and spelled once, with y = 0 standing
+    in, and every row splices its own y into that text. JSON escapes
+    newlines inside strings, so the stand-in's line is the only one
+    that can match.
+    """
+    spelled: dict = {}
+    parts = []
+    for record in records:
+        rest = dict(record)
+        y = rest.pop("y")
+        # the records of one solved pair hold the same value objects;
+        # keying on identity never merges values that spell differently
+        # yet compare equal, as 0, 0.0 and -0.0 do
+        key = tuple((name, id(value)) for name, value in rest.items())
+        if key not in spelled:
+            clean = {name: _clean(value) for name, value in rest.items()}
+            text = json.dumps({**clean, "y": 0}, indent=2, sort_keys=True)
+            head, _, tail = text.replace("\n", "\n    ").partition('\n      "y": 0')
+            spelled[key] = head + '\n      "y": ', tail
+        head, tail = spelled[key]
+        parts.append(f"{head}{y:d}{tail}")
+    if not parts:
+        return '{\n  "scanlines": []\n}\n'
+    return '{\n  "scanlines": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
+
+
 def disparity_map(left, right, config):
     """The pipeline's disparity_map; the first call loads the solver stack."""
     from .disparity import disparity_map as solve
 
     return solve(left, right, config)
+
+
+def load_scene(path):
+    """scene.load_scene; the first call loads otstereo.scene."""
+    from .scene import load_scene as load
+
+    return load(path)
+
+
+def render_pair(scene, rig):
+    """scene.render_pair; the first call loads otstereo.scene."""
+    from .scene import render_pair as render
+
+    return render(scene, rig)
+
+
+def reconstruct(disparity, rig, right_image):
+    """scene.reconstruct; the first call loads otstereo.scene."""
+    from .scene import reconstruct as lift
+
+    return lift(disparity, rig, right_image)
+
+
+def map_from_values(values):
+    """scene.map_from_values; the first call loads otstereo.scene."""
+    from .scene import map_from_values as wrap
+
+    return wrap(values)
 
 
 def cmd_generate(args) -> int:
@@ -162,14 +222,8 @@ def _write_map(out: Path, result: DisparityMap) -> None:
         out / "occlusion_report.json",
         {"scanlines": [_report_payload(r) for r in result.reports]},
     )
-    fileio.write_json(
-        out / "diagnostics.json",
-        {
-            "scanlines": [
-                {key: _clean(value) for key, value in info.items()}
-                for info in result.diagnostics
-            ]
-        },
+    (out / "diagnostics.json").write_text(
+        _diagnostics_text(result.diagnostics), encoding="utf-8"
     )
 
 
@@ -205,6 +259,8 @@ def cmd_disparity(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .scene import CameraRig
+
     rig = CameraRig(baseline=args.baseline, focal=args.focal, beta=args.beta)
     values = fileio.read_csv(args.disparity)
     image = fileio.read_pgm(args.image)

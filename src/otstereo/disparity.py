@@ -333,7 +333,8 @@ def _reproduces(source: np.ndarray, target: np.ndarray, profile: np.ndarray) -> 
     dest = cols + np.rint(profile[cols]).astype(int)
     return (
         np.all((dest >= 0) & (dest < target.size))
-        and np.unique(dest).size == dest.size
+        # not np.unique: it imports numpy.ma, ~20 ms of every occluded run
+        and np.bincount(dest).max(initial=0) <= 1
         and np.array_equal(source[cols], target[dest])
         and np.count_nonzero(target > 0.0) == dest.size
     )

@@ -362,12 +362,6 @@ def _iterate(la_sub, cost, lb_sub, log_drift, epsilon, lu, lv):
             kernel = None
 
 
-def _scatter_plan(block: np.ndarray, support0, support1, d: int) -> TransportPlan:
-    entries = np.zeros((d, d))
-    entries[np.ix_(support0, support1)] = block
-    return TransportPlan(entries)
-
-
 @dataclass
 class _Prepared:
     """Support-restricted problem plus a live iteration generator."""
@@ -403,22 +397,30 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared
     return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
 
 
-def _plan_block(u, block, v) -> np.ndarray:
-    return np.exp(u[:, None] + block + v[None, :])
+def _scatter_plan(prep: _Prepared, step: _Step, v: np.ndarray, d: int) -> TransportPlan:
+    """The d x d plan of step.u and v on the support, zero off it.
+
+    v is step.v_prev for the odd plan, step.v_raw for the even one.
+    """
+    entries = np.zeros((d, d))
+    entries[np.ix_(prep.support0, prep.support1)] = np.exp(
+        step.u[:, None] + step.block + v[None, :]
+    )
+    return TransportPlan(entries)
 
 
 def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
-    """Drive the scaling iteration and package plans plus report.
+    """Drive the scaling iteration and package the odd plan plus report.
 
     limit is the full-width vector the odd plan's column marginal
     converges to; the tolerance stop compares against it. observe, if
     given, is called with (iteration, step) after every iteration.
-    Returns (odd_plan, even_plan, vectors, report); the odd plan pairs
-    the final u with the previous v, so its row marginal is exactly
-    nu0, while the even plan's column marginal is exactly nu1.
+    Returns (odd_plan, vectors, report, step); the odd plan pairs the
+    final u with the previous v, so its row marginal is exactly nu0.
+    The even plan, whose column marginal is exactly nu1, pairs u with
+    step.v_raw; only shifted_sinkhorn builds it.
     """
-    support0, support1 = prep.support0, prep.support1
-    limit_sub = limit[support1]
+    limit_sub = limit[prep.support1]
     d = kernel.d
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
@@ -439,14 +441,11 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         if iterations >= config.max_iterations:
             break
 
-    odd_block = _plan_block(step.u, step.block, step.v_prev)
-    even_block = _plan_block(step.u, step.block, step.v_raw)
+    odd = _scatter_plan(prep, step, step.v_prev, d)
     u_full = np.full(d, -np.inf)
     v_full = np.full(d, -np.inf)
-    u_full[support0] = step.u
-    v_full[support1] = step.v_prev
-    odd = _scatter_plan(odd_block, support0, support1, d)
-    even = _scatter_plan(even_block, support0, support1, d)
+    u_full[prep.support0] = step.u
+    v_full[prep.support1] = step.v_prev
     violation = float(np.abs(odd.col_marginal - limit).max())
     report = ConvergenceReport(
         iterations=iterations,
@@ -457,7 +456,7 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         stop_reason=stop_reason,
     )
     vectors = ScalingVectors(u=u_full, v=v_full)
-    return odd, even, vectors, report
+    return odd, vectors, report, step
 
 
 def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
@@ -475,7 +474,7 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         the report records how far its column marginal is from nu1.
     """
     prep = _prepare(nu0, nu1, kernel, config)
-    odd, _, vectors, report = _run(prep, kernel, config, prep.b)
+    odd, vectors, report, _ = _run(prep, kernel, config, prep.b)
     return odd, vectors, report
 
 
@@ -504,7 +503,8 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
     prep = _prepare(a, b, kernel, config)
-    odd, even, _, report = _run(prep, kernel, config, m0 * prep.b)
+    odd, _, report, step = _run(prep, kernel, config, m0 * prep.b)
+    even = _scatter_plan(prep, step, step.v_raw, kernel.d)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
 

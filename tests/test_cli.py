@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from otstereo import fileio
-from otstereo.cli import main, parse_run_config
+from otstereo.cli import RunConfig, _clean, _diagnostics_text, main, parse_run_config
+from otstereo.disparity import disparity_map
+from otstereo.scene import (
+    CameraRig,
+    CartoonScene,
+    SceneObject,
+    depth_from_disparity,
+    render_pair,
+)
 
 NON_OCCLUDED = """\
 width = 50
@@ -478,3 +486,66 @@ def test_console_entry_module_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "left.pgm").exists()
+
+
+def json_dump_text(records) -> str:
+    """diagnostics.json as json.dump spelled it record by record."""
+    payload = {"scanlines": [{k: _clean(v) for k, v in r.items()} for r in records]}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def rendered_row(objects, d=80):
+    rig = CameraRig()
+    scene = CartoonScene(width=d, height=1, objects=tuple(
+        SceneObject(x0=x0, width=w, depth=depth_from_disparity(s, rig), intensity=i)
+        for x0, w, s, i in objects
+    ))
+    pair = render_pair(scene, rig)
+    return pair.left[0], pair.right[0]
+
+
+def test_diagnostics_text_is_json_dump_byte_for_byte():
+    plain = np.zeros(80)
+    plain[30:50] = 0.5
+    zero = np.zeros(80)
+    occlusion = rendered_row([(10, 10, 7, 0.5), (21, 20, 4, 0.6)])
+    rows = [
+        occlusion,
+        rendered_row([(8, 30, 2, 0.4), (34, 20, 7, 0.8)]),  # left view heavier
+        rendered_row([(8, 4, 9, 0.3), (12, 15, 3, 0.75)]),  # fails the check
+        (plain, plain),
+        (zero, zero),
+        (plain, zero),
+        occlusion,
+    ]
+    left = np.vstack([row[0] for row in rows])
+    right = np.vstack([row[1] for row in rows])
+    records = disparity_map(left, right, RunConfig().sinkhorn_config()).diagnostics
+    assert [r["path"] for r in records] == [
+        "occlusion", "occlusion", "failed", "balanced", "empty", "one-sided",
+        "occlusion",
+    ]
+    assert records[2]["error"]
+    # values that compare equal but spell differently, NaN and infinity
+    # written as null, numpy scalars, a key sorting after "y", and a
+    # string holding what the stand-in's line looks like
+    records += (
+        {"y": 7, "path": "balanced", "phi": 0},
+        {"y": 8, "path": "balanced", "phi": 0.0},
+        {"y": 9, "path": "balanced", "phi": -0.0},
+        {"y": 10, "phi": np.float64(np.nan), "lam": -np.inf, "iterations": np.int64(3)},
+        {"y": 11, "zeta": 1, "error": 'x\n      "y": 0'},
+    )
+    assert _diagnostics_text(records) == json_dump_text(records)
+    assert _diagnostics_text(()) == json_dump_text(())
+
+
+def test_diagnostics_file_is_json_dump_byte_for_byte(tmp_path):
+    out = generate(tmp_path, OCCLUDED)
+    run = tmp_path / "run"
+    left, right = out / "left.pgm", out / "right.pgm"
+    assert main(["disparity", str(left), str(right), "--out-dir", str(run)]) == 0
+    result = disparity_map(fileio.read_pgm(left), fileio.read_pgm(right),
+                           RunConfig().sinkhorn_config())
+    text = (run / "diagnostics.json").read_text()
+    assert text == json_dump_text(result.diagnostics)

@@ -302,3 +302,24 @@ def test_mass_mismatch_in_the_matching_fails_only_its_rows(monkeypatch):
 def test_map_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         disparity_map(np.zeros((2, 10)), np.zeros((3, 10)), CONFIG)
+
+
+@pytest.mark.parametrize(
+    "source, target, profile, expected",
+    [
+        # both rows shifted by one onto the target
+        ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 1.0, np.nan], True),
+        # both pixels land on column 1: in range, on their own value,
+        # as many as the target's pixels, but not one to one
+        ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 0.0, np.nan], False),
+        # a pixel leaving the frame
+        ([0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [1.0, 2.0, np.nan], False),
+        # a pixel landing on another value
+        ([0.5, 0.7, 0.0], [0.0, 0.5, 0.5], [1.0, 1.0, np.nan], False),
+        # a target pixel no source pixel reaches
+        ([0.5, 0.0, 0.0], [0.0, 0.5, 0.5], [1.0, np.nan, np.nan], False),
+    ],
+)
+def test_reproduces_checks_each_clause(source, target, profile, expected):
+    result = disparity._reproduces(np.array(source), np.array(target), np.array(profile))
+    assert bool(result) is expected

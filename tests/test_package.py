@@ -1,5 +1,5 @@
-"""The package loads each submodule on first use, and commands that
-never solve never load the solver stack."""
+"""The package loads each submodule on first use, and each command
+loads only the modules it runs."""
 import importlib
 import json
 import os
@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import otstereo
+import otstereo.cli
 
 SOLVER = {
     "otstereo.disparity",
@@ -27,6 +28,15 @@ width = 40
 height = 3
 object = x0:5 width:8 shift:4 intensity:0.5
 object = x0:20 width:6 shift:3 intensity:0.8
+"""
+
+# README's scene: the first object hides the head of the second, so
+# every row takes the occlusion path and runs its one-to-one check
+README_SCENE = """\
+width = 120
+height = 3
+object = x0:20 width:26 shift:9 intensity:0.5
+object = x0:47 width:40 shift:4 intensity:0.6
 """
 
 
@@ -68,6 +78,32 @@ print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
     assert "otstereo.scene" in result["loaded"]
     assert SOLVER.isdisjoint(result["loaded"])
     assert "element vertex 42" in (out / "cloud.ply").read_text()
+
+
+def test_disparity_and_diagnose_load_neither_scene_nor_numpy_ma(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(README_SCENE)
+    pair = tmp_path / "pair"
+    assert otstereo.cli.main(["generate", str(scene), "--out-dir", str(pair)]) == 0
+    out = tmp_path / "out"
+    code = f"""\
+import json, sys
+import otstereo.cli
+left, right, out = sys.argv[1:]
+codes = [
+    otstereo.cli.main(["disparity", left, right, "--out-dir", out]),
+    otstereo.cli.main(["diagnose", left, right, "--y", "1", "--niter", "50",
+                       "--out-dir", out]),
+]
+print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules)}}))
+"""
+    result = fresh(code, pair / "left.pgm", pair / "right.pgm", out)
+    assert result["codes"] == [0, 0]
+    diagnostics = json.loads((out / "diagnostics.json").read_text())["scanlines"]
+    assert [row["path"] for row in diagnostics] == ["occlusion"] * 3
+    assert SOLVER <= set(result["loaded"])
+    assert "otstereo.scene" not in result["loaded"]
+    assert "numpy.ma" not in result["loaded"]
 
 
 def test_every_exported_name_resolves_and_is_listed():
