@@ -15,7 +15,6 @@ from importlib import import_module
 
 _SUBMODULES = {
     "disparity": (
-        "DisparityProfile",
         "OcclusionReport",
         "compression",
         "disparity_map",
@@ -42,13 +41,7 @@ _SUBMODULES = {
     "exact": ("ExactSolution", "brute_force_plan", "exact_cost", "monotone_plan"),
     "kernel": ("GibbsKernel", "build_kernel", "hilbert_distance"),
     "maps": ("DisparityMap",),
-    "measures": (
-        "MassComparison",
-        "ScanlineMeasure",
-        "compare_masses",
-        "measure_from_row",
-        "normalize",
-    ),
+    "measures": ("compare_masses", "measure_from_row"),
     "scaling": (
         "ConvergenceReport",
         "ScalingVectors",

@@ -297,10 +297,10 @@ def cmd_diagnose(args) -> int:
 
     # the reference is this very run's endpoint, so the series shows
     # the distance still to travel at each iteration
-    plan, vectors, report = sinkhorn(nu0.values, nu1.values, kernel, sk)
-    reference = disparity_profile(plan).values
+    plan, vectors, report = sinkhorn(nu0, nu1, kernel, sk)
+    reference = disparity_profile(plan)
     records, final_plan = iteration_trace(
-        nu0.values, nu1.values, kernel, sk,
+        nu0, nu1, kernel, sk,
         reference_vectors=vectors, reference_profile=reference,
     )
 
@@ -327,11 +327,11 @@ def cmd_diagnose(args) -> int:
             "iterations": report.iterations,
             "stop_reason": report.stop_reason,
             "marginal_violation": report.marginal_violation,
-            "source_mass": nu0.mass,
-            "target_mass": nu1.mass,
+            "source_mass": float(nu0.sum()),
+            "target_mass": float(nu1.sum()),
             # the trace's plan is the odd limit, whose mass is the
             # source's; the even limit carries the target's mass
-            "mass_gap": float(final_plan.mass - nu1.mass),
+            "mass_gap": float(final_plan.mass - nu1.sum()),
         },
     )
     return 0

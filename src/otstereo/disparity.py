@@ -28,11 +28,7 @@ from .errors import (
 )
 from .exact import monotone_plan
 from .kernel import GibbsKernel, build_kernel
-from .maps import (
-    DisparityMap,
-    mask_runs,  # not called here; kept importable from this module
-    value_runs,
-)
+from .maps import DisparityMap, value_runs
 from .measures import DEFAULT_BALANCE_TOLERANCE, compare_masses, measure_from_row
 from .scaling import (
     STOP_CONVERGED,
@@ -40,27 +36,11 @@ from .scaling import (
     ConvergenceReport,
     SinkhornConfig,
     TransportPlan,
-    _as_values,
     shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
 )
 
 DEFAULT_PLATEAU_TOLERANCE = 1e-3
-
-
-@dataclass(frozen=True)
-class DisparityProfile:
-    """Per-column rightward shift of one scanline.
-
-    values is NaN where there is no estimate: columns without source
-    mass, and columns flagged occluded by the recovery loop.
-    """
-
-    values: np.ndarray
-
-    @property
-    def defined_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
 
 
 @dataclass(frozen=True)
@@ -94,8 +74,12 @@ class OcclusionReport:
     left_frame: tuple[tuple[int, int], ...] = ()
 
 
-def disparity_profile(plan) -> DisparityProfile:
-    """Row barycenter minus row index, where the row has mass."""
+def disparity_profile(plan) -> np.ndarray:
+    """Per-column rightward shift read off a plan (or its entries).
+
+    Each source column's shift is its row's barycenter minus the
+    column index; it is NaN on rows without mass.
+    """
     entries = plan.entries if isinstance(plan, TransportPlan) else np.asarray(plan, float)
     n, m = entries.shape
     row_mass = entries.sum(axis=1)
@@ -105,27 +89,27 @@ def disparity_profile(plan) -> DisparityProfile:
     values[defined] = (entries[defined] @ cols) / row_mass[defined] - np.flatnonzero(
         defined
     ).astype(float)
-    return DisparityProfile(values=values)
+    return values
 
 
-def compression(profile: DisparityProfile) -> np.ndarray:
-    """Forward increments of the profile; NaN unless both ends are defined."""
-    values = profile.values
-    out = np.full(max(len(values) - 1, 0), np.nan)
-    both = profile.defined_mask[:-1] & profile.defined_mask[1:]
-    out[both] = values[1:][both] - values[:-1][both]
+def compression(profile: np.ndarray) -> np.ndarray:
+    """Forward increments of a profile; NaN unless both ends are defined."""
+    defined = np.isfinite(profile)
+    out = np.full(max(len(profile) - 1, 0), np.nan)
+    both = defined[:-1] & defined[1:]
+    out[both] = profile[1:][both] - profile[:-1][both]
     return out
 
 
-def _plateau_value(delta: np.ndarray, plateau_tolerance: float) -> float:
+def _plateau_value(delta: np.ndarray) -> float:
     """Modal repeated adjacent increment value.
 
-    Candidates are midpoints of adjacent pairs agreeing within the
-    tolerance; they are clustered at the same width and the largest
-    cluster wins.
+    Candidates are midpoints of adjacent pairs agreeing within
+    DEFAULT_PLATEAU_TOLERANCE; they are clustered at the same width
+    and the largest cluster wins.
     """
     finite = np.isfinite(delta[:-1]) & np.isfinite(delta[1:])
-    close = np.abs(delta[1:] - delta[:-1]) <= plateau_tolerance
+    close = np.abs(delta[1:] - delta[:-1]) <= DEFAULT_PLATEAU_TOLERANCE
     candidates = 0.5 * (delta[1:] + delta[:-1])[finite & close]
     if candidates.size == 0:
         raise NoPlateauError("no repeated adjacent disparity increment")
@@ -134,14 +118,14 @@ def _plateau_value(delta: np.ndarray, plateau_tolerance: float) -> float:
     best_hi = 1
     lo = 0
     for hi in range(1, candidates.size + 1):
-        while candidates[hi - 1] - candidates[lo] > plateau_tolerance:
+        while candidates[hi - 1] - candidates[lo] > DEFAULT_PLATEAU_TOLERANCE:
             lo += 1
         if hi - lo > best_hi - best_lo:
             best_lo, best_hi = lo, hi
     return float(candidates[best_lo:best_hi].mean())
 
 
-def estimate_phi(delta, plateau_tolerance: float = DEFAULT_PLATEAU_TOLERANCE) -> float:
+def estimate_phi(delta) -> float:
     """Mass quotient from the repeated adjacent disparity increment.
 
     A source compressed by a quotient phi < 1 produces increments
@@ -151,7 +135,7 @@ def estimate_phi(delta, plateau_tolerance: float = DEFAULT_PLATEAU_TOLERANCE) ->
     mass quotient.
     """
     delta = np.asarray(delta, dtype=float)
-    value = _plateau_value(delta, plateau_tolerance)
+    value = _plateau_value(delta)
     if value >= 1.0:
         raise NoPlateauError(f"plateau value {value} admits no positive quotient")
     return 1.0 / (1.0 - value)
@@ -188,8 +172,13 @@ def _hides_next(source, target, runs, shift: int) -> bool:
 
 def recover_occlusions(
     nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
-) -> tuple[DisparityProfile, OcclusionReport]:
+) -> tuple[np.ndarray, OcclusionReport]:
     """Disparity of a scanline plus the intervals its source view alone shows.
+
+    nu0 is the source row and nu1 the target row, each a 1-d array of
+    nonnegative masses. Returns the per-column profile, NaN on columns
+    without an estimate (no source mass, or flagged hidden), and the
+    loop's OcclusionReport.
 
     The target must not carry more mass than the source beyond the
     balance tolerance (DEFAULT_BALANCE_TOLERANCE, relative to the
@@ -221,8 +210,8 @@ def recover_occlusions(
     lands past the start of the object it hides, which no monotone
     matching can read.
     """
-    a = _as_values(nu0).astype(float)
-    b = _as_values(nu1).astype(float)
+    a = np.asarray(nu0, dtype=float)
+    b = np.asarray(nu1, dtype=float)
     m0 = float(a.sum())
     m1 = float(b.sum())
     if m1 - m0 > DEFAULT_BALANCE_TOLERANCE * max(m0, m1):
@@ -262,7 +251,8 @@ def recover_occlusions(
                     remaining0 / mass0, remaining1 / mass1, kernel, config
                 )
                 rest = disparity_profile(plan)
-                profile[rest.defined_mask] = rest.values[rest.defined_mask]
+                defined = np.isfinite(rest)
+                profile[defined] = rest[defined]
             break
         runs = value_runs(remaining0)
         if not runs:
@@ -283,11 +273,11 @@ def recover_occlusions(
         f = disparity_profile(exact.plan)
         if plateau is None:
             try:
-                plateau = _plateau_value(compression(f), DEFAULT_PLATEAU_TOLERANCE)
+                plateau = _plateau_value(compression(f))
             except NoPlateauError:
                 plateau = 1.0 - mass0 / mass1
 
-        shift = int(round(f.values[i0]))
+        shift = int(round(f[i0]))
         shifts.append((i0, float(shift)))
 
         if _hides_next(remaining0, remaining1, runs, shift):
@@ -319,7 +309,7 @@ def recover_occlusions(
             "the recovered shifts do not carry the source row onto the target row",
             report=result,
         )
-    return DisparityProfile(values=profile), result
+    return profile, result
 
 
 def _reproduces(source: np.ndarray, target: np.ndarray, profile: np.ndarray) -> bool:
@@ -370,16 +360,16 @@ def _recover_mirror(
     """
     d = kernel.d
     try:
-        prof, report = recover_occlusions(nu1.values[::-1], nu0.values[::-1], kernel, config)
+        prof, report = recover_occlusions(nu1[::-1], nu0[::-1], kernel, config)
     except UnresolvedOcclusionError as exc:
         exc.report = _mirrored(exc.report, d)
         raise
-    left = prof.values[::-1]
+    left = prof[::-1]
     xl = np.flatnonzero(np.isfinite(left))
     xr = np.rint(xl - left[xl]).astype(int)
     inside = (xr >= 0) & (xr < d)
     xl, xr = xl[inside], xr[inside]
-    lands = nu0.values[xr] > 0.0
+    lands = nu0[xr] > 0.0
     values = np.full(d, np.nan)
     values[xr[lands]] = left[xl[lands]]
     return values, _mirrored(report, d)
@@ -406,15 +396,16 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
     no_occlusion = np.zeros(d, dtype=bool)
     nu0 = measure_from_row(right_row)
     nu1 = measure_from_row(left_row)
-    if nu0.mass == 0.0 and nu1.mass == 0.0:
+    m0 = float(nu0.sum())
+    m1 = float(nu1.sum())
+    if m0 == 0.0 and m1 == 0.0:
         return nan, no_occlusion, None, {"path": "empty"}
-    if nu0.mass == 0.0 or nu1.mass == 0.0:
+    if m0 == 0.0 or m1 == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
-    if not compare_masses(nu1, nu0).balanced and nu1.mass > nu0.mass:
+    if not compare_masses(m0, m1) and m1 > m0:
         values, report = _recover_mirror(nu0, nu1, kernel, config)
     else:
-        prof, report = recover_occlusions(nu0, nu1, kernel, config)
-        values = prof.values
+        values, report = recover_occlusions(nu0, nu1, kernel, config)
     if not report.object_shifts:
         info = {"path": "balanced", **_solve_facts(report.solve)}
         return values, no_occlusion, None, info

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, MassMismatchError, QuantizationError
-from .scaling import TransportPlan, _as_values, monotone_cells, transport_cost
+from .scaling import TransportPlan, monotone_cells, transport_cost
 
 BRUTE_FORCE_LIMIT = 4
 MASS_EQUALITY_RTOL = 1e-10
@@ -40,8 +40,8 @@ def monotone_plan(nu0, nu1) -> ExactSolution:
     The positive entries of the result never cross, which is the
     optimality certificate for the quadratic cost.
     """
-    a = _as_values(nu0)
-    b = _as_values(nu1)
+    a = np.asarray(nu0, dtype=float)
+    b = np.asarray(nu1, dtype=float)
     _check_equal_masses(a, b)
     plan = np.zeros((a.shape[0], b.shape[0]))
     for i, j, move, _ in monotone_cells(a, b):
@@ -101,8 +101,8 @@ def brute_force_plan(nu0, nu1, grid_steps: int) -> ExactSolution:
     rejected. Costs are accumulated in integer grid units, making
     comparisons against monotone_plan exact.
     """
-    a = _as_values(nu0)
-    b = _as_values(nu1)
+    a = np.asarray(nu0, dtype=float)
+    b = np.asarray(nu1, dtype=float)
     if a.shape[0] > BRUTE_FORCE_LIMIT or b.shape[0] > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(
             f"exhaustive search is limited to {BRUTE_FORCE_LIMIT} columns"

@@ -28,7 +28,6 @@ from .errors import (
     WrongPathError,
 )
 from .kernel import GibbsKernel
-from .measures import ScanlineMeasure
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
@@ -74,12 +73,14 @@ class SinkhornConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.stop_tolerance < 0.0:
-            raise ValueError("stop_tolerance must be nonnegative")
+        if not (np.isfinite(self.stop_tolerance) and self.stop_tolerance >= 0.0):
+            raise ValueError(
+                f"stop_tolerance must be nonnegative and finite, got {self.stop_tolerance!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -162,12 +163,6 @@ class IterationRecord:
     profile_error: float
 
 
-def _as_values(measure) -> np.ndarray:
-    if isinstance(measure, ScanlineMeasure):
-        return measure.values
-    return np.asarray(measure, dtype=float)
-
-
 def _as_entries(plan) -> np.ndarray:
     if isinstance(plan, TransportPlan):
         return plan.entries
@@ -182,8 +177,8 @@ def _oscillation(delta: np.ndarray) -> float:
 
 
 def _check_inputs(nu0, nu1, kernel: GibbsKernel):
-    a = _as_values(nu0)
-    b = _as_values(nu1)
+    a = np.asarray(nu0, dtype=float)
+    b = np.asarray(nu1, dtype=float)
     if a.shape != (kernel.d,) or b.shape != (kernel.d,):
         raise DimensionMismatchError(
             f"measures of length {a.shape} and {b.shape} against a kernel of width {kernel.d}"
@@ -568,7 +563,7 @@ def iteration_trace(
 def _project(gamma, marginal, axis: int) -> TransportPlan:
     """Scale the plan along axis (0: rows, 1: columns) to the marginal."""
     entries = _as_entries(gamma)
-    target = _as_values(marginal)
+    target = np.asarray(marginal, dtype=float)
     lines = ("rows", "columns")[axis]
     if entries.shape[axis] != target.shape[0]:
         raise DimensionMismatchError(

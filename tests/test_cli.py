@@ -467,6 +467,24 @@ def test_invalid_epsilon_exits_1(tmp_path):
                  "--epsilon", "-1"]) == 1
 
 
+@pytest.mark.parametrize("command", ["disparity", "diagnose"])
+@pytest.mark.parametrize("key", ["epsilon", "stop_tolerance"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_settings_exit_1(tmp_path, capsys, command, key, value):
+    out = generate(tmp_path, NON_OCCLUDED)
+    pair = [command, str(out / "left.pgm"), str(out / "right.pgm")]
+    if command == "diagnose":
+        pair += ["--y", "1"]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} = {value}\n")
+    flag = ["--" + key.replace("_", "-"), value]
+    for settings in (flag, ["--config", str(config)]):
+        run = tmp_path / "run"
+        assert main([*pair, *settings, "--out-dir", str(run)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not run.exists()
+
+
 def test_usage_errors_exit_1():
     proc = subprocess.run(
         [sys.executable, "-m", "otstereo.cli", "disparity"],

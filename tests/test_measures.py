@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 
 from otstereo.errors import EmptyScanlineError, InvalidIntensityError
-from otstereo.measures import (
-    ScanlineMeasure,
-    compare_masses,
-    measure_from_row,
-    normalize,
-)
+from otstereo.measures import compare_masses, measure_from_row
 
 
 def test_measure_from_row_mass_and_support():
     m = measure_from_row([0.0, 0.5, 0.5])
-    assert m.mass == pytest.approx(1.0, abs=1e-15)
-    assert m.support.tolist() == [1, 2]
-    assert len(m) == 3
+    assert m.dtype == np.float64
+    assert m.tolist() == [0.0, 0.5, 0.5]
+    assert m.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_measure_rejects_bad_intensities():
@@ -30,47 +25,26 @@ def test_measure_rejects_bad_intensities():
 
 def test_empty_row_is_allowed_unless_required():
     m = measure_from_row([0.0, 0.0])
-    assert m.mass == 0.0
-    assert m.support.size == 0
+    assert m.shape == (2,)
+    assert m.sum() == 0.0
     with pytest.raises(EmptyScanlineError):
         measure_from_row([0.0, 0.0], require_mass=True)
 
 
-def test_normalize_by_own_mass_and_by_other():
-    m = measure_from_row([0.5, 0.5, 0.0, 1.0])
-    p = normalize(m)
-    assert p.mass == pytest.approx(1.0, rel=1e-12)
-    q = normalize(m, by_mass=4.0)
-    assert q.mass == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(EmptyScanlineError):
-        normalize(ScanlineMeasure(np.zeros(3)))
-
-
-def test_compare_masses_quotient_and_flag():
-    left = ScanlineMeasure(np.array([1.0]))
-    right = ScanlineMeasure(np.array([0.95]))
-    cmp = compare_masses(left, right)
-    assert cmp.m0 == pytest.approx(1.0)
-    assert cmp.m1 == pytest.approx(0.95)
-    assert cmp.phi == pytest.approx(0.95, rel=1e-12)
-    assert not cmp.balanced
+def test_compare_masses_flags_a_mass_gap():
+    assert not compare_masses(1.0, 0.95)
 
 
 def test_compare_masses_identical_rows_balanced():
     row = np.array([0.0, 0.3, 0.7, 0.0])
-    cmp = compare_masses(ScanlineMeasure(row), ScanlineMeasure(row.copy()))
-    assert cmp.balanced
-    assert cmp.phi == pytest.approx(1.0)
+    assert compare_masses(row.sum(), row.copy().sum())
 
 
 def test_compare_masses_tolerance_is_relative():
-    left = ScanlineMeasure(np.array([100.0]))
-    right = ScanlineMeasure(np.array([100.0 + 5e-5]))
-    assert compare_masses(left, right, balance_tolerance=1e-6).balanced
-    assert not compare_masses(left, right, balance_tolerance=1e-10).balanced
+    # the same absolute gap of 5e-5 balances at mass 100 but not at mass 1
+    assert compare_masses(100.0, 100.0 + 5e-5)
+    assert not compare_masses(1.0, 1.0 + 5e-5)
 
 
 def test_compare_masses_zero_rows():
-    z = ScanlineMeasure(np.zeros(4))
-    cmp = compare_masses(z, z)
-    assert cmp.balanced
+    assert compare_masses(0.0, 0.0)

@@ -117,6 +117,24 @@ def test_every_exported_name_resolves_and_is_listed():
         otstereo.no_such_name
 
 
+def test_every_traced_name_resolves_to_a_callable():
+    """The benchmark's tracer replaces these attributes; each must exist."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spans
+print(json.dumps({
+    "targets": len(spans.TARGETS),
+    "missing": [[module.__name__, attr] for module, attr, _ in spans.TARGETS
+                if not callable(getattr(module, attr, None))],
+}))
+"""
+    result = fresh(code, perfbench)
+    assert result["targets"] > 0
+    assert result["missing"] == []
+
+
 @pytest.mark.parametrize(
     "before, after",
     [

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from otstereo.disparity import mask_runs
 from otstereo.errors import OutOfFrameError, SceneFormatError
+from otstereo.maps import mask_runs
 from otstereo.scene import (
     CameraRig,
     CartoonScene,

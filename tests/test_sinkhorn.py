@@ -344,6 +344,11 @@ def test_config_validation():
         SinkhornConfig(epsilon=1.0, max_iterations=0)
     with pytest.raises(ValueError):
         SinkhornConfig(epsilon=1.0, stop_tolerance=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            SinkhornConfig(epsilon=bad)
+        with pytest.raises(ValueError, match="stop_tolerance must be nonnegative and finite"):
+            SinkhornConfig(epsilon=1.0, stop_tolerance=bad)
 
 
 def test_project_rows_scales_each_row():
