@@ -38,7 +38,7 @@ _SUBMODULES = {
         "UnresolvedOcclusionError",
         "WrongPathError",
     ),
-    "exact": ("ExactSolution", "brute_force_plan", "exact_cost", "monotone_plan"),
+    "exact": ("brute_force_plan", "exact_cost", "monotone_plan"),
     "kernel": ("GibbsKernel", "build_kernel", "hilbert_distance"),
     "maps": ("DisparityMap",),
     "measures": ("compare_masses", "measure_from_row"),
@@ -47,7 +47,6 @@ _SUBMODULES = {
         "ScalingVectors",
         "ShiftedLimits",
         "SinkhornConfig",
-        "TransportPlan",
         "iteration_trace",
         "kl_divergence",
         "project_cols",

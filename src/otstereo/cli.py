@@ -317,7 +317,7 @@ def cmd_diagnose(args) -> int:
                 "".join("," + ("NaN" if not np.isfinite(v) else f"{v:.9g}") for v in cells)
             )
             handle.write("\n")
-    fileio.write_csv(out / "diagnose_plan.csv", final_plan.entries)
+    fileio.write_csv(out / "diagnose_plan.csv", final_plan)
     fileio.write_json(
         out / "diagnose.json",
         {
@@ -331,7 +331,7 @@ def cmd_diagnose(args) -> int:
             "target_mass": float(nu1.sum()),
             # the trace's plan is the odd limit, whose mass is the
             # source's; the even limit carries the target's mass
-            "mass_gap": float(final_plan.mass - nu1.sum()),
+            "mass_gap": float(final_plan.sum() - nu1.sum()),
         },
     )
     return 0

@@ -35,7 +35,6 @@ from .scaling import (
     STOP_MAX_ITERATIONS,
     ConvergenceReport,
     SinkhornConfig,
-    TransportPlan,
     shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
 )
@@ -75,12 +74,12 @@ class OcclusionReport:
 
 
 def disparity_profile(plan) -> np.ndarray:
-    """Per-column rightward shift read off a plan (or its entries).
+    """Per-column rightward shift read off an (n, m) plan array.
 
     Each source column's shift is its row's barycenter minus the
     column index; it is NaN on rows without mass.
     """
-    entries = plan.entries if isinstance(plan, TransportPlan) else np.asarray(plan, float)
+    entries = np.asarray(plan, dtype=float)
     n, m = entries.shape
     row_mass = entries.sum(axis=1)
     defined = row_mass > 0.0
@@ -267,10 +266,9 @@ def recover_occlusions(
             )
         i0, i1 = runs[0]
         try:
-            exact = monotone_plan(remaining0 * (mass1 / mass0), remaining1)
+            f = disparity_profile(monotone_plan(remaining0 * (mass1 / mass0), remaining1))
         except MassMismatchError as exc:
             raise UnresolvedOcclusionError(str(exc), report=report()) from exc
-        f = disparity_profile(exact.plan)
         if plateau is None:
             try:
                 plateau = _plateau_value(compression(f))

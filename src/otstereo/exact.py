@@ -7,21 +7,13 @@ and pins down entropic solver accuracy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InstanceTooLargeError, MassMismatchError, QuantizationError
-from .scaling import TransportPlan, monotone_cells, transport_cost
+from .scaling import monotone_cells, transport_cost
 
 BRUTE_FORCE_LIMIT = 4
 MASS_EQUALITY_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ExactSolution:
-    plan: TransportPlan
-    cost: float
 
 
 def _check_equal_masses(a: np.ndarray, b: np.ndarray):
@@ -34,11 +26,11 @@ def _check_equal_masses(a: np.ndarray, b: np.ndarray):
     return ma
 
 
-def monotone_plan(nu0, nu1) -> ExactSolution:
+def monotone_plan(nu0, nu1) -> np.ndarray:
     """Optimal plan by the greedy monotone sweep (monotone_cells).
 
-    The positive entries of the result never cross, which is the
-    optimality certificate for the quadratic cost.
+    Returns the (n, m) float64 plan array. Its positive entries never
+    cross, which is the optimality certificate for the quadratic cost.
     """
     a = np.asarray(nu0, dtype=float)
     b = np.asarray(nu1, dtype=float)
@@ -46,13 +38,12 @@ def monotone_plan(nu0, nu1) -> ExactSolution:
     plan = np.zeros((a.shape[0], b.shape[0]))
     for i, j, move, _ in monotone_cells(a, b):
         plan[i, j] = move
-    wrapped = TransportPlan(plan)
-    return ExactSolution(plan=wrapped, cost=transport_cost(wrapped))
+    return plan
 
 
 def exact_cost(nu0, nu1) -> float:
     """Cost of the optimal plan between two equal-mass measures."""
-    return monotone_plan(nu0, nu1).cost
+    return transport_cost(monotone_plan(nu0, nu1))
 
 
 def _quantize(values: np.ndarray, unit: float, grid_steps: int) -> np.ndarray:
@@ -93,13 +84,14 @@ def _tables(row_counts, col_remaining, row_index, table, out):
     fill(0, need)
 
 
-def brute_force_plan(nu0, nu1, grid_steps: int) -> ExactSolution:
+def brute_force_plan(nu0, nu1, grid_steps: int) -> tuple[np.ndarray, float]:
     """Exhaustive minimizer over all plans on a uniform mass grid.
 
     Both measures must consist of whole multiples of mass/grid_steps.
     Enumeration cost grows fast, so widths above 4 columns are
-    rejected. Costs are accumulated in integer grid units, making
-    comparisons against monotone_plan exact.
+    rejected. Returns (plan, cost): the (n, m) float64 plan array and
+    its cost, accumulated in integer grid units and scaled once, which
+    makes comparisons against exact_cost exact.
     """
     a = np.asarray(nu0, dtype=float)
     b = np.asarray(nu1, dtype=float)
@@ -129,5 +121,4 @@ def brute_force_plan(nu0, nu1, grid_steps: int) -> ExactSolution:
         if best_units is None or cost_units < best_units:
             best_units = cost_units
             best_table = table
-    plan = TransportPlan(np.asarray(best_table, dtype=float) * unit)
-    return ExactSolution(plan=plan, cost=float(best_units) * unit)
+    return np.asarray(best_table, dtype=float) * unit, float(best_units) * unit

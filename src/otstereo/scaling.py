@@ -16,7 +16,7 @@ plan, or on its iteration budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -84,23 +84,6 @@ class SinkhornConfig:
 
 
 @dataclass(frozen=True)
-class TransportPlan:
-    """Mass assignment between source columns (rows) and target columns."""
-
-    entries: np.ndarray
-    row_marginal: np.ndarray = field(init=False)
-    col_marginal: np.ndarray = field(init=False)
-    mass: float = field(init=False)
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "row_marginal", entries.sum(axis=1))
-        object.__setattr__(self, "col_marginal", entries.sum(axis=0))
-        object.__setattr__(self, "mass", float(entries.sum()))
-
-
-@dataclass(frozen=True)
 class ScalingVectors:
     """Diagonal scalings that reproduce a plan against the kernel.
 
@@ -140,10 +123,10 @@ class ConvergenceReport:
 
 @dataclass(frozen=True)
 class ShiftedLimits:
-    """Even and odd limits of the unbalanced scaling iteration."""
+    """Even and odd limit plans, d x d arrays, of the unbalanced scaling iteration."""
 
-    even: TransportPlan
-    odd: TransportPlan
+    even: np.ndarray
+    odd: np.ndarray
     report: ConvergenceReport
 
 
@@ -161,12 +144,6 @@ class IterationRecord:
     hilbert_v_step: float
     u_error: float
     profile_error: float
-
-
-def _as_entries(plan) -> np.ndarray:
-    if isinstance(plan, TransportPlan):
-        return plan.entries
-    return np.asarray(plan, dtype=float)
 
 
 def _oscillation(delta: np.ndarray) -> float:
@@ -392,16 +369,16 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared
     return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
 
 
-def _scatter_plan(prep: _Prepared, step: _Step, v: np.ndarray, d: int) -> TransportPlan:
-    """The d x d plan of step.u and v on the support, zero off it.
+def _scatter_plan(prep: _Prepared, step: _Step, v: np.ndarray, d: int) -> np.ndarray:
+    """The d x d plan array of step.u and v on the support, zero off it.
 
     v is step.v_prev for the odd plan, step.v_raw for the even one.
     """
-    entries = np.zeros((d, d))
-    entries[np.ix_(prep.support0, prep.support1)] = np.exp(
+    plan = np.zeros((d, d))
+    plan[np.ix_(prep.support0, prep.support1)] = np.exp(
         step.u[:, None] + step.block + v[None, :]
     )
-    return TransportPlan(entries)
+    return plan
 
 
 def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
@@ -441,7 +418,7 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
     v_full = np.full(d, -np.inf)
     u_full[prep.support0] = step.u
     v_full[prep.support1] = step.v_prev
-    violation = float(np.abs(odd.col_marginal - limit).max())
+    violation = float(np.abs(odd.sum(axis=0) - limit).max())
     report = ConvergenceReport(
         iterations=iterations,
         hilbert_u=hilbert_u,
@@ -464,9 +441,10 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         config: iteration budget, stopping rule and start.
 
     Returns:
-        (TransportPlan, ScalingVectors, ConvergenceReport). The plan
-        is the odd iterate, whose row marginal equals nu0 exactly;
-        the report records how far its column marginal is from nu1.
+        (plan, ScalingVectors, ConvergenceReport). The plan is the
+        d x d float64 array of the odd iterate, whose row sums equal
+        nu0 exactly; the report records how far its column sums are
+        from nu1.
     """
     prep = _prepare(nu0, nu1, kernel, config)
     odd, vectors, report, _ = _run(prep, kernel, config, prep.b)
@@ -510,7 +488,7 @@ def iteration_trace(
     config: SinkhornConfig,
     reference_vectors: ScalingVectors | None = None,
     reference_profile: np.ndarray | None = None,
-) -> tuple[list[IterationRecord], TransportPlan]:
+) -> tuple[list[IterationRecord], np.ndarray]:
     """Run a solve while recording per-iteration convergence probes.
 
     Per iteration this captures the Hilbert step of each scaling
@@ -520,7 +498,7 @@ def iteration_trace(
     where undefined). References typically come from a separate run
     with a larger budget. The solve stops by the same rule as
     sinkhorn, so the records number its iterations. Returns the
-    records and the final odd plan.
+    records and the final odd plan as a d x d float64 array.
     """
     prep = _prepare(nu0, nu1, kernel, config)
     rows = prep.support0.astype(float)
@@ -560,15 +538,17 @@ def iteration_trace(
     return records, plan
 
 
-def _project(gamma, marginal, axis: int) -> TransportPlan:
+def _project(gamma, marginal, axis: int) -> np.ndarray:
     """Scale the plan along axis (0: rows, 1: columns) to the marginal."""
-    entries = _as_entries(gamma)
+    entries = np.asarray(gamma, dtype=float)
     target = np.asarray(marginal, dtype=float)
     lines = ("rows", "columns")[axis]
     if entries.shape[axis] != target.shape[0]:
         raise DimensionMismatchError(
             f"plan with {entries.shape[axis]} {lines} against a marginal of length {target.shape[0]}"
         )
+    if not np.isfinite(target).all() or np.any(target < 0.0):
+        raise ValueError("marginal entries must be finite and nonnegative")
     sums = entries.sum(axis=1 - axis)
     bad = (target > 0.0) & (sums == 0.0)
     if np.any(bad):
@@ -578,20 +558,21 @@ def _project(gamma, marginal, axis: int) -> TransportPlan:
     scale = np.zeros_like(target)
     positive = sums > 0.0
     scale[positive] = target[positive] / sums[positive]
-    return TransportPlan(entries * np.expand_dims(scale, 1 - axis))
+    return entries * np.expand_dims(scale, 1 - axis)
 
 
-def project_rows(gamma, mu) -> TransportPlan:
+def project_rows(gamma, mu) -> np.ndarray:
     """Scale each row of a plan to match the row marginal mu.
 
     This is the Kullback-Leibler projection onto the set of plans
     with row sums mu. Rows where mu vanishes are zeroed; a positive
-    mu entry on a row without mass is infeasible.
+    mu entry on a row without mass is infeasible, and a negative or
+    non-finite one is a ValueError.
     """
     return _project(gamma, mu, 0)
 
 
-def project_cols(gamma, nu) -> TransportPlan:
+def project_cols(gamma, nu) -> np.ndarray:
     """Column mirror of project_rows."""
     return _project(gamma, nu, 1)
 
@@ -602,8 +583,8 @@ def kl_divergence(gamma, alpha) -> float:
     Zero entries of gamma contribute nothing; mass on a zero entry of
     alpha makes the divergence infinite.
     """
-    g = _as_entries(gamma)
-    ref = _as_entries(alpha)
+    g = np.asarray(gamma, dtype=float)
+    ref = np.asarray(alpha, dtype=float)
     if g.shape != ref.shape:
         raise DimensionMismatchError(f"incompatible shapes {g.shape} and {ref.shape}")
     if np.any(g < 0.0) or np.any(ref < 0.0):
@@ -616,7 +597,7 @@ def kl_divergence(gamma, alpha) -> float:
 
 def transport_cost(gamma) -> float:
     """Quadratic transport cost sum gamma_ij * (i - j)^2."""
-    entries = _as_entries(gamma)
+    entries = np.asarray(gamma, dtype=float)
     n, m = entries.shape
     diff = np.arange(n, dtype=float)[:, None] - np.arange(m, dtype=float)[None, :]
     return float(np.sum(entries * diff * diff))
@@ -629,9 +610,9 @@ def regularized_cost(gamma, epsilon: float) -> float:
     any plan this equals epsilon * (KL(gamma | K) - mass(gamma))
     against the Gibbs kernel K for the same epsilon.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    entries = _as_entries(gamma)
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    entries = np.asarray(gamma, dtype=float)
     pos = entries > 0.0
     entropy = -float(np.sum(entries[pos] * (np.log(entries[pos]) - 1.0)))
     return transport_cost(entries) - epsilon * entropy

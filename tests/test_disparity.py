@@ -5,11 +5,7 @@ from otstereo.disparity import compression, disparity_profile, estimate_phi
 from otstereo.errors import NoPlateauError
 from otstereo.kernel import build_kernel
 from otstereo.maps import mask_runs
-from otstereo.scaling import SinkhornConfig, TransportPlan, shifted_sinkhorn
-
-
-def plan_of(entries):
-    return TransportPlan(entries=np.asarray(entries, dtype=float))
+from otstereo.scaling import SinkhornConfig, shifted_sinkhorn
 
 
 @pytest.mark.parametrize(
@@ -52,7 +48,7 @@ def test_mask_runs_matches_a_scan():
 def test_single_atom_plan():
     entries = np.zeros((3, 3))
     entries[0, 1] = 1.0
-    prof = disparity_profile(plan_of(entries))
+    prof = disparity_profile(entries)
     assert prof[0] == pytest.approx(1.0)
     assert list(np.isfinite(prof)) == [True, False, False]
     assert np.isnan(prof[1]) and np.isnan(prof[2])
@@ -62,14 +58,14 @@ def test_two_term_barycenter():
     entries = np.zeros((3, 3))
     entries[0, 0] = 0.5
     entries[0, 2] = 0.5
-    prof = disparity_profile(plan_of(entries))
+    prof = disparity_profile(entries)
     # barycenter (0.5*0 + 0.5*2) minus the row index 0
     assert prof[0] == pytest.approx(1.0)
 
 
 def test_identity_plan_has_zero_shift():
     nu = np.array([0.2, 0.0, 0.5, 0.3])
-    prof = disparity_profile(plan_of(np.diag(nu)))
+    prof = disparity_profile(np.diag(nu))
     assert np.allclose(prof[np.isfinite(prof)], 0.0)
     assert list(np.isfinite(prof)) == [True, False, True, True]
 
@@ -78,7 +74,7 @@ def test_defined_values_are_finite():
     rng = np.random.default_rng(3)
     entries = rng.uniform(0.0, 1.0, size=(6, 6))
     entries[2] = 0.0
-    prof = disparity_profile(plan_of(entries))
+    prof = disparity_profile(entries)
     # every row but the empty one carries mass, so only that one is NaN
     assert np.all(np.isfinite(np.delete(prof, 2)))
     assert np.isnan(prof[2])
@@ -89,8 +85,8 @@ def test_scale_invariance(m0):
     rng = np.random.default_rng(11)
     entries = rng.uniform(0.0, 1.0, size=(8, 8))
     entries[rng.uniform(size=(8, 8)) < 0.3] = 0.0
-    base = disparity_profile(plan_of(entries))
-    scaled = disparity_profile(plan_of(entries / m0))
+    base = disparity_profile(entries)
+    scaled = disparity_profile(entries / m0)
     assert np.array_equal(np.isfinite(base), np.isfinite(scaled))
     gap = np.abs(base - scaled)[np.isfinite(base)]
     assert gap.max(initial=0.0) <= 1e-12
@@ -179,7 +175,7 @@ def test_monotone_barycenter_bound():
     for _ in range(50):
         entries = rng.uniform(0.0, 1.0, size=(10, 10))
         entries[rng.uniform(size=(10, 10)) < 0.5] = 0.0
-        prof = disparity_profile(plan_of(entries))
+        prof = disparity_profile(entries)
         for i in np.flatnonzero(np.isfinite(prof)):
             support = np.flatnonzero(entries[i])
             assert support.min() - i - 1e-12 <= prof[i]

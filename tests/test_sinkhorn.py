@@ -6,11 +6,12 @@ import pytest
 
 import otstereo.scaling as scaling_module
 from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
-from otstereo.exact import monotone_plan
+from otstereo.disparity import disparity_profile
+from otstereo.exact import brute_force_plan, exact_cost, monotone_plan
 from otstereo.kernel import build_kernel
 from otstereo.scaling import (
     SinkhornConfig,
-    TransportPlan,
+    iteration_trace,
     kl_divergence,
     monotone_potentials,
     project_cols,
@@ -34,10 +35,10 @@ def test_row_marginal_exact_after_one_iteration():
     a = np.array([0.4, 0.1, 0.3, 0.2])
     b = np.array([0.25, 0.25, 0.25, 0.25])
     plan, _, _ = sinkhorn(a, b, kern, SinkhornConfig(epsilon=1.0, max_iterations=1))
-    assert np.allclose(plan.row_marginal, a, atol=1e-15)
+    assert np.allclose(plan.sum(axis=1), a, atol=1e-15)
     # first odd iterate is the row projection of the kernel
     expected = project_rows(kern.entries, a)
-    assert np.allclose(plan.entries, expected.entries, atol=1e-15)
+    assert np.allclose(plan, expected, atol=1e-15)
 
 
 def test_odd_plan_keeps_row_marginal_every_budget():
@@ -47,7 +48,7 @@ def test_odd_plan_keeps_row_marginal_every_budget():
     b = random_probability(rng, 6, zeros=2)
     for iters in (1, 2, 7, 40):
         plan, _, report = sinkhorn(a, b, kern, SinkhornConfig(1.5, max_iterations=iters))
-        assert np.allclose(plan.row_marginal, a, atol=1e-13)
+        assert np.allclose(plan.sum(axis=1), a, atol=1e-13)
         assert report.iterations == iters
         assert report.stop_reason == "max-iterations"
 
@@ -92,7 +93,7 @@ def test_warm_started_solve_matches_long_fixed_epsilon_solve():
         plan, _, report = sinkhorn(a, b, kern, warm)
         assert report.stop_reason == "converged"
         assert report.marginal_violation <= 1e-10
-        assert np.abs(plan.entries - reference.entries).max() < 1e-8
+        assert np.abs(plan - reference).max() < 1e-8
 
 
 def test_warm_start_iterations_count_toward_the_budget():
@@ -106,7 +107,7 @@ def test_warm_start_iterations_count_toward_the_budget():
     # the exact ones: the warm-started solve needs about 200 iterations
     assert report.stop_reason == "max-iterations"
     assert report.iterations == len(report.hilbert_u) == 30
-    assert np.allclose(plan.row_marginal, a, atol=1e-13)
+    assert np.allclose(plan.sum(axis=1), a, atol=1e-13)
 
 
 def test_unequal_masses_never_report_convergence():
@@ -137,9 +138,9 @@ def test_plain_and_log_domains_agree():
         u = a / (K @ v)
         reference = u[:, None] * K * v[None, :]
         v = b / (K.T @ u)
-    assert np.allclose(plan.entries, reference, atol=1e-10)
+    assert np.allclose(plan, reference, atol=1e-10)
     # the log scalings reconstruct the returned plan
-    assert np.allclose(vectors.reconstruct(kern), plan.entries, atol=1e-13)
+    assert np.allclose(vectors.reconstruct(kern), plan, atol=1e-13)
 
 
 def test_log_domain_flag_dispatches():
@@ -148,7 +149,7 @@ def test_log_domain_flag_dispatches():
     a = random_probability(rng, 5)
     b = random_probability(rng, 5)
     plan, _, _ = sinkhorn(a, b, kern, SinkhornConfig(0.05, max_iterations=50))
-    assert np.all(np.isfinite(plan.entries))
+    assert np.all(np.isfinite(plan))
 
 
 def test_far_apart_supports_solve_where_the_kernel_underflows():
@@ -160,7 +161,7 @@ def test_far_apart_supports_solve_where_the_kernel_underflows():
     a[0] = 1.0
     b[23] = 1.0
     plan, _, _ = sinkhorn(a, b, kern, SinkhornConfig(0.1, max_iterations=5))
-    assert plan.entries[0, 23] == pytest.approx(1.0, rel=1e-12)
+    assert plan[0, 23] == pytest.approx(1.0, rel=1e-12)
 
 
 def box(d, lo, hi, level):
@@ -273,11 +274,11 @@ def test_absorbed_iteration_matches_the_log_domain_iteration(case, monkeypatch):
         if scale > 1.0:
             limits = shifted_sinkhorn(nu0, nu1, kern, config)
             report = limits.report
-            np.testing.assert_allclose(limits.even.entries, even, rtol=1e-10, atol=1e-300)
-            np.testing.assert_allclose(limits.odd.entries, odd, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(limits.even, even, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(limits.odd, odd, rtol=1e-10, atol=1e-300)
         else:
             plan, vectors, report = sinkhorn(nu0, nu1, kern, config)
-            np.testing.assert_allclose(plan.entries, odd, rtol=1e-10, atol=1e-300)
+            np.testing.assert_allclose(plan, odd, rtol=1e-10, atol=1e-300)
             np.testing.assert_allclose(vectors.u, u, rtol=1e-10)
             np.testing.assert_allclose(vectors.v, v, rtol=1e-10)
         assert (report.iterations, report.stop_reason) == (iterations, reason)
@@ -296,15 +297,15 @@ def test_entropic_plan_approaches_exact_cost():
     kern = build_kernel(3, 0.01)
     config = SinkhornConfig(0.01, max_iterations=5000, stop_tolerance=1e-13)
     plan, _, _ = sinkhorn(a, b, kern, config)
-    assert np.abs(plan.entries - exact.plan.entries).max() < 1e-3
-    assert transport_cost(plan) == pytest.approx(exact.cost, abs=1e-3)
+    assert np.abs(plan - exact).max() < 1e-3
+    assert transport_cost(plan) == pytest.approx(transport_cost(exact), abs=1e-3)
 
 
 def test_cost_decreases_as_blur_shrinks():
     rng = np.random.default_rng(33)
     a = random_probability(rng, 5)
     b = random_probability(rng, 5)
-    exact = monotone_plan(a, b).cost
+    exact = exact_cost(a, b)
     costs = []
     for eps in (1.0, 0.3, 0.1, 0.03):
         kern = build_kernel(5, eps)
@@ -354,21 +355,21 @@ def test_config_validation():
 def test_project_rows_scales_each_row():
     gamma = np.full((2, 2), 0.25)
     out = project_rows(gamma, np.array([0.1, 0.9]))
-    assert np.allclose(out.row_marginal, [0.1, 0.9], atol=1e-15)
-    assert np.allclose(out.entries, [[0.05, 0.05], [0.45, 0.45]], atol=1e-15)
+    assert np.allclose(out.sum(axis=1), [0.1, 0.9], atol=1e-15)
+    assert np.allclose(out, [[0.05, 0.05], [0.45, 0.45]], atol=1e-15)
 
 
 def test_project_cols_mirror():
     gamma = np.full((2, 2), 0.25)
     out = project_cols(gamma, np.array([0.8, 0.2]))
-    assert np.allclose(out.col_marginal, [0.8, 0.2], atol=1e-15)
+    assert np.allclose(out.sum(axis=0), [0.8, 0.2], atol=1e-15)
 
 
 def test_project_zero_target_zeroes_row():
     gamma = np.array([[0.5, 0.0], [0.25, 0.25]])
     out = project_rows(gamma, np.array([0.0, 1.0]))
-    assert np.all(out.entries[0] == 0.0)
-    assert out.row_marginal[1] == pytest.approx(1.0)
+    assert np.all(out[0] == 0.0)
+    assert out.sum(axis=1)[1] == pytest.approx(1.0)
 
 
 def test_project_infeasible_raises():
@@ -379,13 +380,21 @@ def test_project_infeasible_raises():
         project_cols(np.array([[0.0, 0.5], [0.0, 0.5]]), np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("project", [project_rows, project_cols])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_project_rejects_malformed_marginals(project, bad):
+    gamma = np.full((2, 2), 0.25)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        project(gamma, np.array([bad, 0.5]))
+
+
 def test_projections_idempotent():
     rng = np.random.default_rng(41)
     gamma = rng.uniform(0.0, 1.0, size=(5, 5))
     mu = random_probability(rng, 5)
     once = project_rows(gamma, mu)
     twice = project_rows(once, mu)
-    assert np.allclose(once.entries, twice.entries, atol=1e-15)
+    assert np.allclose(once, twice, atol=1e-15)
 
 
 def test_kl_divergence_values():
@@ -401,6 +410,9 @@ def test_kl_divergence_values():
 def test_regularized_cost_single_atom():
     gamma = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert regularized_cost(gamma, 1.0) == pytest.approx(-1.0, rel=1e-15)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            regularized_cost(gamma, bad)
 
 
 def test_regularized_cost_kl_identity():
@@ -414,9 +426,29 @@ def test_regularized_cost_kl_identity():
         assert lhs == pytest.approx(regularized_cost(gamma, eps), rel=1e-10)
 
 
-def test_transport_plan_marginals_consistent():
-    entries = np.array([[0.1, 0.2], [0.3, 0.4]])
-    plan = TransportPlan(entries)
-    assert np.allclose(plan.row_marginal, entries.sum(axis=1), atol=1e-16)
-    assert np.allclose(plan.col_marginal, entries.sum(axis=0), atol=1e-16)
-    assert plan.mass == pytest.approx(1.0)
+def test_plans_are_float64_arrays():
+    a = np.array([0.0, 0.6, 0.4])
+    b = np.array([0.3, 0.7, 0.0])
+    kern = build_kernel(3, 1.0)
+    config = SinkhornConfig(1.0, max_iterations=5)
+    limits = shifted_sinkhorn(1.5 * a, b, kern, config)
+    rows = [[1, 2, 3], [4, 5, 6]]
+    plans = {
+        "sinkhorn": (sinkhorn(a, b, kern, config)[0], (3, 3)),
+        "shifted even": (limits.even, (3, 3)),
+        "shifted odd": (limits.odd, (3, 3)),
+        "iteration_trace": (iteration_trace(a, b, kern, config)[1], (3, 3)),
+        "monotone_plan": (monotone_plan(a, [0.5, 0.5]), (3, 2)),
+        "brute_force_plan": (brute_force_plan([0.5, 0.5], [0.25, 0.25, 0.5], 4)[0], (2, 3)),
+        "project_rows": (project_rows(rows, [0.5, 0.5]), (2, 3)),
+        "project_cols": (project_cols(rows, [0.2, 0.3, 0.5]), (2, 3)),
+    }
+    for name, (plan, shape) in plans.items():
+        assert type(plan) is np.ndarray, name
+        assert plan.dtype == np.float64, name
+        assert plan.shape == shape, name
+    # the readers take any nested sequence a plan array can be made of
+    plan = [[0.0, 0.5], [0.5, 0.0]]
+    assert np.array_equal(disparity_profile(plan), [1.0, -1.0])
+    assert transport_cost(plan) == 1.0
+    assert kl_divergence(plan, plan) == 0.0
