@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ import numpy as np
 from . import fileio
 from .errors import OtStereoError, UnresolvedOcclusionError
 from .maps import DisparityMap
+from .records import Record
 
 # Each command loads only the modules it runs: the solver stack
 # (disparity, scaling, exact, kernel, measures) and otstereo.scene are
@@ -33,8 +33,7 @@ from .maps import DisparityMap
 # scene and pipeline functions through the module-level wrappers
 # below, the names perfbench/spans.py replaces with timed ones.
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Pipeline configuration shared by the solving subcommands.
 
     A solve stops once the odd plan's column marginal is within
@@ -46,12 +45,17 @@ class RunConfig:
     override file values.
     """
 
-    epsilon: float = 0.1
-    niter: int = 100000
-    stop_tolerance: float = 1e-6
-    out_dir: str = "."
+    __slots__ = _fields = ("epsilon", "niter", "stop_tolerance", "out_dir")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        epsilon: float = 0.1,
+        niter: int = 100000,
+        stop_tolerance: float = 1e-6,
+        out_dir: str = ".",
+    ):
+        self._set(epsilon=epsilon, niter=niter, stop_tolerance=stop_tolerance,
+                  out_dir=out_dir)
         self.sinkhorn_config()
 
     def sinkhorn_config(self):
@@ -280,7 +284,7 @@ def cmd_diagnose(args) -> int:
     from .disparity import disparity_profile
     from .kernel import build_kernel
     from .measures import measure_from_row
-    from .scaling import iteration_trace, sinkhorn
+    from .scaling import SinkhornConfig, iteration_trace, sinkhorn
 
     config = resolve_config(args)
     left = fileio.read_pgm(args.left)
@@ -291,8 +295,13 @@ def cmd_diagnose(args) -> int:
         raise ValueError(f"scanline {args.y} outside image of height {left.shape[0]}")
     nu0 = measure_from_row(right[args.y], require_mass=True)
     nu1 = measure_from_row(left[args.y], require_mass=True)
-    # the series measures the contraction of the fixed-epsilon iteration
-    sk = replace(config.sinkhorn_config(), warm_start=False)
+    # the series measures the contraction of the fixed-epsilon
+    # iteration, so the solve starts cold
+    sk = SinkhornConfig(
+        epsilon=config.epsilon,
+        max_iterations=config.niter,
+        stop_tolerance=config.stop_tolerance,
+    )
     kernel = build_kernel(left.shape[1], sk.epsilon)
 
     # the reference is this very run's endpoint, so the series shows

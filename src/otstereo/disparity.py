@@ -15,8 +15,7 @@ is heavier runs the same loop on both rows flipped.
 """
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ from .scaling import (
 DEFAULT_PLATEAU_TOLERANCE = 1e-3
 
 
-@dataclass(frozen=True)
-class OcclusionReport:
+class OcclusionReport(NamedTuple):
     """Outcome of the recovery loop on one scanline.
 
     intervals lists the source-frame column ranges (inclusive) whose
@@ -336,8 +334,7 @@ def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
     rightmost left-image column.
     """
     flip = d - 1
-    return dataclasses.replace(
-        report,
+    return report._replace(
         intervals=(),
         left_frame=tuple((flip - hi, flip - lo) for lo, hi in reversed(report.intervals)),
         object_shifts=tuple((flip - col, shift) for col, shift in report.object_shifts),
@@ -453,6 +450,6 @@ def disparity_map(
             cache[key] = solve(y)
         values[y], occluded[y], report, info = cache[key]
         if report is not None:
-            reports.append(dataclasses.replace(report, y=y))
+            reports.append(report._replace(y=y))
         diagnostics.append({"y": y, **info})
     return DisparityMap(values, occluded, tuple(reports), tuple(diagnostics))

@@ -23,7 +23,8 @@ import re
 import numpy as np
 
 _COMMENT = re.compile(rb"#[^\n]*")
-_DIGITS_AND_SPACE = re.compile(rb"[0-9 \t\n\r\v\f]*")
+# the bytes a P2 raster may hold once its comments are gone
+_DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 # cells per block of rows a text writer formats and gathers at once
 _BLOCK_CELLS = 1 << 15
 _LEVELS = [str(level) for level in range(256)]
@@ -71,25 +72,27 @@ def read_pgm(path) -> np.ndarray:
         data = raw[header_end + 1 : header_end + 1 + width * height]
         if len(data) != width * height:
             raise ValueError(f"{path}: truncated P5 raster")
-        values = np.frombuffer(data, dtype=np.uint8).astype(float)
+        samples = np.frombuffer(data, dtype=np.uint8)
     else:
-        raster = _COMMENT.sub(b"", raw[header_end:])
-        if not _DIGITS_AND_SPACE.fullmatch(raster):
+        raster = raw[header_end:]
+        if b"#" in raster:
+            raster = _COMMENT.sub(b"", raster)
+        if raster.translate(None, _DIGITS_AND_SPACE):
             raise ValueError(f"{path}: P2 raster holds a non-integer sample")
-        # exact once the regex passed; it reads a blank raster as one 0
+        # exact once the check passed; it reads a blank raster as one 0.
+        # int64, not a narrower type: those wrap large samples silently
         samples = (
             np.fromstring(raster, dtype=np.int64, sep=" ")
             if raster.strip()
-            else np.empty(0)
+            else np.empty(0, dtype=np.int64)
         )
         if samples.size != width * height:
             raise ValueError(
                 f"{path}: expected {width * height} samples, found {samples.size}"
             )
-        values = samples.astype(float)
-    if values.max(initial=0.0) > maxval:
+    if samples.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample exceeds maxval {maxval}")
-    return (values / maxval).reshape(height, width)
+    return np.divide(samples, maxval, dtype=float).reshape(height, width)
 
 
 def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SupportMismatchError
+from .records import Record
 
 
-@dataclass(frozen=True)
-class GibbsKernel:
+class GibbsKernel(Record):
     """Quadratic-cost kernel on a d-column pixel grid.
 
     eta is the extremal cross ratio max K_ij K_kl / (K_kj K_il); for
@@ -30,16 +28,14 @@ class GibbsKernel:
     reference; the solvers never read them.
     """
 
-    epsilon: float
-    d: int
-    log_eta: float = field(init=False)
-    lam: float = field(init=False)
+    _fields = ("epsilon", "d")
+    __slots__ = _fields + ("log_eta", "lam", "_log_entries", "_entries")
 
-    def __post_init__(self):
-        log_eta = 2.0 * (self.d - 1) ** 2 / self.epsilon
-        object.__setattr__(self, "log_eta", log_eta)
+    def __init__(self, epsilon: float, d: int):
+        log_eta = 2.0 * (d - 1) ** 2 / epsilon
         # tanh(t/2) == (e^t - 1) / (e^t + 1) with t = log(sqrt(eta))
-        object.__setattr__(self, "lam", math.tanh(log_eta / 4.0))
+        self._set(epsilon=epsilon, d=d, log_eta=log_eta, lam=math.tanh(log_eta / 4.0),
+                  _log_entries=None, _entries=None)
 
     @property
     def eta(self) -> float:
@@ -49,32 +45,36 @@ class GibbsKernel:
         except OverflowError:
             return float("inf")
 
-    @cached_property
+    @property
     def log_entries(self) -> np.ndarray:
         """Exact logarithm -(i-j)^2 / epsilon, free of underflow."""
-        idx = np.arange(self.d, dtype=float)
-        diff = idx[:, None] - idx[None, :]
-        log_entries = -(diff * diff) / self.epsilon
-        log_entries.flags.writeable = False  # shared by every reader
-        return log_entries
+        if self._log_entries is None:
+            idx = np.arange(self.d, dtype=float)
+            diff = idx[:, None] - idx[None, :]
+            log_entries = -(diff * diff) / self.epsilon
+            log_entries.flags.writeable = False  # shared by every reader
+            self._set(_log_entries=log_entries)
+        return self._log_entries
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
         """Dense kernel exp(-(i-j)^2 / epsilon).
 
         Emits a RuntimeWarning when off-diagonal entries underflow to
         zero in double precision.
         """
-        entries = np.exp(self.log_entries)
-        if np.any(entries == 0.0):
-            warnings.warn(
-                f"kernel entries underflow for epsilon={self.epsilon} at width {self.d}; "
-                "log_entries holds their exact logarithms",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        entries.flags.writeable = False  # shared by every reader
-        return entries
+        if self._entries is None:
+            entries = np.exp(self.log_entries)
+            if np.any(entries == 0.0):
+                warnings.warn(
+                    f"kernel entries underflow for epsilon={self.epsilon} at width {self.d}; "
+                    "log_entries holds their exact logarithms",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            entries.flags.writeable = False  # shared by every reader
+            self._set(_entries=entries)
+        return self._entries
 
     @property
     def underflowed(self) -> bool:
@@ -86,7 +86,8 @@ def build_kernel(d: int, epsilon: float) -> GibbsKernel:
     """Validate the width and blur and return their Gibbs kernel."""
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise ValueError(f"kernel size must be a positive integer, got {d!r}")
-    if not (isinstance(epsilon, (int, float)) and math.isfinite(epsilon) and epsilon > 0):
+    real = (int, float, np.integer, np.floating)
+    if not (isinstance(epsilon, real) and math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     return GibbsKernel(epsilon=float(epsilon), d=int(d))
 
@@ -98,14 +99,15 @@ def hilbert_distance(u, v) -> float:
     the shared positive support, so it is invariant under rescaling
     either argument. Coordinates where both vectors vanish are
     ignored; a zero in exactly one vector has infinite projective
-    distance and raises SupportMismatchError.
+    distance and raises SupportMismatchError. Negative or non-finite
+    entries are a ValueError.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise DimensionMismatchError(f"incompatible shapes {u.shape} and {v.shape}")
-    if np.any(u < 0.0) or np.any(v < 0.0):
-        raise ValueError("vectors must be nonnegative")
+    if not all(np.all(np.isfinite(w) & (w >= 0.0)) for w in (u, v)):
+        raise ValueError("vectors must be finite and nonnegative")
     pos_u = u > 0.0
     pos_v = v > 0.0
     if np.any(pos_u != pos_v):

@@ -6,17 +6,17 @@ output, so they depend on numpy alone: commands that never solve
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .records import Record
 
 if TYPE_CHECKING:
     from .disparity import OcclusionReport
 
 
-@dataclass(frozen=True)
-class DisparityMap:
+class DisparityMap(Record):
     """Per-pixel disparity of a full image pair, one row per scanline.
 
     values is an (h, d) array, NaN where there is no data: empty
@@ -24,18 +24,22 @@ class DisparityMap:
     intervals. occluded marks the latter alone and defaults to none.
     """
 
-    values: np.ndarray
-    occluded: np.ndarray | None = None
-    reports: tuple[OcclusionReport, ...] = ()
-    diagnostics: tuple[dict, ...] = ()
+    __slots__ = _fields = ("values", "occluded", "reports", "diagnostics")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+    def __init__(
+        self,
+        values: np.ndarray,
+        occluded: np.ndarray | None = None,
+        reports: tuple[OcclusionReport, ...] = (),
+        diagnostics: tuple[dict, ...] = (),
+    ):
+        values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {values.shape}")
-        object.__setattr__(self, "values", values)
-        if self.occluded is None:
-            object.__setattr__(self, "occluded", np.zeros(values.shape, dtype=bool))
+        if occluded is None:
+            occluded = np.zeros(values.shape, dtype=bool)
+        self._set(values=values, occluded=occluded, reports=reports,
+                  diagnostics=diagnostics)
 
     @property
     def height(self) -> int:

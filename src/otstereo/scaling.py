@@ -16,7 +16,6 @@ plan, or on its iteration budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     WrongPathError,
 )
 from .kernel import GibbsKernel
+from .records import Record
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERATIONS = "max-iterations"
@@ -54,8 +54,7 @@ ABSORB_BOUND = 30.0
 MIN_COLUMN_SUM = 1e-200
 
 
-@dataclass(frozen=True)
-class SinkhornConfig:
+class SinkhornConfig(Record):
     """Knobs for one scaling solve.
 
     stop_tolerance > 0 stops the solve once the odd plan's column
@@ -67,24 +66,28 @@ class SinkhornConfig:
     epsilon (see monotone_potentials) instead of at one.
     """
 
-    epsilon: float
-    max_iterations: int = 1000
-    stop_tolerance: float = 0.0
-    warm_start: bool = False
+    __slots__ = _fields = ("epsilon", "max_iterations", "stop_tolerance", "warm_start")
 
-    def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        if self.max_iterations < 1:
+    def __init__(
+        self,
+        epsilon: float,
+        max_iterations: int = 1000,
+        stop_tolerance: float = 0.0,
+        warm_start: bool = False,
+    ):
+        if not (np.isfinite(epsilon) and epsilon > 0.0):
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+        if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (np.isfinite(self.stop_tolerance) and self.stop_tolerance >= 0.0):
+        if not (np.isfinite(stop_tolerance) and stop_tolerance >= 0.0):
             raise ValueError(
-                f"stop_tolerance must be nonnegative and finite, got {self.stop_tolerance!r}"
+                f"stop_tolerance must be nonnegative and finite, got {stop_tolerance!r}"
             )
+        self._set(epsilon=epsilon, max_iterations=max_iterations,
+                  stop_tolerance=stop_tolerance, warm_start=warm_start)
 
 
-@dataclass(frozen=True)
-class ScalingVectors:
+class ScalingVectors(NamedTuple):
     """Diagonal scalings that reproduce a plan against the kernel.
 
     u and v hold logarithms, with -inf marking columns outside the
@@ -102,8 +105,7 @@ class ScalingVectors:
         return np.exp(exponent)
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Per-solve diagnostics.
 
     hilbert_u and hilbert_v hold the Hilbert-metric step of each
@@ -121,8 +123,7 @@ class ConvergenceReport:
     stop_reason: str
 
 
-@dataclass(frozen=True)
-class ShiftedLimits:
+class ShiftedLimits(NamedTuple):
     """Even and odd limit plans, d x d arrays, of the unbalanced scaling iteration."""
 
     even: np.ndarray
@@ -130,8 +131,7 @@ class ShiftedLimits:
     report: ConvergenceReport
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """Convergence probes for one iteration of a traced solve.
 
     u_error and profile_error compare against a caller-supplied
@@ -334,18 +334,8 @@ def _iterate(la_sub, cost, lb_sub, log_drift, epsilon, lu, lv):
             kernel = None
 
 
-@dataclass
-class _Prepared:
-    """Support-restricted problem plus a live iteration generator."""
-
-    b: np.ndarray
-    support0: np.ndarray
-    support1: np.ndarray
-    steps: object
-
-
-def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared:
-    a, b = _check_inputs(nu0, nu1, kernel)
+def _prepare(a: np.ndarray, b: np.ndarray, kernel: GibbsKernel, config: SinkhornConfig):
+    """The supports of checked measures a, b and a live iteration generator on them."""
     if abs(config.epsilon - kernel.epsilon) > 1e-12 * max(config.epsilon, kernel.epsilon):
         raise ValueError(
             f"config epsilon {config.epsilon} does not match kernel epsilon {kernel.epsilon}"
@@ -366,39 +356,39 @@ def _prepare(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> _Prepared
     log_drift = np.log(a_sub.sum()) - np.log(b_sub.sum())
     steps = _iterate(np.log(a_sub), cost, np.log(b_sub), log_drift, kernel.epsilon,
                      lu, lv)
-    return _Prepared(b=b, support0=support0, support1=support1, steps=steps)
+    return support0, support1, steps
 
 
-def _scatter_plan(prep: _Prepared, step: _Step, v: np.ndarray, d: int) -> np.ndarray:
+def _scatter_plan(support0, support1, step: _Step, v: np.ndarray, d: int) -> np.ndarray:
     """The d x d plan array of step.u and v on the support, zero off it.
 
     v is step.v_prev for the odd plan, step.v_raw for the even one.
     """
     plan = np.zeros((d, d))
-    plan[np.ix_(prep.support0, prep.support1)] = np.exp(
-        step.u[:, None] + step.block + v[None, :]
-    )
+    plan[np.ix_(support0, support1)] = np.exp(step.u[:, None] + step.block + v[None, :])
     return plan
 
 
-def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, observe=None):
+def _run(support0, support1, steps, kernel: GibbsKernel, config: SinkhornConfig, limit,
+         observe=None):
     """Drive the scaling iteration and package the odd plan plus report.
 
-    limit is the full-width vector the odd plan's column marginal
-    converges to; the tolerance stop compares against it. observe, if
-    given, is called with (iteration, step) after every iteration.
+    The first three arguments are what _prepare returns. limit is the
+    full-width vector the odd plan's column marginal converges to; the
+    tolerance stop compares against it. observe, if given, is called
+    with (iteration, step) after every iteration.
     Returns (odd_plan, vectors, report, step); the odd plan pairs the
     final u with the previous v, so its row marginal is exactly nu0.
     The even plan, whose column marginal is exactly nu1, pairs u with
     step.v_raw; only shifted_sinkhorn builds it.
     """
-    limit_sub = limit[prep.support1]
+    limit_sub = limit[support1]
     d = kernel.d
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
     stop_reason = STOP_MAX_ITERATIONS
     iterations = 0
-    for step in prep.steps:
+    for step in steps:
         iterations += 1
         hilbert_u.append(step.du)
         hilbert_v.append(step.dv)
@@ -413,11 +403,11 @@ def _run(prep: _Prepared, kernel: GibbsKernel, config: SinkhornConfig, limit, ob
         if iterations >= config.max_iterations:
             break
 
-    odd = _scatter_plan(prep, step, step.v_prev, d)
+    odd = _scatter_plan(support0, support1, step, step.v_prev, d)
     u_full = np.full(d, -np.inf)
     v_full = np.full(d, -np.inf)
-    u_full[prep.support0] = step.u
-    v_full[prep.support1] = step.v_prev
+    u_full[support0] = step.u
+    v_full[support1] = step.v_prev
     violation = float(np.abs(odd.sum(axis=0) - limit).max())
     report = ConvergenceReport(
         iterations=iterations,
@@ -446,8 +436,8 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         nu0 exactly; the report records how far its column sums are
         from nu1.
     """
-    prep = _prepare(nu0, nu1, kernel, config)
-    odd, vectors, report, _ = _run(prep, kernel, config, prep.b)
+    a, b = _check_inputs(nu0, nu1, kernel)
+    odd, vectors, report, _ = _run(*_prepare(a, b, kernel, config), kernel, config, b)
     return odd, vectors, report
 
 
@@ -475,9 +465,9 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
         raise WrongPathError(
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
-    prep = _prepare(a, b, kernel, config)
-    odd, _, report, step = _run(prep, kernel, config, m0 * prep.b)
-    even = _scatter_plan(prep, step, step.v_raw, kernel.d)
+    support0, support1, steps = _prepare(a, b, kernel, config)
+    odd, _, report, step = _run(support0, support1, steps, kernel, config, m0 * b)
+    even = _scatter_plan(support0, support1, step, step.v_raw, kernel.d)
     return ShiftedLimits(even=even, odd=odd, report=report)
 
 
@@ -500,16 +490,17 @@ def iteration_trace(
     sinkhorn, so the records number its iterations. Returns the
     records and the final odd plan as a d x d float64 array.
     """
-    prep = _prepare(nu0, nu1, kernel, config)
-    rows = prep.support0.astype(float)
-    cols = prep.support1.astype(float)
+    a, b = _check_inputs(nu0, nu1, kernel)
+    support0, support1, steps = _prepare(a, b, kernel, config)
+    rows = support0.astype(float)
+    cols = support1.astype(float)
 
     ref_lu = None
     if reference_vectors is not None:
-        ref_lu = reference_vectors.u[prep.support0]
+        ref_lu = reference_vectors.u[support0]
     ref_f = None
     if reference_profile is not None:
-        ref_f = np.asarray(reference_profile, dtype=float)[prep.support0]
+        ref_f = np.asarray(reference_profile, dtype=float)[support0]
 
     records: list[IterationRecord] = []
 
@@ -534,7 +525,7 @@ def iteration_trace(
             )
         )
 
-    plan, _, _, _ = _run(prep, kernel, config, prep.b, observe=record)
+    plan, _, _, _ = _run(support0, support1, steps, kernel, config, b, observe=record)
     return records, plan
 
 
@@ -581,14 +572,15 @@ def kl_divergence(gamma, alpha) -> float:
     """Kullback-Leibler divergence sum gamma * log(gamma / alpha).
 
     Zero entries of gamma contribute nothing; mass on a zero entry of
-    alpha makes the divergence infinite.
+    alpha makes the divergence infinite. Negative or non-finite
+    entries are a ValueError.
     """
     g = np.asarray(gamma, dtype=float)
     ref = np.asarray(alpha, dtype=float)
     if g.shape != ref.shape:
         raise DimensionMismatchError(f"incompatible shapes {g.shape} and {ref.shape}")
-    if np.any(g < 0.0) or np.any(ref < 0.0):
-        raise ValueError("inputs must be nonnegative")
+    if not all(np.all(np.isfinite(w) & (w >= 0.0)) for w in (g, ref)):
+        raise ValueError("inputs must be finite and nonnegative")
     pos = g > 0.0
     if np.any(ref[pos] == 0.0):
         return float("inf")
@@ -596,8 +588,10 @@ def kl_divergence(gamma, alpha) -> float:
 
 
 def transport_cost(gamma) -> float:
-    """Quadratic transport cost sum gamma_ij * (i - j)^2."""
+    """Quadratic transport cost sum gamma_ij * (i - j)^2; entries must be finite."""
     entries = np.asarray(gamma, dtype=float)
+    if not np.isfinite(entries).all():
+        raise ValueError("plan entries must be finite")
     n, m = entries.shape
     diff = np.arange(n, dtype=float)[:, None] - np.arange(m, dtype=float)[None, :]
     return float(np.sum(entries * diff * diff))

@@ -10,16 +10,16 @@ both views, so solver output can be scored against ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import OutOfFrameError, SceneFormatError
 from .maps import DisparityMap, mask_runs
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CameraRig:
+class CameraRig(Record):
     """Rectified two-camera geometry.
 
     baseline is the distance between the optical centers, focal the
@@ -27,12 +27,11 @@ class CameraRig:
     units), beta the pixels-per-length-unit conversion.
     """
 
-    baseline: float = 10.0
-    focal: float = 1000.0
-    beta: float = 2.0
+    __slots__ = _fields = ("baseline", "focal", "beta")
 
-    def __post_init__(self):
-        for name in ("baseline", "focal", "beta"):
+    def __init__(self, baseline: float = 10.0, focal: float = 1000.0, beta: float = 2.0):
+        self._set(baseline=baseline, focal=focal, beta=beta)
+        for name in self._fields:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
@@ -55,28 +54,35 @@ def depth_from_disparity(shift_px: float, rig: CameraRig) -> float:
     return rig.focal * rig.baseline / (rig.beta * shift_px)
 
 
-@dataclass(frozen=True)
-class SceneObject:
+class SceneObject(Record):
     """Axis-aligned rectangle at constant depth.
 
-    x0 is the leftmost column in the right view; height None spans
-    the full image.
+    x0 is the leftmost column in the right view; the object spans
+    rows y0 to y0 + height - 1, cut at the frame's bottom edge, and
+    height None spans the full image.
     """
 
-    x0: int
-    width: int
-    depth: float
-    intensity: float
-    y0: int = 0
-    height: int | None = None
+    __slots__ = _fields = ("x0", "width", "depth", "intensity", "y0", "height")
 
-    def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"width must be at least 1, got {self.width!r}")
-        if not self.depth > 0.0:
-            raise ValueError(f"depth must be positive, got {self.depth!r}")
-        if not 0.0 < self.intensity <= 1.0:
-            raise ValueError(f"intensity must lie in (0, 1], got {self.intensity!r}")
+    def __init__(
+        self,
+        x0: int,
+        width: int,
+        depth: float,
+        intensity: float,
+        y0: int = 0,
+        height: int | None = None,
+    ):
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width!r}")
+        if not depth > 0.0:
+            raise ValueError(f"depth must be positive, got {depth!r}")
+        if not 0.0 < intensity <= 1.0:
+            raise ValueError(f"intensity must lie in (0, 1], got {intensity!r}")
+        if y0 < 0:
+            raise ValueError(f"y0 must be nonnegative, got {y0!r}")
+        self._set(x0=x0, width=width, depth=depth, intensity=intensity, y0=y0,
+                  height=height)
 
     def rows(self, image_height: int) -> range:
         if self.height is None:
@@ -84,22 +90,18 @@ class SceneObject:
         return range(self.y0, min(self.y0 + self.height, image_height))
 
 
-@dataclass(frozen=True)
-class CartoonScene:
+class CartoonScene(Record):
     """A fixed-size frame plus its objects, in no particular order."""
 
-    width: int
-    height: int
-    objects: tuple[SceneObject, ...] = ()
+    __slots__ = _fields = ("width", "height", "objects")
 
-    def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame {self.width}x{self.height} is empty")
-        object.__setattr__(self, "objects", tuple(self.objects))
+    def __init__(self, width: int, height: int, objects: tuple[SceneObject, ...] = ()):
+        if width < 1 or height < 1:
+            raise ValueError(f"frame {width}x{height} is empty")
+        self._set(width=width, height=height, objects=tuple(objects))
 
 
-@dataclass(frozen=True)
-class RenderedPair:
+class RenderedPair(NamedTuple):
     """Both views plus exact ground truth.
 
     truth holds the applied integer shift for every right-view object
@@ -143,37 +145,52 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     left = np.zeros((h, d))
     right = np.zeros((h, d))
     truth_values = np.full((h, d), np.nan)
-    right_owner = np.full((h, d), -1, dtype=int)
-    left_owner = np.full((h, d), -1, dtype=int)
-    right_shift = np.zeros((h, d), dtype=int)
-    left_shift = np.zeros((h, d), dtype=int)
+    # each pixel's object, -1 on the background, in the smallest type
+    owner_type = np.min_scalar_type(-1 - len(scene.objects))
+    right_owner = np.full((h, d), -1, dtype=owner_type)
+    left_owner = np.full((h, d), -1, dtype=owner_type)
 
-    order = sorted(range(len(scene.objects)), key=lambda k: -scene.objects[k].depth)
-    for k in order:
+    boxes = []
+    for k in sorted(range(len(scene.objects)), key=lambda k: -scene.objects[k].depth):
         obj = scene.objects[k]
         s = shifts[k]
-        ys = obj.rows(h)
+        rows = obj.rows(h)
+        ys = slice(rows.start, rows.stop)
         sl_r = slice(obj.x0, obj.x0 + obj.width)
         sl_l = slice(obj.x0 + s, obj.x0 + obj.width + s)
         right[ys, sl_r] = obj.intensity
         right_owner[ys, sl_r] = k
-        right_shift[ys, sl_r] = s
         truth_values[ys, sl_r] = float(s)
         left[ys, sl_l] = obj.intensity
         left_owner[ys, sl_l] = k
-        left_shift[ys, sl_l] = s
+        boxes.append((k, ys, sl_r, sl_l))
 
-    # a pixel is hidden from the other view when the pixel its shift
-    # leads to there belongs to another object; every object fits the
-    # frame in both views, so those pixels lie inside it
-    ys = np.arange(h)[:, None]
-    cols = np.arange(d)
-    occluded = (right_owner >= 0) & (left_owner[ys, cols + right_shift] != right_owner)
-    hidden_l = (left_owner >= 0) & (right_owner[ys, cols - left_shift] != left_owner)
-    hidden = {
-        y: {"right_frame": mask_runs(occluded[y]), "left_frame": mask_runs(hidden_l[y])}
-        for y in np.flatnonzero((occluded | hidden_l).any(axis=1)).tolist()
-    }
+    # A right-view pixel of object k at column x is hidden from the
+    # left view exactly when the left owner at x + s_k is not k, and
+    # a left-view pixel at x + s_k is hidden from the right view when
+    # the right owner at x is not k. Both tests read k's two boxes,
+    # which the shift aligns, so no pixel outside them is visited.
+    occluded = np.zeros((h, d), dtype=bool)
+    hidden_l = np.zeros((h, d), dtype=bool)
+    hidden_rows = np.zeros(h, dtype=bool)
+    for k, ys, sl_r, sl_l in boxes:
+        mine_r = right_owner[ys, sl_r] == k
+        mine_l = left_owner[ys, sl_l] == k
+        unseen_r = mine_r & ~mine_l
+        unseen_l = mine_l & ~mine_r
+        occluded[ys, sl_r] |= unseen_r
+        hidden_l[ys, sl_l] |= unseen_l
+        hidden_rows[ys] |= (unseen_r | unseen_l).any(axis=1)
+    # the rows of a band share their masks, so each distinct pair of
+    # masks is read once; every row gets lists of its own
+    runs = {}
+    hidden = {}
+    for y in np.flatnonzero(hidden_rows).tolist():
+        key = occluded[y].tobytes() + hidden_l[y].tobytes()
+        if key not in runs:
+            runs[key] = mask_runs(occluded[y]), mask_runs(hidden_l[y])
+        right_frame, left_frame = runs[key]
+        hidden[y] = {"right_frame": list(right_frame), "left_frame": list(left_frame)}
 
     return RenderedPair(
         left=left,
@@ -184,15 +201,17 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     )
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(Record):
     """Flat list of reconstructed points.
 
     points has one row per pixel with positive finite disparity:
     columns x (image column), y (scanline), depth, intensity.
     """
 
-    points: np.ndarray = field(default_factory=lambda: np.empty((0, 4)))
+    __slots__ = _fields = ("points",)
+
+    def __init__(self, points: np.ndarray | None = None):
+        self._set(points=np.empty((0, 4)) if points is None else points)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -136,6 +137,34 @@ def test_hilbert_distance_support_mismatch():
 def test_hilbert_distance_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         hilbert_distance([1.0, 1.0], [1.0, 1.0, 1.0])
+
+
+def test_hilbert_distance_rejects_non_finite_entries():
+    for u, v in (([np.nan, 1.0], [np.nan, 2.0]), ([np.inf, 1.0], [1.0, 1.0]),
+                 ([1.0, 1.0], [1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            hilbert_distance(u, v)
+
+
+def test_kernel_accepts_numpy_scalars():
+    for epsilon in (np.float32(0.1), np.float64(0.1), np.int64(2)):
+        kern = build_kernel(np.int64(5), epsilon)
+        assert kern.epsilon == float(epsilon) and type(kern.epsilon) is float
+        assert kern.d == 5 and type(kern.d) is int
+    for bad in (np.float32(0.0), np.float64(-1.0), np.float32(np.nan), np.float64(np.inf)):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            build_kernel(5, bad)
+
+
+def test_kernel_is_an_immutable_record_that_caches_its_entries():
+    kern = build_kernel(4, 0.5)
+    assert kern.entries is kern.entries and kern.log_entries is kern.log_entries
+    assert kern == build_kernel(4, 0.5) and kern != build_kernel(4, 0.25)
+    assert repr(kern) == "GibbsKernel(epsilon=0.5, d=4)"
+    with pytest.raises(AttributeError):
+        kern.epsilon = 1.0
+    copy = pickle.loads(pickle.dumps(kern))
+    assert copy == kern and np.array_equal(copy.entries, kern.entries)
 
 
 def test_kernel_rejects_bad_config():

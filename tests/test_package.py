@@ -1,8 +1,9 @@
 """The package loads each submodule on first use, and each command
-loads only the modules it runs."""
+loads only the modules it runs; none of them loads dataclasses."""
 import importlib
 import json
 import os
+import pickle
 import subprocess
 import sys
 import types
@@ -71,12 +72,13 @@ codes = [
     otstereo.cli.main(["reconstruct", out + "/truth_disparity.csv",
                        out + "/right.pgm", "--out", out + "/cloud.ply"]),
 ]
-print(json.dumps({{"codes": codes, "loaded": {LOADED}}}))
+print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules)}}))
 """
     result = fresh(code, scene, out)
     assert result["codes"] == [0, 0]
     assert "otstereo.scene" in result["loaded"]
     assert SOLVER.isdisjoint(result["loaded"])
+    assert "dataclasses" not in result["loaded"]
     assert "element vertex 42" in (out / "cloud.ply").read_text()
 
 
@@ -104,6 +106,7 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules)}}))
     assert SOLVER <= set(result["loaded"])
     assert "otstereo.scene" not in result["loaded"]
     assert "numpy.ma" not in result["loaded"]
+    assert "dataclasses" not in result["loaded"]
 
 
 def test_every_exported_name_resolves_and_is_listed():
@@ -145,6 +148,7 @@ print(json.dumps({
 def test_readme_import_gives_the_function_sinkhorn(before, after):
     code = f"""\
 import json
+import pickle
 {before}
 from otstereo import SinkhornConfig, build_kernel, disparity_map, sinkhorn
 {after}
@@ -163,3 +167,31 @@ def test_there_is_no_sinkhorn_submodule():
     assert callable(otstereo.sinkhorn)
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("otstereo.sinkhorn")
+
+
+def test_records_are_immutable_and_round_trip():
+    from otstereo.cli import RunConfig
+    from otstereo.disparity import OcclusionReport
+    from otstereo.scaling import SinkhornConfig
+    from otstereo.scene import CameraRig, CartoonScene, PointCloud, SceneObject
+
+    box = SceneObject(x0=2, width=3, depth=100.0, intensity=0.5, y0=1, height=2)
+    records = [
+        CameraRig(focal=500.0), box, CartoonScene(10, 4, [box]), PointCloud(),
+        SinkhornConfig(0.1, warm_start=True), RunConfig(niter=10),
+    ]
+    for record in records:
+        name = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record) and repr(copy) == repr(record)
+    assert records[0] == CameraRig(10.0, 500.0) and records[0] != CameraRig()
+    assert hash(records[4]) == hash(SinkhornConfig(0.1, 1000, 0.0, True))
+    assert repr(box) == (
+        "SceneObject(x0=2, width=3, depth=100.0, intensity=0.5, y0=1, height=2)"
+    )
+    # the records that check nothing are NamedTuples
+    report = OcclusionReport(y=-1, phi=1.0, intervals=(), object_shifts=(),
+                             compression_plateau=None)
+    assert report._replace(y=4) == (4, 1.0, (), (), None, None, ())

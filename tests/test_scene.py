@@ -68,6 +68,16 @@ def test_object_validation():
         SceneObject(x0=0, width=3, depth=100.0, intensity=1.2)
 
 
+def test_object_rows_start_inside_the_frame():
+    # a negative y0 would index rows from the bottom of the frame
+    with pytest.raises(ValueError, match="y0 must be nonnegative"):
+        SceneObject(x0=0, width=3, depth=100.0, intensity=0.5, y0=-1, height=2)
+    with pytest.raises(SceneFormatError) as info:
+        parse_scene("width = 20\nheight = 4\nobject = x0:1 width:3 shift:2 "
+                    "intensity:0.5 y0:-2 height:3\n")
+    assert info.value.line == 3
+
+
 def test_band_rows_clip_to_frame():
     band = SceneObject(x0=0, width=2, depth=50.0, intensity=0.5, y0=6, height=9)
     assert band.rows(10) == range(6, 10)
@@ -169,6 +179,99 @@ def test_hidden_masks_match_the_pixel_loop():
         checked += 1
         hidden_rows += len(pair.hidden)
     assert hidden_rows >= 20
+
+
+def render_by_gather(scene, rig):
+    """Both views and their hidden masks by full-frame owner and shift gathers.
+
+    Paints owner and shift frames far to near, then follows every
+    pixel's shift into the other view's owner frame.
+    """
+    d, h = scene.width, scene.height
+    left = np.zeros((h, d))
+    right = np.zeros((h, d))
+    truth = np.full((h, d), np.nan)
+    right_owner = np.full((h, d), -1)
+    left_owner = np.full((h, d), -1)
+    right_shift = np.zeros((h, d), dtype=int)
+    left_shift = np.zeros((h, d), dtype=int)
+    for k in sorted(range(len(scene.objects)), key=lambda k: -scene.objects[k].depth):
+        o = scene.objects[k]
+        s = pixel_shift(o.depth, rig)
+        ys = o.rows(h)
+        sl_r = slice(o.x0, o.x0 + o.width)
+        sl_l = slice(o.x0 + s, o.x0 + o.width + s)
+        right[ys, sl_r] = o.intensity
+        right_owner[ys, sl_r] = k
+        right_shift[ys, sl_r] = s
+        truth[ys, sl_r] = float(s)
+        left[ys, sl_l] = o.intensity
+        left_owner[ys, sl_l] = k
+        left_shift[ys, sl_l] = s
+    ys = np.arange(h)[:, None]
+    cols = np.arange(d)
+    occluded = (right_owner >= 0) & (left_owner[ys, cols + right_shift] != right_owner)
+    hidden_l = (left_owner >= 0) & (right_owner[ys, cols - left_shift] != left_owner)
+    return left, right, truth, occluded, hidden_l
+
+
+def random_scene(rng):
+    """1-5 objects in bands, some at the frame edges, some nested behind a nearer one."""
+    d, h = int(rng.integers(12, 50)), int(rng.integers(1, 7))
+    objects = []
+    for _ in range(int(rng.integers(1, 6))):
+        band = {}
+        if rng.random() < 0.7:
+            band = {"y0": int(rng.integers(0, h)), "height": int(rng.integers(1, h + 2))}
+        if objects and rng.random() < 0.3:
+            # farther than an earlier object and inside its right-view box,
+            # so fully hidden there; intensity 0.3 marks it for the count below
+            near = objects[int(rng.integers(0, len(objects)))]
+            near_shift = pixel_shift(near.depth, RIG)
+            if near_shift > 1 and near.width > 1:
+                width = int(rng.integers(1, near.width))
+                x0 = near.x0 + int(rng.integers(0, near.width - width + 1))
+                shift = int(rng.integers(1, near_shift))
+                band = {"y0": near.y0, "height": near.height}
+                objects.append(obj(x0, width, shift, 0.3, **band))
+                continue
+        shift = int(rng.integers(1, 9))
+        width = int(rng.integers(1, d - shift + 1))
+        x0 = [0, d - shift - width, int(rng.integers(0, d - shift - width + 1))][
+            int(rng.integers(0, 3))
+        ]
+        objects.append(obj(x0, width, shift, float(rng.choice([0.2, 0.5, 0.9])), **band))
+    return CartoonScene(d, h, tuple(objects))
+
+
+def test_render_matches_the_full_frame_gathers():
+    rng = np.random.default_rng(15)
+    nested = edge = hidden_rows = 0
+    for _ in range(300):
+        scene = random_scene(rng)
+        pair = render_pair(scene, RIG)
+        left, right, truth, occluded, hidden_l = render_by_gather(scene, RIG)
+        assert pair.left.tobytes() == left.tobytes()
+        assert pair.right.tobytes() == right.tobytes()
+        assert pair.truth.values.tobytes() == truth.tobytes()
+        assert pair.truth.occluded.dtype == bool
+        assert np.array_equal(pair.truth.occluded, occluded)
+        expected = {
+            y: {"right_frame": mask_runs(occluded[y]), "left_frame": mask_runs(hidden_l[y])}
+            for y in range(scene.height) if occluded[y].any() or hidden_l[y].any()
+        }
+        assert pair.hidden == expected
+        assert pair.non_occluded == (not expected)
+        # coverage of the cases the generator aims at
+        nested += sum(
+            o.intensity == 0.3
+            and not (pair.right[o.rows(scene.height), o.x0:o.x0 + o.width] == 0.3).any()
+            for o in scene.objects
+        )
+        edge += any(o.x0 == 0 or o.x0 + o.width + pixel_shift(o.depth, RIG) == scene.width
+                    for o in scene.objects)
+        hidden_rows += len(expected)
+    assert nested >= 20 and edge >= 100 and hidden_rows >= 100
 
 
 def test_out_of_frame_right_view():

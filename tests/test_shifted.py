@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -110,7 +108,9 @@ def test_warm_solve_stops_on_the_marginal():
     assert report.marginal_violation <= config.stop_tolerance
     # one iteration less is still short of the marginal stop, so no
     # other rule stopped the solve
-    early = replace(config, max_iterations=report.iterations - 1)
+    early = SinkhornConfig(
+        config.epsilon, report.iterations - 1, config.stop_tolerance, config.warm_start
+    )
     cut = shifted_sinkhorn(a, b, kern, early).report
     assert cut.stop_reason == "max-iterations"
     assert cut.marginal_violation > config.stop_tolerance

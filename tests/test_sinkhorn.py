@@ -190,7 +190,7 @@ def test_scaling_iteration_never_underflows(case):
     # never underflows is a loop that stays on it
     a, b, eps, warm_start = HOT_LOOP_CASES[case]
     config = SinkhornConfig(eps, warm_start=warm_start)
-    steps = scaling_module._prepare(a, b, build_kernel(a.size, eps), config).steps
+    _, _, steps = scaling_module._prepare(a, b, build_kernel(a.size, eps), config)
     with np.errstate(under="raise"):
         for step in itertools.islice(steps, 1500):
             assert np.all(np.isfinite(step.u)) and np.all(np.isfinite(step.v_raw))
@@ -405,6 +405,21 @@ def test_kl_divergence_values():
     support_violation = np.array([[0.5, 0.5], [0.0, 0.0]])
     reference = np.array([[0.5, 0.0], [0.0, 0.5]])
     assert kl_divergence(support_violation, reference) == float("inf")
+
+
+def test_kl_divergence_rejects_non_finite_entries():
+    half = np.array([[0.5, 0.5]])
+    for gamma, alpha in ((np.array([[np.nan, 0.5]]), half), (half, np.array([[np.inf, 0.5]]))):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            kl_divergence(gamma, alpha)
+
+
+def test_transport_cost_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            transport_cost(np.array([[0.5, bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        regularized_cost(np.array([[np.inf]]), 1.0)
 
 
 def test_regularized_cost_single_atom():
