@@ -16,6 +16,7 @@ numerical failures such as an unresolved occlusion.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -227,7 +228,7 @@ def _write_map(out: Path, result: DisparityMap) -> None:
         {"scanlines": [_report_payload(r) for r in result.reports]},
     )
     (out / "diagnostics.json").write_text(
-        _diagnostics_text(result.diagnostics), encoding="utf-8"
+        _diagnostics_text(result.diagnostics), encoding="utf-8", newline="\n"
     )
 
 
@@ -315,17 +316,13 @@ def cmd_diagnose(args) -> int:
 
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "diagnose_series.csv", "w", encoding="ascii") as handle:
+    with open(out / "diagnose_series.csv", "w", encoding="ascii", newline="\n") as handle:
         handle.write("iteration,hilbert_u_step,hilbert_v_step,u_error,profile_error\n")
         for rec in records:
             cells = (
                 rec.hilbert_u_step, rec.hilbert_v_step, rec.u_error, rec.profile_error
             )
-            handle.write(str(rec.iteration))
-            handle.write(
-                "".join("," + ("NaN" if not np.isfinite(v) else f"{v:.9g}") for v in cells)
-            )
-            handle.write("\n")
+            handle.write(f"{rec.iteration},{','.join(map(fileio._spell_csv, cells))}\n")
     fileio.write_csv(out / "diagnose_plan.csv", final_plan)
     fileio.write_json(
         out / "diagnose.json",
@@ -412,5 +409,20 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the `otstereo` command and `python -m otstereo.cli`.
+
+    Exits with main()'s code. It first moves every object the imports
+    made (numpy, this module) out of the garbage collector's reach:
+    that heap lives until exit anyway, yet every full collection
+    walks it, and interpreter finalization collects even with the
+    collector disabled. Objects the command creates are collected as
+    before. main() itself leaves the collector alone, for callers
+    that run it in their own process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -260,6 +260,6 @@ def write_ply(path, points: np.ndarray) -> None:
 
 
 def write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -1,5 +1,8 @@
 """The package loads each submodule on first use, and each command
-loads only the modules it runs; none of them loads dataclasses."""
+loads only the modules it runs; none of them loads dataclasses. The
+process entry freezes the import-time heap; main() leaves the
+collector alone."""
+import ast
 import importlib
 import json
 import os
@@ -41,15 +44,19 @@ object = x0:47 width:40 shift:4 intensity:0.6
 """
 
 
-def fresh(code: str, *args) -> object:
-    """Run code in a new interpreter and parse the JSON it prints."""
+def spawn(*argv) -> subprocess.CompletedProcess:
+    """Run the interpreter on argv with this package importable."""
     src = str(Path(otstereo.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        capture_output=True, text=True, env=env,
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], capture_output=True, text=True, env=env,
     )
+
+
+def fresh(code: str, *args) -> object:
+    """Run code in a new interpreter and parse the JSON it prints."""
+    proc = spawn("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -64,18 +71,22 @@ def test_generate_and_reconstruct_leave_the_solver_unloaded(tmp_path):
     scene.write_text(SCENE)
     out = tmp_path / "out"
     code = f"""\
-import json, sys
+import gc, json, sys
 import otstereo.cli
 scene, out = sys.argv[1:]
+collector = [gc.get_freeze_count(), gc.isenabled()]
 codes = [
     otstereo.cli.main(["generate", scene, "--out-dir", out]),
     otstereo.cli.main(["reconstruct", out + "/truth_disparity.csv",
                        out + "/right.pgm", "--out", out + "/cloud.ply"]),
 ]
-print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules)}}))
+collector += [gc.get_freeze_count(), gc.isenabled()]
+print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
+                  "collector": collector}}))
 """
     result = fresh(code, scene, out)
     assert result["codes"] == [0, 0]
+    assert result["collector"] == [0, True, 0, True]
     assert "otstereo.scene" in result["loaded"]
     assert SOLVER.isdisjoint(result["loaded"])
     assert "dataclasses" not in result["loaded"]
@@ -89,24 +100,82 @@ def test_disparity_and_diagnose_load_neither_scene_nor_numpy_ma(tmp_path):
     assert otstereo.cli.main(["generate", str(scene), "--out-dir", str(pair)]) == 0
     out = tmp_path / "out"
     code = f"""\
-import json, sys
+import gc, json, sys
 import otstereo.cli
 left, right, out = sys.argv[1:]
+collector = [gc.get_freeze_count(), gc.isenabled()]
 codes = [
     otstereo.cli.main(["disparity", left, right, "--out-dir", out]),
     otstereo.cli.main(["diagnose", left, right, "--y", "1", "--niter", "50",
                        "--out-dir", out]),
 ]
-print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules)}}))
+collector += [gc.get_freeze_count(), gc.isenabled()]
+print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
+                  "collector": collector}}))
 """
     result = fresh(code, pair / "left.pgm", pair / "right.pgm", out)
     assert result["codes"] == [0, 0]
+    assert result["collector"] == [0, True, 0, True]
     diagnostics = json.loads((out / "diagnostics.json").read_text())["scanlines"]
     assert [row["path"] for row in diagnostics] == ["occlusion"] * 3
     assert SOLVER <= set(result["loaded"])
     assert "otstereo.scene" not in result["loaded"]
     assert "numpy.ma" not in result["loaded"]
     assert "dataclasses" not in result["loaded"]
+
+
+@pytest.mark.parametrize("command", ["generate", "reconstruct"])
+def test_the_process_entry_freezes_the_import_time_heap(tmp_path, command):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    pair, cloud = tmp_path / "pair", tmp_path / "cloud.ply"
+    argv = ["generate", scene, "--out-dir", pair]
+    if command == "reconstruct":
+        assert otstereo.cli.main(list(map(str, argv))) == 0
+        argv = ["reconstruct", pair / "truth_disparity.csv", pair / "right.pgm",
+                "--out", cloud]
+    # runs as `python -m otstereo.cli` does, then reports at exit
+    code = """\
+import atexit, gc, json, runpy, sys
+atexit.register(lambda: print(json.dumps(gc.get_freeze_count())))
+sys.argv = ["otstereo", *sys.argv[1:]]
+runpy.run_module("otstereo.cli", run_name="__main__")
+"""
+    assert fresh(code, *argv) > 0
+    assert (pair / "left.pgm").exists()
+    assert cloud.exists() == (command == "reconstruct")
+
+
+def test_the_process_entry_keeps_help_and_usage_errors(monkeypatch, capsys):
+    # argparse wraps help at the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        otstereo.cli.main(["--help"])
+    assert exc.value.code == 0
+    proc = spawn("-m", "otstereo.cli", "--help")
+    help_text = capsys.readouterr().out
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text, "")
+
+    with pytest.raises(SystemExit) as exc:
+        otstereo.cli.main(["disparity"])
+    proc = spawn("-m", "otstereo.cli", "disparity")
+    stderr = capsys.readouterr().err + f"{exc.value.code}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", stderr)
+    assert "the following arguments are required: left, right" in stderr
+
+
+def test_the_console_script_runs_the_main_block_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, entry = scripts["otstereo"].partition(":")
+    assert module == "otstereo.cli"
+    source = ast.parse(Path(otstereo.cli.__file__).read_text())
+    (block,) = [
+        node for node in source.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert [ast.unparse(statement) for statement in block.body] == [f"{entry}()"]
 
 
 def test_every_exported_name_resolves_and_is_listed():
