@@ -9,7 +9,9 @@ occluding object.
 
 Importing the package loads none of its submodules: each exported
 name imports its submodule on first access (PEP 562), so a command
-that never solves never loads the solver stack.
+that never solves never loads the solver stack. The paper's reference
+objects (exact costs, the dense kernel, the projections) live in
+otstereo.reference, which no command loads.
 """
 from importlib import import_module
 
@@ -19,7 +21,6 @@ _SUBMODULES = {
         "compression",
         "disparity_map",
         "disparity_profile",
-        "estimate_phi",
         "recover_occlusions",
     ),
     "errors": (
@@ -38,28 +39,31 @@ _SUBMODULES = {
         "UnresolvedOcclusionError",
         "WrongPathError",
     ),
-    "exact": ("brute_force_plan", "exact_cost", "monotone_plan"),
-    "kernel": ("GibbsKernel", "build_kernel", "hilbert_distance"),
+    "kernel": ("GibbsKernel", "build_kernel"),
     "maps": ("DisparityMap",),
     "measures": ("compare_masses", "measure_from_row"),
+    "reference": (
+        "brute_force_plan",
+        "estimate_phi",
+        "exact_cost",
+        "hilbert_distance",
+        "project_cols",
+        "project_rows",
+        "transport_cost",
+    ),
     "scaling": (
         "ConvergenceReport",
         "ScalingVectors",
         "ShiftedLimits",
         "SinkhornConfig",
         "iteration_trace",
-        "kl_divergence",
-        "project_cols",
-        "project_rows",
-        "regularized_cost",
+        "monotone_plan",
         "shifted_sinkhorn",
         "sinkhorn",
-        "transport_cost",
     ),
     "scene": (
         "CameraRig",
         "CartoonScene",
-        "PointCloud",
         "RenderedPair",
         "SceneObject",
         "depth_from_disparity",

@@ -29,10 +29,11 @@ from .maps import DisparityMap
 from .records import Record
 
 # Each command loads only the modules it runs: the solver stack
-# (disparity, scaling, exact, kernel, measures) and otstereo.scene are
-# imported where a command calls into them. The commands call the
-# scene and pipeline functions through the module-level wrappers
-# below, the names perfbench/spans.py replaces with timed ones.
+# (disparity, scaling, kernel, measures) and otstereo.scene are
+# imported where a command calls into them, and no command loads
+# otstereo.reference. The commands call the scene and pipeline
+# functions through the module-level wrappers below, the names
+# perfbench/spans.py replaces with timed ones.
 
 class RunConfig(Record):
     """Pipeline configuration shared by the solving subcommands.
@@ -89,6 +90,8 @@ def parse_run_config(text: str) -> dict:
         key = key.strip()
         if not sep or key not in _CONFIG_PARSERS:
             raise ValueError(f"config line {line_no}: unknown entry {line!r}")
+        if key in fields:
+            raise ValueError(f"config line {line_no}: duplicate entry {key!r}")
         try:
             fields[key] = _CONFIG_PARSERS[key](raw.strip())
         except ValueError as exc:
@@ -277,7 +280,7 @@ def cmd_reconstruct(args) -> int:
             f"disparity grid {values.shape} does not match image {image.shape}"
         )
     cloud = reconstruct(map_from_values(values), rig, image)
-    fileio.write_ply(args.out, cloud.points)
+    fileio.write_ply(args.out, cloud)
     return 0
 
 

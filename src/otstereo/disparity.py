@@ -11,7 +11,9 @@ rigid shifts off the exact monotone matching, localizes the hidden
 interval by mass accounting, and checks that the shifts carry the
 heavier row onto the other; balanced rows peel nothing and go
 straight to the loop's one regularized solve. A row whose left view
-is heavier runs the same loop on both rows flipped.
+is heavier runs the same loop on both rows flipped. The exact matching
+is scaling.monotone_plan; otstereo.reference holds the paper's
+identities the loop is checked against.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ from .errors import (
     UnresolvedOcclusionError,
     WrongPathError,
 )
-from .exact import monotone_plan
 from .kernel import GibbsKernel, build_kernel
 from .maps import DisparityMap, value_runs
 from .measures import DEFAULT_BALANCE_TOLERANCE, compare_masses, measure_from_row
@@ -34,6 +35,7 @@ from .scaling import (
     STOP_MAX_ITERATIONS,
     ConvergenceReport,
     SinkhornConfig,
+    monotone_plan,
     shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
 )
@@ -103,7 +105,8 @@ def _plateau_value(delta: np.ndarray) -> float:
 
     Candidates are midpoints of adjacent pairs agreeing within
     DEFAULT_PLATEAU_TOLERANCE; they are clustered at the same width
-    and the largest cluster wins.
+    and the largest cluster wins. A plateau v means the mass quotient
+    phi = 1/(1 - v) (reference.estimate_phi).
     """
     finite = np.isfinite(delta[:-1]) & np.isfinite(delta[1:])
     close = np.abs(delta[1:] - delta[:-1]) <= DEFAULT_PLATEAU_TOLERANCE
@@ -120,22 +123,6 @@ def _plateau_value(delta: np.ndarray) -> float:
         if hi - lo > best_hi - best_lo:
             best_lo, best_hi = lo, hi
     return float(candidates[best_lo:best_hi].mean())
-
-
-def estimate_phi(delta) -> float:
-    """Mass quotient from the repeated adjacent disparity increment.
-
-    A source compressed by a quotient phi < 1 produces increments
-    that repeat only at the value 1 - 1/phi, so phi = 1/(1 - v) for
-    the modal repeated value v. Raises NoPlateauError when no
-    adjacent increments repeat; callers can fall back to the measured
-    mass quotient.
-    """
-    delta = np.asarray(delta, dtype=float)
-    value = _plateau_value(delta)
-    if value >= 1.0:
-        raise NoPlateauError(f"plateau value {value} admits no positive quotient")
-    return 1.0 / (1.0 - value)
 
 
 def _hides_next(source, target, runs, shift: int) -> bool:

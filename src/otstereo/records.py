@@ -1,8 +1,8 @@
 """Frozen base for the records that validate or cache a value.
 
 Records whose fields need no check are typing.NamedTuples. The few
-that check their arguments, or fill in a value on first read,
-subclass Record instead: __init__ stores the fields with _set, after
+that check their arguments, or derive a value from them, subclass
+Record instead: __init__ stores the fields with _set, after
 which the instance is immutable; it compares, hashes, prints and
 pickles by the names in _fields. Creating a NamedTuple class compiles
 one small lambda and a Record class nothing, where a frozen data class

@@ -11,8 +11,11 @@ odd iterate limits, which differ exactly by the mass quotient of the
 inputs. A solve can start warm, from the dual potentials of the exact
 monotone matching, which on the line are read off the northwest-corner
 staircase in one sweep; at small epsilon the entropic potentials lie
-close to them. A solve stops on the marginal violation of its odd
-plan, or on its iteration budget.
+close to them. The same sweep fills monotone_plan, the exact matching
+the occlusion loop reads shifts from. A solve stops on the marginal
+violation of its odd plan, or on its iteration budget. The dense
+kernel and the identities the solves are checked against live in
+otstereo.reference.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyScanlineError,
-    InfeasibleProjectionError,
+    MassMismatchError,
     WrongPathError,
 )
 from .kernel import GibbsKernel
@@ -36,6 +39,8 @@ STOP_MAX_ITERATIONS = "max-iterations"
 # fraction of the total mass have run out together: the walk starts a
 # new block there instead of a cell that carries only rounding error.
 BLOCK_RTOL = 1e-12
+# monotone_plan accepts two masses that agree to this relative gap.
+MASS_EQUALITY_RTOL = 1e-10
 
 # numpy's exp leaves its vectorized path for arguments below about -708
 # and runs over a hundred times slower in the denormal range. Every sum
@@ -91,18 +96,11 @@ class ScalingVectors(NamedTuple):
     """Diagonal scalings that reproduce a plan against the kernel.
 
     u and v hold logarithms, with -inf marking columns outside the
-    support.
+    support; reference.plan_from_scalings builds their plan.
     """
 
     u: np.ndarray
     v: np.ndarray
-
-    def reconstruct(self, kernel: GibbsKernel) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            exponent = self.u[:, None] + kernel.log_entries + self.v[None, :]
-        # -inf + -inf stays -inf; nan can only come from inf - inf
-        exponent = np.where(np.isnan(exponent), -np.inf, exponent)
-        return np.exp(exponent)
 
 
 class ConvergenceReport(NamedTuple):
@@ -237,6 +235,31 @@ def monotone_cells(a: np.ndarray, b: np.ndarray):
             left_a = float(a[i])
         if done_col:
             left_b = float(b[j])
+
+
+def _check_equal_masses(a: np.ndarray, b: np.ndarray) -> float:
+    ma = float(a.sum())
+    mb = float(b.sum())
+    if ma <= 0.0 or mb <= 0.0:
+        raise MassMismatchError("both measures must carry positive mass")
+    if abs(ma - mb) > MASS_EQUALITY_RTOL * max(ma, mb):
+        raise MassMismatchError(f"masses differ: {ma} vs {mb}")
+    return ma
+
+
+def monotone_plan(nu0, nu1) -> np.ndarray:
+    """Optimal plan by the greedy monotone sweep (monotone_cells).
+
+    Returns the (n, m) float64 plan array. Its positive entries never
+    cross, which is the optimality certificate for the quadratic cost.
+    """
+    a = np.asarray(nu0, dtype=float)
+    b = np.asarray(nu1, dtype=float)
+    _check_equal_masses(a, b)
+    plan = np.zeros((a.shape[0], b.shape[0]))
+    for i, j, move, _ in monotone_cells(a, b):
+        plan[i, j] = move
+    return plan
 
 
 def _shift_block(cost, f, g, i0, j0, i1, j1):
@@ -527,86 +550,3 @@ def iteration_trace(
 
     plan, _, _, _ = _run(support0, support1, steps, kernel, config, b, observe=record)
     return records, plan
-
-
-def _project(gamma, marginal, axis: int) -> np.ndarray:
-    """Scale the plan along axis (0: rows, 1: columns) to the marginal."""
-    entries = np.asarray(gamma, dtype=float)
-    target = np.asarray(marginal, dtype=float)
-    lines = ("rows", "columns")[axis]
-    if entries.shape[axis] != target.shape[0]:
-        raise DimensionMismatchError(
-            f"plan with {entries.shape[axis]} {lines} against a marginal of length {target.shape[0]}"
-        )
-    if not np.isfinite(target).all() or np.any(target < 0.0):
-        raise ValueError("marginal entries must be finite and nonnegative")
-    sums = entries.sum(axis=1 - axis)
-    bad = (target > 0.0) & (sums == 0.0)
-    if np.any(bad):
-        raise InfeasibleProjectionError(
-            f"{lines} {np.flatnonzero(bad).tolist()} have no mass to carry the requested marginal"
-        )
-    scale = np.zeros_like(target)
-    positive = sums > 0.0
-    scale[positive] = target[positive] / sums[positive]
-    return entries * np.expand_dims(scale, 1 - axis)
-
-
-def project_rows(gamma, mu) -> np.ndarray:
-    """Scale each row of a plan to match the row marginal mu.
-
-    This is the Kullback-Leibler projection onto the set of plans
-    with row sums mu. Rows where mu vanishes are zeroed; a positive
-    mu entry on a row without mass is infeasible, and a negative or
-    non-finite one is a ValueError.
-    """
-    return _project(gamma, mu, 0)
-
-
-def project_cols(gamma, nu) -> np.ndarray:
-    """Column mirror of project_rows."""
-    return _project(gamma, nu, 1)
-
-
-def kl_divergence(gamma, alpha) -> float:
-    """Kullback-Leibler divergence sum gamma * log(gamma / alpha).
-
-    Zero entries of gamma contribute nothing; mass on a zero entry of
-    alpha makes the divergence infinite. Negative or non-finite
-    entries are a ValueError.
-    """
-    g = np.asarray(gamma, dtype=float)
-    ref = np.asarray(alpha, dtype=float)
-    if g.shape != ref.shape:
-        raise DimensionMismatchError(f"incompatible shapes {g.shape} and {ref.shape}")
-    if not all(np.all(np.isfinite(w) & (w >= 0.0)) for w in (g, ref)):
-        raise ValueError("inputs must be finite and nonnegative")
-    pos = g > 0.0
-    if np.any(ref[pos] == 0.0):
-        return float("inf")
-    return float(np.sum(g[pos] * (np.log(g[pos]) - np.log(ref[pos]))))
-
-
-def transport_cost(gamma) -> float:
-    """Quadratic transport cost sum gamma_ij * (i - j)^2; entries must be finite."""
-    entries = np.asarray(gamma, dtype=float)
-    if not np.isfinite(entries).all():
-        raise ValueError("plan entries must be finite")
-    n, m = entries.shape
-    diff = np.arange(n, dtype=float)[:, None] - np.arange(m, dtype=float)[None, :]
-    return float(np.sum(entries * diff * diff))
-
-
-def regularized_cost(gamma, epsilon: float) -> float:
-    """Transport cost minus epsilon times the entropy of the plan.
-
-    The entropy is -sum gamma (log gamma - 1) with 0 log 0 = 0. For
-    any plan this equals epsilon * (KL(gamma | K) - mass(gamma))
-    against the Gibbs kernel K for the same epsilon.
-    """
-    if not (np.isfinite(epsilon) and epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    entries = np.asarray(gamma, dtype=float)
-    pos = entries > 0.0
-    entropy = -float(np.sum(entries[pos] * (np.log(entries[pos]) - 1.0)))
-    return transport_cost(entries) - epsilon * entropy

@@ -81,6 +81,8 @@ class SceneObject(Record):
             raise ValueError(f"intensity must lie in (0, 1], got {intensity!r}")
         if y0 < 0:
             raise ValueError(f"y0 must be nonnegative, got {y0!r}")
+        if height is not None and height < 1:
+            raise ValueError(f"height must be at least 1, got {height!r}")
         self._set(x0=x0, width=width, depth=depth, intensity=intensity, y0=y0,
                   height=height)
 
@@ -201,24 +203,12 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     )
 
 
-class PointCloud(Record):
-    """Flat list of reconstructed points.
+def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray) -> np.ndarray:
+    """One 3-D point per defined, unoccluded pixel with positive shift.
 
-    points has one row per pixel with positive finite disparity:
-    columns x (image column), y (scanline), depth, intensity.
+    Returns an (n, 4) float64 array, one row per point: x (image
+    column), y (scanline), depth, intensity.
     """
-
-    __slots__ = _fields = ("points",)
-
-    def __init__(self, points: np.ndarray | None = None):
-        self._set(points=np.empty((0, 4)) if points is None else points)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray) -> PointCloud:
-    """One 3-D point per defined, unoccluded pixel with positive shift."""
     image = np.asarray(right_image, dtype=float)
     if image.shape != (disparity.height, disparity.width):
         raise ValueError(
@@ -229,8 +219,7 @@ def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray
     keep = np.isfinite(values) & (values > 0.0) & ~disparity.occluded
     ys, xs = np.nonzero(keep)
     depth = rig.focal * rig.baseline / (rig.beta * values[ys, xs])
-    points = np.column_stack([xs.astype(float), ys.astype(float), depth, image[ys, xs]])
-    return PointCloud(points=points)
+    return np.column_stack([xs.astype(float), ys.astype(float), depth, image[ys, xs]])
 
 
 def map_from_values(values: np.ndarray) -> DisparityMap:
@@ -267,8 +256,8 @@ def _parse_object(body: str, line_no: int) -> dict:
 def parse_scene(text: str) -> tuple[CartoonScene, CameraRig]:
     """Read a scene description from flat key = value text.
 
-    Scalar lines set the frame (width, height) and the rig (baseline,
-    focal, beta, all optional). Each `object = k:v k:v ...` line adds
+    Scalar lines set the frame (width, height, whole numbers) and the
+    rig (baseline, focal, beta, all optional). Each `object = k:v k:v ...` line adds
     one rectangle; it takes x0, width, intensity plus either depth or
     shift (converted through the rig), and optionally y0 and height.
     Blank lines and lines starting with # are skipped. Errors carry
@@ -292,6 +281,10 @@ def parse_scene(text: str) -> tuple[CartoonScene, CameraRig]:
                 scalars[key] = float(value)
             except ValueError:
                 raise SceneFormatError(f"bad value for {key!r}: {value!r}", line=line_no)
+            if key in ("width", "height") and not scalars[key].is_integer():
+                raise SceneFormatError(
+                    f"{key} must be a whole number, got {value!r}", line=line_no
+                )
         else:
             raise SceneFormatError(f"unknown key {key!r}", line=line_no)
 

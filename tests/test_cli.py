@@ -439,6 +439,11 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
                  "--config", str(config)]) == 1
     assert "line 1" in capsys.readouterr().err
+    # a repeated key is an error, not a silent override
+    config.write_text("epsilon = 0.1\nepsilon = 0.5\n")
+    assert main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--config", str(config)]) == 1
+    assert "config line 2: duplicate entry 'epsilon'" in capsys.readouterr().err
 
 
 def test_zero_stop_tolerance_runs_the_full_budget(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from otstereo.errors import InstanceTooLargeError, MassMismatchError, QuantizationError
-from otstereo.exact import brute_force_plan, exact_cost, monotone_plan
-from otstereo.scaling import monotone_cells, monotone_potentials, transport_cost
+from otstereo.reference import brute_force_plan, exact_cost, transport_cost
+from otstereo.scaling import monotone_cells, monotone_plan, monotone_potentials
 
 
 def test_monotone_shift_instance():

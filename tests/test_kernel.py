@@ -1,5 +1,6 @@
 import math
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from otstereo.cli import RunConfig
 from otstereo.disparity import disparity_map
 from otstereo.errors import DimensionMismatchError, SupportMismatchError
-from otstereo.kernel import build_kernel, hilbert_distance
+from otstereo.kernel import GibbsKernel, build_kernel
+from otstereo.reference import hilbert_distance, kernel_entries, log_kernel
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -34,35 +36,35 @@ def brute_force_eta(K: np.ndarray) -> float:
 
 
 def test_kernel_basic_shape_and_values():
-    kern = build_kernel(3, 1.0)
-    assert kern.entries.shape == (3, 3)
-    assert np.allclose(np.diag(kern.entries), 1.0)
-    assert np.allclose(kern.entries, kern.entries.T)
-    assert kern.entries[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert kern.entries[0, 2] == pytest.approx(math.exp(-4.0), rel=1e-15)
+    K = kernel_entries(build_kernel(3, 1.0))
+    assert K.shape == (3, 3)
+    assert np.allclose(np.diag(K), 1.0)
+    assert np.allclose(K, K.T)
+    assert K[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert K[0, 2] == pytest.approx(math.exp(-4.0), rel=1e-15)
 
 
 def test_kernel_two_columns_unit_epsilon():
     kern = build_kernel(2, 1.0)
-    assert kern.eta == pytest.approx(math.e**2, rel=1e-12)
+    assert math.exp(kern.log_eta) == pytest.approx(math.e**2, rel=1e-12)
     assert kern.lam == pytest.approx((math.e - 1) / (math.e + 1), rel=1e-12)
 
 
 def test_kernel_single_column_is_trivial():
     kern = build_kernel(1, 0.5)
-    assert kern.eta == pytest.approx(1.0)
+    assert math.exp(kern.log_eta) == pytest.approx(1.0)
     assert kern.lam == 0.0
 
 
 def test_kernel_narrow_blur_entry():
     kern = build_kernel(3, 0.1)
-    assert kern.entries[0, 2] == pytest.approx(math.exp(-40.0), rel=1e-12)
+    assert kernel_entries(kern)[0, 2] == pytest.approx(math.exp(-40.0), rel=1e-12)
 
 
 def test_closed_form_eta_matches_brute_force():
     for d, eps in [(2, 1.0), (3, 0.7), (4, 2.0), (5, 5.0), (8, 20.0), (12, 60.0)]:
         kern = build_kernel(d, eps)
-        assert math.log(brute_force_eta(kern.entries)) == pytest.approx(
+        assert math.log(brute_force_eta(kernel_entries(kern))) == pytest.approx(
             kern.log_eta, rel=1e-9
         ), (d, eps)
 
@@ -70,18 +72,17 @@ def test_closed_form_eta_matches_brute_force():
 def test_lambda_from_eta_identity():
     for d, eps in [(2, 1.0), (4, 3.0), (6, 10.0)]:
         kern = build_kernel(d, eps)
-        root = math.sqrt(kern.eta)
+        root = math.sqrt(math.exp(kern.log_eta))
         assert kern.lam == pytest.approx((root - 1) / (root + 1), rel=1e-12)
         assert 0.0 <= kern.lam < 1.0
 
 
 def test_image_scale_kernel_overflows_eta_not_lambda():
     kern = build_kernel(120, 0.1)
-    assert kern.eta == float("inf")
+    assert kern.log_eta > math.log(sys.float_info.max)
     assert kern.lam == pytest.approx(1.0)
     with pytest.warns(RuntimeWarning):
-        assert kern.entries[0, 119] == 0.0
-    assert kern.underflowed
+        assert kernel_entries(kern)[0, 119] == 0.0
     assert np.isfinite(kern.log_eta)
 
 
@@ -89,7 +90,7 @@ def test_log_entries_exact_at_any_scale():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         kern = build_kernel(50, 0.1)
-        assert kern.log_entries[0, 49] == pytest.approx(-(49.0**2) / 0.1, rel=1e-15)
+        assert log_kernel(kern)[0, 49] == pytest.approx(-(49.0**2) / 0.1, rel=1e-15)
 
 
 def test_log_domain_map_never_builds_the_dense_kernel():
@@ -156,15 +157,15 @@ def test_kernel_accepts_numpy_scalars():
             build_kernel(5, bad)
 
 
-def test_kernel_is_an_immutable_record_that_caches_its_entries():
+def test_kernel_is_an_immutable_record_that_holds_no_entries():
     kern = build_kernel(4, 0.5)
-    assert kern.entries is kern.entries and kern.log_entries is kern.log_entries
+    assert GibbsKernel.__slots__ == ("epsilon", "d", "log_eta", "lam")
     assert kern == build_kernel(4, 0.5) and kern != build_kernel(4, 0.25)
     assert repr(kern) == "GibbsKernel(epsilon=0.5, d=4)"
     with pytest.raises(AttributeError):
         kern.epsilon = 1.0
     copy = pickle.loads(pickle.dumps(kern))
-    assert copy == kern and np.array_equal(copy.entries, kern.entries)
+    assert copy == kern and np.array_equal(kernel_entries(copy), kernel_entries(kern))
 
 
 def test_kernel_rejects_bad_config():

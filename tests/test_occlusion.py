@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from otstereo.cli import RunConfig
-from otstereo.disparity import disparity_map, estimate_phi, recover_occlusions
+from otstereo.disparity import disparity_map, recover_occlusions
 from otstereo import disparity
 from otstereo.errors import MassMismatchError, UnresolvedOcclusionError, WrongPathError
 from otstereo.kernel import build_kernel
 from otstereo.measures import measure_from_row
+from otstereo.reference import estimate_phi
 from otstereo.scene import (
     CameraRig,
     CartoonScene,

@@ -1,7 +1,7 @@
 """The package loads each submodule on first use, and each command
-loads only the modules it runs; none of them loads dataclasses. The
-process entry freezes the import-time heap; main() leaves the
-collector alone."""
+loads only the modules it runs; none of them loads dataclasses or
+otstereo.reference. The process entry freezes the import-time heap;
+main() leaves the collector alone."""
 import ast
 import importlib
 import json
@@ -19,7 +19,6 @@ import otstereo.cli
 
 SOLVER = {
     "otstereo.disparity",
-    "otstereo.exact",
     "otstereo.kernel",
     "otstereo.measures",
     "otstereo.scaling",
@@ -89,6 +88,7 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
     assert result["collector"] == [0, True, 0, True]
     assert "otstereo.scene" in result["loaded"]
     assert SOLVER.isdisjoint(result["loaded"])
+    assert "otstereo.reference" not in result["loaded"]
     assert "dataclasses" not in result["loaded"]
     assert "element vertex 42" in (out / "cloud.ply").read_text()
 
@@ -119,6 +119,7 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
     diagnostics = json.loads((out / "diagnostics.json").read_text())["scanlines"]
     assert [row["path"] for row in diagnostics] == ["occlusion"] * 3
     assert SOLVER <= set(result["loaded"])
+    assert "otstereo.reference" not in result["loaded"]
     assert "otstereo.scene" not in result["loaded"]
     assert "numpy.ma" not in result["loaded"]
     assert "dataclasses" not in result["loaded"]
@@ -144,6 +145,31 @@ runpy.run_module("otstereo.cli", run_name="__main__")
     assert fresh(code, *argv) > 0
     assert (pair / "left.pgm").exists()
     assert cloud.exists() == (command == "reconstruct")
+
+
+def test_the_pipeline_modules_never_import_the_reference_module():
+    code = f"""\
+import json, sys
+import otstereo.cli, otstereo.disparity, otstereo.scaling, otstereo.kernel
+print(json.dumps({LOADED}))"""
+    assert "otstereo.reference" not in fresh(code)
+    package = Path(otstereo.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "reference.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # the package is flat, so a relative import names otstereo
+                module = ".".join(filter(None, ["otstereo" if node.level else "", node.module]))
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            if "otstereo.reference" in names:
+                importers.append(path.name)
+    assert importers == []
 
 
 def test_the_process_entry_keeps_help_and_usage_errors(monkeypatch, capsys):
@@ -242,11 +268,11 @@ def test_records_are_immutable_and_round_trip():
     from otstereo.cli import RunConfig
     from otstereo.disparity import OcclusionReport
     from otstereo.scaling import SinkhornConfig
-    from otstereo.scene import CameraRig, CartoonScene, PointCloud, SceneObject
+    from otstereo.scene import CameraRig, CartoonScene, SceneObject
 
     box = SceneObject(x0=2, width=3, depth=100.0, intensity=0.5, y0=1, height=2)
     records = [
-        CameraRig(focal=500.0), box, CartoonScene(10, 4, [box]), PointCloud(),
+        CameraRig(focal=500.0), box, CartoonScene(10, 4, [box]),
         SinkhornConfig(0.1, warm_start=True), RunConfig(niter=10),
     ]
     for record in records:
@@ -256,7 +282,7 @@ def test_records_are_immutable_and_round_trip():
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and repr(copy) == repr(record)
     assert records[0] == CameraRig(10.0, 500.0) and records[0] != CameraRig()
-    assert hash(records[4]) == hash(SinkhornConfig(0.1, 1000, 0.0, True))
+    assert hash(records[3]) == hash(SinkhornConfig(0.1, 1000, 0.0, True))
     assert repr(box) == (
         "SceneObject(x0=2, width=3, depth=100.0, intensity=0.5, y0=1, height=2)"
     )

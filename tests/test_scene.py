@@ -66,6 +66,9 @@ def test_object_validation():
         SceneObject(x0=0, width=3, depth=100.0, intensity=0.0)
     with pytest.raises(ValueError):
         SceneObject(x0=0, width=3, depth=100.0, intensity=1.2)
+    for height in (0, -2):
+        with pytest.raises(ValueError, match="height must be at least 1"):
+            SceneObject(x0=0, width=3, depth=100.0, intensity=0.5, height=height)
 
 
 def test_object_rows_start_inside_the_frame():
@@ -76,6 +79,12 @@ def test_object_rows_start_inside_the_frame():
         parse_scene("width = 20\nheight = 4\nobject = x0:1 width:3 shift:2 "
                     "intensity:0.5 y0:-2 height:3\n")
     assert info.value.line == 3
+    # a negative height would end the rows counted from the bottom
+    for height in (0, -2):
+        with pytest.raises(SceneFormatError, match="height must be at least 1") as info:
+            parse_scene("width = 20\nheight = 3\n\nobject = x0:1 width:3 shift:2 "
+                        f"intensity:0.5 height:{height}\n")
+        assert info.value.line == 4
 
 
 def test_band_rows_clip_to_frame():
@@ -301,8 +310,8 @@ def test_reconstruct_uniform_shift_is_planar():
     image = np.full((4, 10), 0.5)
     cloud = reconstruct(map_from_values(values), RIG, image)
     assert len(cloud) == 40
-    assert np.allclose(cloud.points[:, 2], 1000.0)
-    assert np.allclose(cloud.points[:, 3], 0.5)
+    assert np.allclose(cloud[:, 2], 1000.0)
+    assert np.allclose(cloud[:, 3], 0.5)
 
 
 def test_reconstruct_skips_undefined_and_occluded():
@@ -313,7 +322,7 @@ def test_reconstruct_skips_undefined_and_occluded():
     cloud = reconstruct(pair.truth, RIG, pair.right)
     defined = np.isfinite(pair.truth.values) & ~pair.truth.occluded
     assert len(cloud) == int(defined.sum())
-    xs = cloud.points[cloud.points[:, 1] == 0.0][:, 0]
+    xs = cloud[cloud[:, 1] == 0.0][:, 0]
     assert 21.0 not in xs and 22.0 not in xs
 
 
@@ -362,6 +371,13 @@ def test_parse_scene_reports_line_numbers():
 def test_parse_scene_requires_frame():
     with pytest.raises(SceneFormatError):
         parse_scene("height = 4\n")
+    for text, line in (("width = 20.9\nheight = 3\n", 1), ("width = 20\nheight = 3.5\n", 2),
+                       ("width = inf\nheight = 3\n", 1)):
+        with pytest.raises(SceneFormatError, match="must be a whole number") as info:
+            parse_scene(text)
+        assert info.value.line == line
+    scene, _ = parse_scene("width = 20.0\nheight = 3\n")
+    assert (scene.width, scene.height) == (20, 3) and type(scene.width) is int
 
 
 def test_parse_scene_rejects_depth_and_shift_together():
