@@ -17,10 +17,13 @@ from importlib import import_module
 
 _SUBMODULES = {
     "disparity": (
+        "DEFAULT_CONFIG",
         "OcclusionReport",
+        "compare_masses",
         "compression",
         "disparity_map",
         "disparity_profile",
+        "measure_from_row",
         "recover_occlusions",
     ),
     "errors": (
@@ -39,9 +42,7 @@ _SUBMODULES = {
         "UnresolvedOcclusionError",
         "WrongPathError",
     ),
-    "kernel": ("GibbsKernel", "build_kernel"),
     "maps": ("DisparityMap",),
-    "measures": ("compare_masses", "measure_from_row"),
     "reference": (
         "brute_force_plan",
         "estimate_phi",
@@ -53,9 +54,11 @@ _SUBMODULES = {
     ),
     "scaling": (
         "ConvergenceReport",
+        "GibbsKernel",
         "ScalingVectors",
         "ShiftedLimits",
         "SinkhornConfig",
+        "build_kernel",
         "iteration_trace",
         "monotone_plan",
         "shifted_sinkhorn",

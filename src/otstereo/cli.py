@@ -26,51 +26,17 @@ import numpy as np
 from . import fileio
 from .errors import OtStereoError, UnresolvedOcclusionError
 from .maps import DisparityMap
-from .records import Record
 
 # Each command loads only the modules it runs: the solver stack
-# (disparity, scaling, kernel, measures) and otstereo.scene are
-# imported where a command calls into them, and no command loads
-# otstereo.reference. The commands call the scene and pipeline
-# functions through the module-level wrappers below, the names
-# perfbench/spans.py replaces with timed ones.
+# (disparity, scaling) and otstereo.scene are imported where a command
+# calls into them, and no command loads otstereo.reference. The
+# commands call the scene and pipeline functions through the
+# module-level wrappers below, the names perfbench/spans.py replaces
+# with timed ones.
 
-class RunConfig(Record):
-    """Pipeline configuration shared by the solving subcommands.
-
-    A solve stops once the odd plan's column marginal is within
-    stop_tolerance of its limit (max norm, in mass units of a
-    unit-mass row); stop_tolerance 0 runs exactly niter iterations.
-    Solves start at epsilon from the dual potentials of the exact
-    monotone matching (SinkhornConfig.warm_start). Every field
-    can be set in a key=value config file; command-line flags
-    override file values.
-    """
-
-    __slots__ = _fields = ("epsilon", "niter", "stop_tolerance", "out_dir")
-
-    def __init__(
-        self,
-        epsilon: float = 0.1,
-        niter: int = 100000,
-        stop_tolerance: float = 1e-6,
-        out_dir: str = ".",
-    ):
-        self._set(epsilon=epsilon, niter=niter, stop_tolerance=stop_tolerance,
-                  out_dir=out_dir)
-        self.sinkhorn_config()
-
-    def sinkhorn_config(self):
-        from .scaling import SinkhornConfig
-
-        return SinkhornConfig(
-            epsilon=self.epsilon,
-            max_iterations=self.niter,
-            stop_tolerance=self.stop_tolerance,
-            warm_start=True,
-        )
-
-
+# The run settings a config file or a flag can set. epsilon, niter
+# and stop_tolerance override the fields of disparity.DEFAULT_CONFIG
+# (niter is its max_iterations); out_dir defaults to ".".
 _CONFIG_PARSERS = {
     "epsilon": float,
     "niter": int,
@@ -80,7 +46,7 @@ _CONFIG_PARSERS = {
 
 
 def parse_run_config(text: str) -> dict:
-    """Parse flat key=value lines into RunConfig keyword arguments."""
+    """Parse flat key=value lines into run settings, keyed as _CONFIG_PARSERS."""
     fields = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -99,8 +65,16 @@ def parse_run_config(text: str) -> dict:
     return fields
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults, then the config file, then explicit flags."""
+def resolve_config(args: argparse.Namespace):
+    """The run's (SinkhornConfig, out_dir).
+
+    Layers the defaults (disparity.DEFAULT_CONFIG, out_dir "."), then
+    the config file, then explicit flags. The solve starts warm, as
+    DEFAULT_CONFIG does; SinkhornConfig rejects a bad value.
+    """
+    from .disparity import DEFAULT_CONFIG
+    from .scaling import SinkhornConfig
+
     fields = {}
     if getattr(args, "config", None):
         fields.update(parse_run_config(Path(args.config).read_text()))
@@ -108,7 +82,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
-    return RunConfig(**fields)
+    config = SinkhornConfig(
+        fields.get("epsilon", DEFAULT_CONFIG.epsilon),
+        max_iterations=fields.get("niter", DEFAULT_CONFIG.max_iterations),
+        stop_tolerance=fields.get("stop_tolerance", DEFAULT_CONFIG.stop_tolerance),
+        warm_start=DEFAULT_CONFIG.warm_start,
+    )
+    return config, fields.get("out_dir", ".")
 
 
 def _report_payload(report) -> dict:
@@ -238,11 +218,11 @@ def _write_map(out: Path, result: DisparityMap) -> None:
 def cmd_disparity(args) -> int:
     from .scaling import STOP_MAX_ITERATIONS
 
-    config = resolve_config(args)
+    config, out_dir = resolve_config(args)
     left = fileio.read_pgm(args.left)
     right = fileio.read_pgm(args.right)
-    result = disparity_map(left, right, config.sinkhorn_config())
-    out = Path(config.out_dir)
+    result = disparity_map(left, right, config)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_map(out, result)
     budget = [
@@ -285,12 +265,10 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .disparity import disparity_profile
-    from .kernel import build_kernel
-    from .measures import measure_from_row
-    from .scaling import SinkhornConfig, iteration_trace, sinkhorn
+    from .disparity import disparity_profile, measure_from_row
+    from .scaling import SinkhornConfig, build_kernel, iteration_trace, sinkhorn
 
-    config = resolve_config(args)
+    config, out_dir = resolve_config(args)
     left = fileio.read_pgm(args.left)
     right = fileio.read_pgm(args.right)
     if left.shape != right.shape:
@@ -303,7 +281,7 @@ def cmd_diagnose(args) -> int:
     # iteration, so the solve starts cold
     sk = SinkhornConfig(
         epsilon=config.epsilon,
-        max_iterations=config.niter,
+        max_iterations=config.max_iterations,
         stop_tolerance=config.stop_tolerance,
     )
     kernel = build_kernel(left.shape[1], sk.epsilon)
@@ -317,7 +295,7 @@ def cmd_diagnose(args) -> int:
         reference_vectors=vectors, reference_profile=reference,
     )
 
-    out = Path(config.out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "diagnose_series.csv", "w", encoding="ascii", newline="\n") as handle:
         handle.write("iteration,hilbert_u_step,hilbert_v_step,u_error,profile_error\n")
@@ -355,7 +333,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value file with RunConfig fields")
+    parser.add_argument(
+        "--config", help="key=value file setting epsilon, niter, stop_tolerance, out_dir"
+    )
     parser.add_argument("--epsilon", type=float, help="entropic regularization")
     parser.add_argument("--niter", type=int, help="iteration budget per scanline")
     parser.add_argument(

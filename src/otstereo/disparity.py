@@ -1,10 +1,13 @@
 """Disparity profiles and occlusion recovery from transport plans.
 
-The disparity of a source column is the barycenter of its row in the
-plan minus the column index. On a balanced scanline of a piecewise
-constant scene this recovers each object's pixel shift. When one
-row carries more mass than the other, beyond the balance tolerance
-of measures.DEFAULT_BALANCE_TOLERANCE, the surplus marks pixels
+A grayscale scanline is a measure on the pixel grid: a nonnegative
+vector indexed by column, whose entries are the masses the transport
+solver moves around (measure_from_row). The disparity of a source
+column is the barycenter of its row in the plan minus the column
+index. On a balanced scanline of a piecewise constant scene this
+recovers each object's pixel shift. When one row carries more mass
+than the other, beyond the balance tolerance
+DEFAULT_BALANCE_TOLERANCE (compare_masses), the surplus marks pixels
 visible in that view only. Every scanline with mass in both views
 runs one recovery loop: it peels objects left to right, reads their
 rigid shifts off the exact monotone matching, localizes the hidden
@@ -13,7 +16,8 @@ heavier row onto the other; balanced rows peel nothing and go
 straight to the loop's one regularized solve. A row whose left view
 is heavier runs the same loop on both rows flipped. The exact matching
 is scaling.monotone_plan; otstereo.reference holds the paper's
-identities the loop is checked against.
+identities the loop is checked against. DEFAULT_CONFIG is the solve
+the command line runs unless told otherwise.
 """
 from __future__ import annotations
 
@@ -22,25 +26,71 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    EmptyScanlineError,
+    InvalidIntensityError,
     MassMismatchError,
     NoPlateauError,
     UnresolvedOcclusionError,
     WrongPathError,
 )
-from .kernel import GibbsKernel, build_kernel
 from .maps import DisparityMap, value_runs
-from .measures import DEFAULT_BALANCE_TOLERANCE, compare_masses, measure_from_row
 from .scaling import (
     STOP_CONVERGED,
     STOP_MAX_ITERATIONS,
     ConvergenceReport,
+    GibbsKernel,
     SinkhornConfig,
+    build_kernel,
     monotone_plan,
     shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
 )
 
+DEFAULT_BALANCE_TOLERANCE = 1e-6
 DEFAULT_PLATEAU_TOLERANCE = 1e-3
+
+# Solves start at epsilon from the dual potentials of the exact
+# monotone matching and stop once the odd plan's column marginal is
+# within 1e-6 of its limit (max norm, unit-mass rows).
+DEFAULT_CONFIG = SinkhornConfig(
+    0.1, max_iterations=100000, stop_tolerance=1e-6, warm_start=True
+)
+
+
+def measure_from_row(row, *, require_mass: bool = False) -> np.ndarray:
+    """Validate one row of pixel intensities as a measure on the grid.
+
+    Args:
+        row: sequence of intensities, each finite and within [0, 1].
+        require_mass: raise EmptyScanlineError on an all-zero row
+            instead of returning the zero measure.
+
+    Returns:
+        The row as a 1-d float64 array, one mass per column; its sum
+        is the row's mass.
+    """
+    values = np.asarray(row, dtype=float)
+    if values.ndim != 1:
+        raise InvalidIntensityError(f"expected a 1-d row, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise InvalidIntensityError("intensities must be finite")
+    if np.any(values < 0.0) or np.any(values > 1.0):
+        raise InvalidIntensityError("intensities must lie in [0, 1]")
+    if require_mass and values.sum() == 0.0:
+        raise EmptyScanlineError("scanline carries no mass")
+    return values
+
+
+def compare_masses(m0: float, m1: float) -> bool:
+    """Whether the masses of the two views of one scanline balance.
+
+    They do when |m0 - m1| is within DEFAULT_BALANCE_TOLERANCE
+    relative to the larger mass; two empty rows balance. The same
+    tolerance ends the occlusion loop: a row that is not balanced
+    carries content one view hides, and a balanced one is solved as
+    it is.
+    """
+    return abs(m0 - m1) <= DEFAULT_BALANCE_TOLERANCE * max(m0, m1)
 
 
 class OcclusionReport(NamedTuple):
@@ -328,35 +378,6 @@ def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
     )
 
 
-def _recover_mirror(
-    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
-) -> tuple[np.ndarray, OcclusionReport]:
-    """Disparity of a row whose left view carries more mass.
-
-    The surplus is content hidden from the right view. Flipping both
-    rows turns this into the source-heavy case with the left row as
-    source and the shifts unchanged, so the peel loop solves it. Each
-    left pixel xl with shift s is then written to right pixel xl - s,
-    where the right row has mass; right pixels that no left pixel
-    lands on stay NaN.
-    """
-    d = kernel.d
-    try:
-        prof, report = recover_occlusions(nu1[::-1], nu0[::-1], kernel, config)
-    except UnresolvedOcclusionError as exc:
-        exc.report = _mirrored(exc.report, d)
-        raise
-    left = prof[::-1]
-    xl = np.flatnonzero(np.isfinite(left))
-    xr = np.rint(xl - left[xl]).astype(int)
-    inside = (xr >= 0) & (xr < d)
-    xl, xr = xl[inside], xr[inside]
-    lands = nu0[xr] > 0.0
-    values = np.full(d, np.nan)
-    values[xr[lands]] = left[xl[lands]]
-    return values, _mirrored(report, d)
-
-
 def _solve_facts(solve: ConvergenceReport | None) -> dict:
     """Diagnostics of a row's one regularized solve; None gives 0 iterations, converged."""
     if solve is None:
@@ -372,7 +393,23 @@ def _solve_facts(solve: ConvergenceReport | None) -> dict:
 
 
 def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConfig):
-    """Solve one scanline pair; returns (values, occluded, report, info)."""
+    """Solve one scanline pair; returns (values, occluded, report, info).
+
+    values are right-image disparities, NaN where undefined, and
+    occluded flags the right-image columns hidden from the left view.
+    report is the row's OcclusionReport, None unless the loop peeled
+    an object or failed; info is the row's diagnostics record.
+
+    The right row is the source. A row whose left view is heavier
+    carries content hidden from the right view: flipping both rows
+    turns it into the source-heavy case, with the left row as source
+    and the shifts unchanged, so the same loop solves it. Each left
+    pixel xl with shift s is then written to right pixel xl - s,
+    where the right row has mass; right pixels that no left pixel
+    lands on stay NaN. Its report, failed or not, is in left-image
+    columns (_mirrored). A row the loop cannot resolve takes the
+    failed path: no data, and the error in its record.
+    """
     d = kernel.d
     nan = np.full(d, np.nan)
     no_occlusion = np.zeros(d, dtype=bool)
@@ -384,10 +421,26 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
         return nan, no_occlusion, None, {"path": "empty"}
     if m0 == 0.0 or m1 == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
-    if not compare_masses(m0, m1) and m1 > m0:
-        values, report = _recover_mirror(nu0, nu1, kernel, config)
-    else:
-        values, report = recover_occlusions(nu0, nu1, kernel, config)
+    mirror = not compare_masses(m0, m1) and m1 > m0
+    try:
+        if mirror:
+            flipped, report = recover_occlusions(nu1[::-1], nu0[::-1], kernel, config)
+        else:
+            values, report = recover_occlusions(nu0, nu1, kernel, config)
+    except UnresolvedOcclusionError as exc:
+        report = _mirrored(exc.report, d) if mirror else exc.report
+        info = {"path": "failed", "error": str(exc), **_solve_facts(report.solve)}
+        return nan, no_occlusion, report, info
+    if mirror:
+        left = flipped[::-1]
+        xl = np.flatnonzero(np.isfinite(left))
+        xr = np.rint(xl - left[xl]).astype(int)
+        inside = (xr >= 0) & (xr < d)
+        xl, xr = xl[inside], xr[inside]
+        lands = nu0[xr] > 0.0
+        values = np.full(d, np.nan)
+        values[xr[lands]] = left[xl[lands]]
+        report = _mirrored(report, d)
     if not report.object_shifts:
         info = {"path": "balanced", **_solve_facts(report.solve)}
         return values, no_occlusion, None, info
@@ -416,16 +469,6 @@ def disparity_map(
         raise ValueError(f"incompatible image shapes {left.shape} and {right.shape}")
     h, d = left.shape
     kernel = build_kernel(d, config.epsilon)
-
-    def solve(y):
-        try:
-            return _row_pipeline(right[y], left[y], kernel, config)
-        except UnresolvedOcclusionError as exc:
-            nan = np.full(d, np.nan)
-            none = np.zeros(d, dtype=bool)
-            info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report.solve)}
-            return nan, none, exc.report, info
-
     values = np.empty((h, d))
     occluded = np.zeros((h, d), dtype=bool)
     reports = []
@@ -434,7 +477,7 @@ def disparity_map(
     for y in range(h):
         key = (right[y].tobytes(), left[y].tobytes())
         if key not in cache:
-            cache[key] = solve(y)
+            cache[key] = _row_pipeline(right[y], left[y], kernel, config)
         values[y], occluded[y], report, info = cache[key]
         if report is not None:
             reports.append(report._replace(y=y))

@@ -22,8 +22,7 @@ from .errors import (
     QuantizationError,
     SupportMismatchError,
 )
-from .kernel import GibbsKernel
-from .scaling import ScalingVectors, _check_equal_masses, monotone_plan
+from .scaling import GibbsKernel, ScalingVectors, _check_equal_masses, monotone_plan
 
 BRUTE_FORCE_LIMIT = 4
 

@@ -1,7 +1,11 @@
 """Scaling iterations for entropic transport on one scanline.
 
-The solver alternates diagonal scalings against the Gibbs kernel.
-It keeps the logarithms of the scalings and absorbs them into a kernel
+The solver alternates diagonal scalings against the Gibbs kernel
+exp(-(i - j)^2 / epsilon) of the quadratic pixel cost (GibbsKernel,
+built by build_kernel). The kernel's cross ratio bounds the
+contraction of that iteration in the Hilbert projective metric, which
+is what the convergence diagnostics are measured against. The solver
+keeps the logarithms of the scalings and absorbs them into a kernel
 block, so each half-step is a matrix-vector product on bounded
 numbers; it takes a log-domain half-step wherever that block would
 lose precision. It therefore survives small blur values where the
@@ -19,6 +23,7 @@ otstereo.reference.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +34,6 @@ from .errors import (
     MassMismatchError,
     WrongPathError,
 )
-from .kernel import GibbsKernel
 from .records import Record
 
 STOP_CONVERGED = "converged"
@@ -90,6 +94,39 @@ class SinkhornConfig(Record):
             )
         self._set(epsilon=epsilon, max_iterations=max_iterations,
                   stop_tolerance=stop_tolerance, warm_start=warm_start)
+
+
+class GibbsKernel(Record):
+    """The Gibbs kernel of the quadratic cost on a d-column pixel grid.
+
+    Its entry for columns i, j is exp(-(i - j)^2 / epsilon). eta is
+    the extremal cross ratio max K_ij K_kl / (K_kj K_il); for this
+    kernel it equals exp(2 (d-1)^2 / epsilon), attained at the corner
+    indices, so only its logarithm is stored. The contraction factor
+    lam = (sqrt(eta) - 1) / (sqrt(eta) + 1) of the scaling iteration
+    in the Hilbert metric is computed from the exponent directly and
+    stays finite for every image width. The solvers build only the
+    kernel blocks of each row's support; otstereo.reference builds the
+    dense d x d entries.
+    """
+
+    _fields = ("epsilon", "d")
+    __slots__ = _fields + ("log_eta", "lam")
+
+    def __init__(self, epsilon: float, d: int):
+        log_eta = 2.0 * (d - 1) ** 2 / epsilon
+        # tanh(t/2) == (e^t - 1) / (e^t + 1) with t = log(sqrt(eta))
+        self._set(epsilon=epsilon, d=d, log_eta=log_eta, lam=math.tanh(log_eta / 4.0))
+
+
+def build_kernel(d: int, epsilon: float) -> GibbsKernel:
+    """Validate the width and blur and return their Gibbs kernel."""
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"kernel size must be a positive integer, got {d!r}")
+    real = (int, float, np.integer, np.floating)
+    if not (isinstance(epsilon, real) and math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    return GibbsKernel(epsilon=float(epsilon), d=int(d))
 
 
 class ScalingVectors(NamedTuple):

@@ -10,6 +10,7 @@ both views, so solver output can be scored against ground truth.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +25,8 @@ class CameraRig(Record):
 
     baseline is the distance between the optical centers, focal the
     distance of the image plane from the optical line (both in length
-    units), beta the pixels-per-length-unit conversion.
+    units), beta the pixels-per-length-unit conversion; each must be
+    positive and finite.
     """
 
     __slots__ = _fields = ("baseline", "focal", "beta")
@@ -32,15 +34,22 @@ class CameraRig(Record):
     def __init__(self, baseline: float = 10.0, focal: float = 1000.0, beta: float = 2.0):
         self._set(baseline=baseline, focal=focal, beta=beta)
         for name in self._fields:
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def pixel_shift(depth: float, rig: CameraRig) -> int:
-    """Integer disparity of a point at the given depth."""
+    """Integer disparity of a point at the given depth.
+
+    A depth so small that the shift overflows is a ValueError.
+    """
     if not depth > 0.0:
         raise ValueError(f"depth must be positive, got {depth!r}")
-    return int(round(rig.focal * rig.baseline / (rig.beta * depth)))
+    shift = rig.focal * rig.baseline / (rig.beta * depth)
+    if not math.isfinite(shift):
+        raise ValueError(f"depth {depth!r} gives a pixel shift that is not finite")
+    return int(round(shift))
 
 
 def depth_from_disparity(shift_px: float, rig: CameraRig) -> float:
@@ -259,7 +268,8 @@ def parse_scene(text: str) -> tuple[CartoonScene, CameraRig]:
     Scalar lines set the frame (width, height, whole numbers) and the
     rig (baseline, focal, beta, all optional). Each `object = k:v k:v ...` line adds
     one rectangle; it takes x0, width, intensity plus either depth or
-    shift (converted through the rig), and optionally y0 and height.
+    shift (a positive whole number of pixels, converted through the
+    rig), and optionally y0 and height.
     Blank lines and lines starting with # are skipped. Errors carry
     the offending line number.
     """
@@ -304,11 +314,13 @@ def parse_scene(text: str) -> tuple[CartoonScene, CameraRig]:
     for fields, line_no in raw_objects:
         if "shift" in fields:
             shift = fields.pop("shift")
-            if not shift > 0.0:
+            # the renderer rounds the shift back from the depth, so
+            # anything but a positive whole number would be changed
+            if not (shift > 0.0 and shift.is_integer()):
                 raise SceneFormatError(
-                    f"shift must be positive, got {shift!r}", line=line_no
+                    f"shift must be a positive whole number, got {shift!r}", line=line_no
                 )
-            fields["depth"] = rig.focal * rig.baseline / (rig.beta * shift)
+            fields["depth"] = depth_from_disparity(shift, rig)
         try:
             objects.append(SceneObject(**fields))
         except (TypeError, ValueError) as exc:

@@ -12,7 +12,6 @@ import pytest
 
 from otstereo.disparity import compression, disparity_map, disparity_profile
 from otstereo.errors import NoPlateauError
-from otstereo.kernel import build_kernel
 from otstereo.reference import (
     brute_force_plan,
     estimate_phi,
@@ -34,6 +33,7 @@ from otstereo.scene import (
 from otstereo.scaling import (
     STOP_CONVERGED,
     SinkhornConfig,
+    build_kernel,
     iteration_trace,
     monotone_plan,
     shifted_sinkhorn,

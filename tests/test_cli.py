@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from otstereo import fileio
-from otstereo.cli import RunConfig, _clean, _diagnostics_text, main, parse_run_config
-from otstereo.disparity import disparity_map
+from otstereo.cli import _clean, _diagnostics_text, main, parse_run_config
+from otstereo.disparity import DEFAULT_CONFIG, disparity_map
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -543,7 +543,7 @@ def test_diagnostics_text_is_json_dump_byte_for_byte():
     ]
     left = np.vstack([row[0] for row in rows])
     right = np.vstack([row[1] for row in rows])
-    records = disparity_map(left, right, RunConfig().sinkhorn_config()).diagnostics
+    records = disparity_map(left, right, DEFAULT_CONFIG).diagnostics
     assert [r["path"] for r in records] == [
         "occlusion", "occlusion", "failed", "balanced", "empty", "one-sided",
         "occlusion",
@@ -569,6 +569,6 @@ def test_diagnostics_file_is_json_dump_byte_for_byte(tmp_path):
     left, right = out / "left.pgm", out / "right.pgm"
     assert main(["disparity", str(left), str(right), "--out-dir", str(run)]) == 0
     result = disparity_map(fileio.read_pgm(left), fileio.read_pgm(right),
-                           RunConfig().sinkhorn_config())
+                           DEFAULT_CONFIG)
     text = (run / "diagnostics.json").read_text()
     assert text == json_dump_text(result.diagnostics)

@@ -3,10 +3,9 @@ import pytest
 
 from otstereo.disparity import compression, disparity_profile
 from otstereo.errors import NoPlateauError
-from otstereo.kernel import build_kernel
 from otstereo.maps import mask_runs
 from otstereo.reference import estimate_phi
-from otstereo.scaling import SinkhornConfig, shifted_sinkhorn
+from otstereo.scaling import SinkhornConfig, build_kernel, shifted_sinkhorn
 
 
 @pytest.mark.parametrize(

@@ -6,10 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from otstereo.cli import RunConfig
-from otstereo.disparity import disparity_map
+from otstereo.disparity import DEFAULT_CONFIG, disparity_map
 from otstereo.errors import DimensionMismatchError, SupportMismatchError
-from otstereo.kernel import GibbsKernel, build_kernel
 from otstereo.reference import hilbert_distance, kernel_entries, log_kernel
 from otstereo.scene import (
     CameraRig,
@@ -18,6 +16,7 @@ from otstereo.scene import (
     depth_from_disparity,
     render_pair,
 )
+from otstereo.scaling import GibbsKernel, build_kernel
 
 RIG = CameraRig()
 
@@ -103,7 +102,7 @@ def test_log_domain_map_never_builds_the_dense_kernel():
     pair = render_pair(CartoonScene(width=640, height=2, objects=objects), RIG)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = disparity_map(pair.left, pair.right, RunConfig().sinkhorn_config())
+        result = disparity_map(pair.left, pair.right, DEFAULT_CONFIG)
     assert [row["path"] for row in result.diagnostics] == ["balanced", "balanced"]
     assert np.nanmax(np.abs(result.values - pair.truth.values)) < 1e-3
 

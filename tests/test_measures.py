@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from otstereo.errors import EmptyScanlineError, InvalidIntensityError
-from otstereo.measures import compare_masses, measure_from_row
+from otstereo.disparity import compare_masses, measure_from_row
 
 
 def test_measure_from_row_mass_and_support():

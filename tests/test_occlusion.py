@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from otstereo.cli import RunConfig
-from otstereo.disparity import disparity_map, recover_occlusions
+from otstereo.disparity import (
+    DEFAULT_CONFIG,
+    disparity_map,
+    measure_from_row,
+    recover_occlusions,
+)
 from otstereo import disparity
 from otstereo.errors import MassMismatchError, UnresolvedOcclusionError, WrongPathError
-from otstereo.kernel import build_kernel
-from otstereo.measures import measure_from_row
 from otstereo.reference import estimate_phi
 from otstereo.scene import (
     CameraRig,
@@ -15,11 +17,11 @@ from otstereo.scene import (
     depth_from_disparity,
     render_pair,
 )
-from otstereo.scaling import SinkhornConfig
+from otstereo.scaling import SinkhornConfig, build_kernel
 
 RIG = CameraRig()
 CONFIG = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)
-WARM = RunConfig(niter=10000).sinkhorn_config()
+WARM = SinkhornConfig(0.1, max_iterations=10000, stop_tolerance=1e-6, warm_start=True)
 
 
 def scene_rows(objects, d, h=2):
@@ -75,7 +77,7 @@ def test_stretched_balanced_row_is_solved_unchecked():
     right[0, 10:20] = 0.5
     left = np.zeros((1, 40))
     left[0, 12:32] = 0.25
-    result = disparity_map(left, right, RunConfig().sinkhorn_config())
+    result = disparity_map(left, right, DEFAULT_CONFIG)
     info = result.diagnostics[0]
     assert (info["path"], info["iterations"], info["stop_reason"]) == (
         "balanced", 2, "converged"
@@ -273,10 +275,15 @@ def test_mirror_rows_write_nothing_on_right_background():
     # monotone matching reads; the row fails before any solve runs
     pair = scene_rows((obj(5, 18, 3, 0.3), obj(17, 4, 9, 0.45)), d=80, h=1)
     assert pair.hidden[0]["left_frame"] == [(20, 23)]
-    result = disparity_map(pair.left, pair.right, RunConfig().sinkhorn_config())
+    result = disparity_map(pair.left, pair.right, DEFAULT_CONFIG)
     info = result.diagnostics[0]
     assert (info["path"], info["iterations"]) == ("failed", 0)
     assert result.no_data.all()
+    # the failed row's report is in left-image columns, as a solved
+    # mirror row's is: each object's rightmost left-image column
+    (report,) = result.reports
+    assert report.intervals == ()
+    assert report.object_shifts == ((29, 7.0), (25, 7.0))
 
 
 def test_mass_mismatch_in_the_matching_fails_only_its_rows(monkeypatch):

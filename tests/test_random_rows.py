@@ -12,9 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from otstereo.cli import RunConfig
 from otstereo.disparity import disparity_map
 from otstereo.errors import OutOfFrameError
+from otstereo.scaling import SinkhornConfig
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -28,7 +28,7 @@ WIDTH = 100
 INTENSITIES = (0.3, 0.45, 0.6, 0.75, 0.9)
 # dim objects leave mass gaps of the order of 1e-4 between the views
 DIM_INTENSITIES = (0.02, 0.05, 0.6, 0.9, 1.0)
-CONFIG = RunConfig(niter=10000).sinkhorn_config()
+CONFIG = SinkhornConfig(0.1, max_iterations=10000, stop_tolerance=1e-6, warm_start=True)
 FRAMES = ("right_frame", "left_frame")
 
 

@@ -33,6 +33,16 @@ def test_rig_rejects_nonpositive_parameters():
         CameraRig(baseline=0.0)
     with pytest.raises(ValueError):
         CameraRig(beta=-2.0)
+    # an infinite rig parameter would reach the renderer as an
+    # infinite or NaN shift
+    for name in ("baseline", "focal", "beta"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                CameraRig(**{name: value})
+    for name in ("baseline", "focal", "beta"):
+        with pytest.raises(SceneFormatError, match=f"{name} must be positive and finite"):
+            parse_scene(f"width = 20\nheight = 4\n{name} = inf\n"
+                        "object = x0:1 width:3 depth:100 intensity:0.5\n")
 
 
 def test_depth_of_shift_nine():
@@ -55,6 +65,11 @@ def test_shift_depth_round_trip():
 
 def test_far_objects_project_to_zero_shift():
     assert pixel_shift(1e9, RIG) == 0
+    assert pixel_shift(math.inf, RIG) == 0
+    # a depth so small that its shift overflows is rejected, not
+    # passed to round() as infinity
+    with pytest.raises(ValueError, match="not finite"):
+        pixel_shift(1e-320, RIG)
 
 
 def test_object_validation():
@@ -391,6 +406,15 @@ def test_parse_scene_rejects_nonpositive_shift():
     text = "width = 20\nheight = 4\nobject = x0:1 width:3 shift:0 intensity:0.5\n"
     with pytest.raises(SceneFormatError):
         parse_scene(text)
+    # the renderer would round a fractional shift, and inf gives depth 0
+    for shift in ("0.2", "2.5", "inf", "nan", "-3"):
+        with pytest.raises(SceneFormatError, match="positive whole number") as info:
+            parse_scene(f"width = 20\nheight = 4\n\nobject = x0:1 width:3 "
+                        f"shift:{shift} intensity:0.5\n")
+        assert info.value.line == 4
+    scene, _ = parse_scene("width = 20\nheight = 4\n"
+                           "object = x0:1 width:3 shift:2.0 intensity:0.5\n")
+    assert scene.objects[0].depth == depth_from_disparity(2, RIG)
 
 
 def test_parse_scene_rejects_unknown_scalar():

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from otstereo.errors import WrongPathError
-from otstereo.kernel import build_kernel
 from otstereo.reference import kernel_entries
-from otstereo.scaling import SinkhornConfig, shifted_sinkhorn
+from otstereo.scaling import SinkhornConfig, build_kernel, shifted_sinkhorn
 
 TIGHT = dict(max_iterations=200000, stop_tolerance=1e-14)
 

@@ -6,7 +6,6 @@ import pytest
 import otstereo.scaling as scaling_module
 from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
 from otstereo.disparity import disparity_profile
-from otstereo.kernel import build_kernel
 from otstereo.reference import (
     brute_force_plan,
     exact_cost,
@@ -18,6 +17,7 @@ from otstereo.reference import (
 )
 from otstereo.scaling import (
     SinkhornConfig,
+    build_kernel,
     iteration_trace,
     monotone_plan,
     monotone_potentials,
