@@ -70,7 +70,8 @@ def resolve_config(args: argparse.Namespace):
 
     Layers the defaults (disparity.DEFAULT_CONFIG, out_dir "."), then
     the config file, then explicit flags. The solve starts warm, as
-    DEFAULT_CONFIG does; SinkhornConfig rejects a bad value.
+    DEFAULT_CONFIG does. A budget below one is named as the flag and
+    key `niter`; SinkhornConfig rejects the other bad values.
     """
     from .disparity import DEFAULT_CONFIG
     from .scaling import SinkhornConfig
@@ -82,9 +83,12 @@ def resolve_config(args: argparse.Namespace):
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
+    niter = fields.get("niter", DEFAULT_CONFIG.max_iterations)
+    if niter < 1:
+        raise ValueError("niter must be at least 1")
     config = SinkhornConfig(
         fields.get("epsilon", DEFAULT_CONFIG.epsilon),
-        max_iterations=fields.get("niter", DEFAULT_CONFIG.max_iterations),
+        max_iterations=niter,
         stop_tolerance=fields.get("stop_tolerance", DEFAULT_CONFIG.stop_tolerance),
         warm_start=DEFAULT_CONFIG.warm_start,
     )

@@ -6,19 +6,26 @@ token for no-data cells, at 9 significant digits so a write/read
 round trip is lossless at that precision. Point clouds are ASCII PLY
 with float x, y, z, intensity vertex properties.
 
-No codec formats or parses cells one at a time in Python. The text
-writers work a block of rows at a time: each distinct cell spelling
-in the block is formatted once, and the block is written as one byte
-gather from a table of those spellings, so memory stays bounded
-whatever the grid's size. The readers hand the raster or grid to
-numpy's C parsers once the text has passed the checks that name a
-malformed sample or row.
+No codec parses cells one at a time in Python or formats a cell
+value twice within a block. The images of cartoon scenes repeat most
+of their rows, so the writers do not spell a row again that repeats
+the row before it, and the readers parse each distinct line once.
+The text writers work a block of rows at a time: a row bit-for-bit
+equal to the row before it is written as that row's bytes again,
+each distinct cell value of the other rows is formatted once, and
+the block is written as one byte gather from a table of those
+spellings, so memory stays bounded whatever the grid's size. The
+readers hand the distinct lines of the raster or grid to numpy's C
+parsers in one call, once the text has passed the checks that name a
+malformed sample or row, and gather the parsed lines back in file
+order.
 """
 from __future__ import annotations
 
 import json
 import math
 import re
+from bisect import bisect_left
 
 import numpy as np
 
@@ -28,6 +35,9 @@ _DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 # cells per block of rows a text writer formats and gathers at once
 _BLOCK_CELLS = 1 << 15
 _LEVELS = [str(level) for level in range(256)]
+# the readers compare two lines whole only if this many leading
+# characters of both agree
+_HEAD = 16
 
 
 def _pgm_tokens(raw: bytes):
@@ -49,7 +59,10 @@ def _pgm_tokens(raw: bytes):
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a P2 or P5 grayscale image as floats in [0, 1]."""
+    """Read a P2 or P5 grayscale image as floats in [0, 1].
+
+    A P2 raster's distinct lines are parsed once each (_p2_samples).
+    """
     with open(path, "rb") as handle:
         raw = handle.read()
     tokens = _pgm_tokens(raw)
@@ -79,13 +92,7 @@ def read_pgm(path) -> np.ndarray:
             raster = _COMMENT.sub(b"", raster)
         if raster.translate(None, _DIGITS_AND_SPACE):
             raise ValueError(f"{path}: P2 raster holds a non-integer sample")
-        # exact once the check passed; it reads a blank raster as one 0.
-        # int64, not a narrower type: those wrap large samples silently
-        samples = (
-            np.fromstring(raster, dtype=np.int64, sep=" ")
-            if raster.strip()
-            else np.empty(0, dtype=np.int64)
-        )
+        samples = _p2_samples(raster)
         if samples.size != width * height:
             raise ValueError(
                 f"{path}: expected {width * height} samples, found {samples.size}"
@@ -95,22 +102,92 @@ def read_pgm(path) -> np.ndarray:
     return np.divide(samples, maxval, dtype=float).reshape(height, width)
 
 
-def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
-    """Write a 2-d grid one line per row, its cells joined by `sep`.
+def _p2_samples(raster: bytes) -> np.ndarray:
+    """The samples of a P2 raster of digits and whitespace, in order.
 
-    `spell(cells)` takes a flat block of cells and returns the list of
-    their distinct spellings with each cell's index into it, as a
-    fresh array. Each block is written as one gather from a byte table
-    of those spellings, each ending in `sep`, or in a newline for the
-    last cell of a row.
+    If lines may repeat, each distinct line is parsed once, all in one
+    call, and the lines are gathered back in file order; a line need
+    not be one image row. Otherwise the raster is parsed whole.
+    """
+    if not raster or raster.isspace():
+        # numpy would read a blank text as one 0
+        return np.empty(0, dtype=np.int64)
+    lines = _lines_if_any_repeat(raster)
+    if lines is None:
+        return _parse_samples(raster)
+    distinct, ids = _distinct(lines)
+    # a -1 closes each distinct line: no sample of the raster reads as one
+    samples = _parse_samples(b" -1\n".join(distinct) + b" -1")
+    ends = np.flatnonzero(samples < 0).tolist()
+    starts = [0, *(end + 1 for end in ends[:-1])]
+    return np.concatenate([samples[starts[k] : ends[k]] for k in ids])
+
+
+def _distinct(lines):
+    """Distinct lines in order of first appearance; each line's index into them."""
+    first: dict = {}
+    ids = [first.setdefault(line, len(first)) for line in lines]
+    return list(first), ids
+
+
+def _parse_samples(text: bytes) -> np.ndarray:
+    # exact on digits and whitespace; int64, not a narrower type:
+    # those wrap large samples silently
+    return np.fromstring(text, dtype=np.int64, sep=" ")
+
+
+def _lines_if_any_repeat(text: bytes):
+    """The lines of `text` if two of them may be equal, else None.
+
+    Lines can be equal only if their first _HEAD bytes are, so the
+    text is split only once a line's head repeats an earlier one's.
+    Blank heads are left out: blank lines repeat in many files and
+    parse to nothing.
+    """
+    heads = set()
+    find = text.find
+    start, end = 0, find(b"\n")
+    while end >= 0:
+        head = text[start : min(end, start + _HEAD)]
+        if head in heads and head.strip():
+            return text.split(b"\n")
+        heads.add(head)
+        start, end = end + 1, find(b"\n", end + 1)
+    head = text[start : start + _HEAD]
+    return text.split(b"\n") if head in heads and head.strip() else None
+
+
+def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
+    """Write a 2-d float64 grid one line per row, its cells joined by `sep`.
+
+    A row bit-for-bit equal to the row before it is not spelled again:
+    the bytes of the row before are written once more. The other rows
+    go a block at a time to `spell(cells)`, which takes a flat block
+    of cells and returns the list of their distinct spellings with
+    each cell's index into it, as a fresh array. Each block is written
+    as one gather from a byte table of those spellings, each ending in
+    `sep`, or in a newline for the last cell of a row.
     """
     rows, width = grid.shape
     if width == 0:
         handle.write(b"\n" * rows)
         return
     step = max(1, _BLOCK_CELLS // width)
+    bits = grid.view(np.int64)
+    # only a row whose first cell repeats the row before can repeat it whole
+    maybe = (np.flatnonzero(bits[1:, 0] == bits[:-1, 0]) + 1).tolist()
+    last = np.empty(0, dtype=np.uint8)  # the padded cells of the last row written
     for start in range(0, rows, step):
-        tokens, index = spell(grid[start : start + step].ravel())
+        stop = min(start + step, rows)
+        block = grid[start:stop]
+        heads = _run_heads(bits, start, stop, maybe)
+        if heads is not None:
+            lead = heads[0] if heads.size else stop - start
+            handle.write(last.compress(last != 0).tobytes() * lead)
+            if not heads.size:
+                continue
+            block = block[heads]
+        tokens, index = spell(block.ravel())
         count = len(tokens)
         text = np.array(tokens, dtype=bytes)
         size = text.dtype.itemsize
@@ -120,9 +197,30 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         table[0, np.arange(count), length] = ord(sep)
         table[1, np.arange(count), length] = ord("\n")
         index[width - 1 :: width] += count
-        cells = table.reshape(2 * count, -1).take(index, axis=0).ravel()
+        cells = table.reshape(2 * count, -1).take(index, axis=0).reshape(len(block), -1)
+        if heads is not None:
+            cells = np.repeat(cells, np.diff(heads, append=stop - start), axis=0)
         # spellings hold no NUL, so dropping NULs drops the padding
-        handle.write(cells.compress(cells != 0))
+        handle.write(cells.compress(cells.ravel() != 0))
+        last = cells[-1].copy()
+
+
+def _run_heads(bits: np.ndarray, start: int, stop: int, maybe: list):
+    """The rows of bits[start:stop] that differ from the row before them.
+
+    Indices into the block, or None if every row differs. `maybe`
+    lists in order the rows whose first cell equals the one above: no
+    other row can repeat the row before it, so only the span of
+    those rows is compared whole.
+    """
+    lo, hi = bisect_left(maybe, start), bisect_left(maybe, stop)
+    if lo == hi:
+        return None
+    first, end = maybe[lo], maybe[hi - 1] + 1
+    fresh = np.ones(stop - start, dtype=bool)
+    differ = bits[first:end] != bits[first - 1 : end - 1]
+    fresh[first - start : end - start] = differ.any(axis=1)
+    return None if fresh.all() else np.flatnonzero(fresh)
 
 
 def _spell_floats(spell_one):
@@ -204,7 +302,9 @@ def read_csv(path) -> np.ndarray:
 
     Blank lines are skipped. A row is malformed if its cell count
     differs from the first row's, or if numpy's parser rejects a cell;
-    the first malformed row in the file is named.
+    the first malformed row in the file is named. Each distinct line
+    is counted and parsed once, all in one call, and the rows are
+    gathered back in file order.
     """
     with open(path, encoding="ascii") as handle:
         numbered = [
@@ -213,24 +313,31 @@ def read_csv(path) -> np.ndarray:
     if not numbered:
         return np.empty((0, 0))
     rows, lines = zip(*numbered)
-    cells = [line.count(",") + 1 for line in lines]
-    even = next((k for k, n in enumerate(cells) if n != cells[0]), len(lines))
+    if len({line[:_HEAD] for line in lines}) < len(lines):
+        distinct, ids = _distinct(lines)
+    else:
+        distinct, ids = lines, range(len(lines))
+    cells = [line.count(",") + 1 for line in distinct]
+    even = next((k for k, i in enumerate(ids) if cells[i] != cells[0]), len(ids))
+    # the rows before `even` hold the first max(ids[:even]) + 1 distinct lines
+    known = max(ids[:even]) + 1
     try:
-        values = _parse_csv(lines[:even])
+        values = _parse_csv(distinct[:known])
     except ValueError:
-        for k in range(even):
+        for k in range(known):
             try:
-                _parse_csv(lines[k : k + 1])
+                _parse_csv(distinct[k : k + 1])
             except ValueError:
                 raise ValueError(
-                    f"{path}: row {rows[k]} holds a non-numeric cell"
+                    f"{path}: row {rows[ids.index(k)]} holds a non-numeric cell"
                 ) from None
         raise
-    if even < len(lines):
+    if even < len(ids):
         raise ValueError(
-            f"{path}: row {rows[even]} has {cells[even]} cells, expected {cells[0]}"
+            f"{path}: row {rows[even]} has {cells[ids[even]]} cells, "
+            f"expected {cells[0]}"
         )
-    return values
+    return values if known == len(ids) else values[ids]
 
 
 def _parse_csv(lines) -> np.ndarray:

@@ -490,6 +490,22 @@ def test_non_finite_settings_exit_1(tmp_path, capsys, command, key, value):
         assert not run.exists()
 
 
+@pytest.mark.parametrize("command", ["disparity", "diagnose"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_a_budget_below_one_names_niter(tmp_path, capsys, command, value):
+    out = generate(tmp_path, NON_OCCLUDED)
+    pair = [command, str(out / "left.pgm"), str(out / "right.pgm")]
+    if command == "diagnose":
+        pair += ["--y", "1"]
+    config = tmp_path / "run.cfg"
+    config.write_text(f"niter = {value}\n")
+    for settings in (["--niter", value], ["--config", str(config)]):
+        run = tmp_path / "run"
+        assert main([*pair, *settings, "--out-dir", str(run)]) == 1
+        assert capsys.readouterr().err == "otstereo: niter must be at least 1\n"
+        assert not run.exists()
+
+
 def test_usage_errors_exit_1():
     proc = subprocess.run(
         [sys.executable, "-m", "otstereo.cli", "disparity"],

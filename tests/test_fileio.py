@@ -249,6 +249,15 @@ def ply_reference(points):
     return (header + body).encode()
 
 
+def disparity_pgm_reference(values):
+    finite = np.isfinite(values)
+    peak = values[finite].max() if finite.any() else 0.0
+    scale = 255.0 / peak if peak > 0 else 1.0
+    levels = np.zeros(values.shape, dtype=int)
+    levels[finite] = np.clip(np.rint(values[finite] * scale), 0, 255).astype(int)
+    return p2_reference(levels, f"disparity-scale {scale:.9g}")
+
+
 def mixed_grid(shape, seed):
     """Signed magnitudes 1e-12..1e12 with repeats, both zeros, NaN and +-inf."""
     rng = np.random.default_rng(seed)
@@ -288,12 +297,7 @@ def test_pgm_writers_match_the_per_element_spelling(tmp_path, shape):
 
     values = mixed_grid(shape, seed=sum(shape)) * 1e-10
     fileio.write_disparity_pgm(path, values)
-    finite = np.isfinite(values)
-    peak = values[finite].max() if finite.any() else 0.0
-    scale = 255.0 / peak if peak > 0 else 1.0
-    levels = np.zeros(shape, dtype=int)
-    levels[finite] = np.clip(np.rint(values[finite] * scale), 0, 255).astype(int)
-    assert path.read_bytes() == p2_reference(levels, f"disparity-scale {scale:.9g}")
+    assert path.read_bytes() == disparity_pgm_reference(values)
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, fileio._BLOCK_CELLS // 4 + 5])
@@ -317,6 +321,94 @@ def test_writers_cross_many_block_seams(tmp_path, monkeypatch):
         assert path.read_bytes() == p2_reference(
             np.clip(np.rint(image * 255.0), 0, 255).astype(int)
         )
+
+
+def repeating_rows(width, seed):
+    """Runs of equal rows, rows that come back after others, and twins
+    that differ only in the sign of a zero or the payload of a NaN."""
+    a, b, c = mixed_grid((3, width), seed)
+    a[0] = 0.0
+    signed = a.copy()
+    signed[0] = -0.0
+    nan = a.copy()
+    nan[-1] = np.nan
+    payload = nan.copy()
+    payload[-1:] = np.array([0x7FF8000000000001]).view(np.float64)
+    rows = [a, a, a, b, a, signed, signed, a, nan, payload, payload, b, b, c, a]
+    return np.array(rows)
+
+
+def image_of(values):
+    """An image from a grid: NaN and -0.0 become 0.0, the rest wraps into [0, 1)."""
+    return np.abs(np.nan_to_num(values, posinf=1.0, neginf=1.0)) % 1.0
+
+
+def assert_writers_match_the_references(path, values):
+    fileio.write_csv(path, values)
+    assert path.read_bytes() == csv_reference(values)
+    image = image_of(values)
+    fileio.write_pgm(path, image)
+    assert path.read_bytes() == p2_reference(
+        np.clip(np.rint(image * 255.0), 0, 255).astype(int)
+    )
+    fileio.write_disparity_pgm(path, values * 1e-10)
+    assert path.read_bytes() == disparity_pgm_reference(values * 1e-10)
+    if values.shape[1] == 4:
+        fileio.write_ply(path, values)
+        assert path.read_bytes() == ply_reference(values)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 9])
+def test_writers_reuse_rows_byte_for_byte(tmp_path, width):
+    values = repeating_rows(width, seed=width)
+    # the twins really differ bit for bit
+    assert values[4].tobytes() != values[5].tobytes()
+    assert values[8].tobytes() != values[9].tobytes()
+    assert_writers_match_the_references(tmp_path / "out", values)
+
+
+def test_writers_reuse_rows_across_block_seams(tmp_path, monkeypatch):
+    # one block of the 640-wide grid ends after row 50; runs cross it
+    step = fileio._BLOCK_CELLS // 640
+    rows = repeating_rows(640, seed=3)
+    pick = np.repeat(
+        [0, 3, 0, 5, 8, 9, 13, 3], [step - 6, 12, 1, step - 8, step, 3, 1, 2 * step]
+    )
+    assert_writers_match_the_references(tmp_path / "out", rows[pick])
+    # blocks of one or two rows, and rows wider than a block
+    monkeypatch.setattr(fileio, "_BLOCK_CELLS", 5)
+    for width in (1, 2, 3, 4, 9):
+        values = repeating_rows(width, seed=width)
+        assert_writers_match_the_references(tmp_path / "out", values)
+        tripled = np.repeat(values, 3, axis=0)
+        assert_writers_match_the_references(tmp_path / "out", tripled)
+
+
+def test_equal_rows_are_spelled_once_per_block(tmp_path, monkeypatch):
+    spelled = []
+    write_lines = fileio._write_lines
+
+    def counting(handle, grid, sep, spell):
+        def counted(cells):
+            spelled.append(cells.size)
+            return spell(cells)
+
+        write_lines(handle, grid, sep, counted)
+
+    monkeypatch.setattr(fileio, "_write_lines", counting)
+    values = np.tile(mixed_grid((1, 640), seed=2), (480, 1))
+    blocks = -(-480 // (fileio._BLOCK_CELLS // 640))
+    path = tmp_path / "out"
+    for write, grid in [
+        (fileio.write_csv, values),
+        (fileio.write_pgm, image_of(values)),
+        (fileio.write_disparity_pgm, values),
+    ]:
+        spelled.clear()
+        write(path, grid)
+        assert 1 <= len(spelled) <= blocks
+        assert max(spelled) == 640
+    assert path.read_bytes() == disparity_pgm_reference(values)
 
 
 def p2_token_parse(raw: bytes) -> np.ndarray:
@@ -422,6 +514,91 @@ def test_csv_single_row_and_single_column_stay_2d(tmp_path):
     assert fileio.read_csv(path).shape == (1, 3)
     path.write_text("1\n\n2\n")
     assert fileio.read_csv(path).shape == (2, 1)
+
+
+def recorded(monkeypatch, name):
+    """Patch fileio.<name> to record its first argument on each call."""
+    calls = []
+    parse = getattr(fileio, name)
+
+    def recording(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(fileio, name, recording)
+    return calls
+
+
+def test_p2_reader_parses_each_distinct_line_once(tmp_path, monkeypatch):
+    # lines of 3, 2 or no samples, so no line is an image row; they
+    # repeat in runs and apart, behind blank, comment-only and CRLF lines
+    lines = [
+        "1 2 3\r\n", "4 5\n", "1 2 3\r\n", "\r\n", "# a note\r\n", "4 5\n",
+        "1 2 3\r\n", "1 2 3\r\n", "# a note\r\n", "\n", "4 5 # 6 7\n", "  \t\n",
+        "6  7\r\n", "6  7\r\n", "   \n", "1 2 3\r\n", "4 5\n",
+    ]
+    raw = ("P2\r\n9 3\r\n255\r\n" + "".join(lines)).encode()
+    path = tmp_path / "img.pgm"
+    path.write_bytes(raw)
+    parsed = recorded(monkeypatch, "_parse_samples")
+    image = fileio.read_pgm(path)
+    assert np.array_equal(image, p2_token_parse(raw))
+    assert len(parsed) == 1
+    assert parsed[0].count(b"1 2 3") == 1 and parsed[0].count(b"6  7") == 1
+
+
+def test_p2_reader_reads_repeated_rows(tmp_path, monkeypatch):
+    image = np.tile(np.arange(640) % 256 / 255.0, (480, 1))
+    image[100:140] = 0.5
+    image[300:301] = 0.25
+    path = tmp_path / "img.pgm"
+    fileio.write_pgm(path, image)
+    parsed = recorded(monkeypatch, "_parse_samples")
+    assert np.array_equal(fileio.read_pgm(path), np.rint(image * 255.0) / 255.0)
+    # one parse of the three distinct rows
+    row_bytes = path.stat().st_size // 480
+    assert len(parsed) == 1 and len(parsed[0]) < 4 * row_bytes
+    # a repeated line whose first characters are blank is still read right
+    raw = b"P2\n3 2\n255\n" + b" " * 20 + b"1 2 3\n" + b" " * 20 + b"1 2 3\n"
+    path.write_bytes(raw)
+    assert np.array_equal(fileio.read_pgm(path), p2_token_parse(raw))
+
+
+def test_csv_reader_parses_each_distinct_line_once(tmp_path, monkeypatch):
+    lines = ["1,-0,NaN", "1,0,NaN", "1,-0,NaN", "", "2.5,1e-3,inf", "1,0,NaN",
+             "1,0,NaN", "  ", "2.5,1e-3,inf", "1,-0,NaN"]
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n")
+    parsed = recorded(monkeypatch, "_parse_csv")
+    got = fileio.read_csv(path)
+    expected = np.array(
+        [[float(c) for c in line.split(",")] for line in lines if line.strip()]
+    )
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+    assert [len(call) for call in parsed] == [3]
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["1,2", "3,x", "", "1,2", "3,x"], "row 1 holds a non-numeric cell"),
+        (["1,2"] * 4 + ["", "5,x"] + ["1,2"] * 3 + ["5,x"],
+         "row 5 holds a non-numeric cell"),
+        (["1,2"] * 6 + ["1,2,3"] + ["1,2"] * 2 + ["1,2,3"],
+         "row 6 has 3 cells, expected 2"),
+        (["1,2"] * 3 + ["", "4"] + ["1,2"] * 2, "row 4 has 1 cells, expected 2"),
+        (["1,2"] * 3 + ["4", "1,x"], "row 3 has 1 cells, expected 2"),
+        (["1,2"] * 3 + ["1,x", "4"], "row 3 holds a non-numeric cell"),
+    ],
+)
+def test_csv_names_the_first_occurrence_of_a_repeated_malformed_row(
+    tmp_path, lines, message
+):
+    path = tmp_path / "grid.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        fileio.read_csv(path)
 
 
 def traced_peak(write, path, grid) -> int:

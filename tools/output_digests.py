@@ -20,10 +20,11 @@ scratch directory lies. Two checkouts write the same bytes exactly
 when `diff` of their two listings is empty.
 
 The scenes are the benchmark's (perfbench/scenes.py, imported and
-only read; seeds 1-3 of each workload) plus four written here: the
+only read; seeds 1-3 of each workload) plus five written here: the
 README example, a row whose far object is hidden from both views by
-a near one, and the two single-row scenes of tests/test_occlusion.py
-whose row fails, given a second row so that `--y 1` traces it.
+a near one, the two single-row scenes of tests/test_occlusion.py
+whose row fails, given a second row so that `--y 1` traces it, and a
+640-wide frame of bands of equal rows.
 """
 from __future__ import annotations
 
@@ -71,6 +72,19 @@ width = 80
 height = 2
 object = x0:5 width:18 shift:3 intensity:0.3
 object = x0:17 width:4 shift:9 intensity:0.45
+""",
+    # bands of equal rows: the rows of the full-height object alone
+    # come back after each band, the 45-64 band runs across row 51,
+    # where the codecs' 640-wide blocks meet, and rows 20-25 hide part
+    # of the 10-39 band
+    "row_bands": """\
+width = 640
+height = 120
+object = x0:20 width:40 shift:2 intensity:0.2
+object = x0:100 width:60 shift:5 intensity:0.5 y0:10 height:30
+object = x0:150 width:12 shift:11 intensity:0.8 y0:20 height:6
+object = x0:300 width:40 shift:8 intensity:0.7 y0:45 height:20
+object = x0:500 width:30 shift:3 intensity:0.3 y0:80 height:10
 """,
 }
 
