@@ -315,15 +315,9 @@ def recover_occlusions(
 
         if _hides_next(remaining0, remaining1, runs, shift):
             j0, j1 = runs[1]
-            cum = 0.0
-            i2 = None
-            for col in range(j0, j1 + 1):
-                cum += remaining0[col]
-                if cum >= deficit - tolerance:
-                    i2 = col
-                    break
-            if i2 is None:
-                i2 = j1
+            # the first column at which the run's mass covers the surplus
+            cum = np.cumsum(remaining0[j0 : j1 + 1])
+            i2 = j0 + min(int(np.searchsorted(cum, deficit - tolerance)), j1 - j0)
             intervals.append((j0, i2))
             remaining0[j0 : i2 + 1] = 0.0
 

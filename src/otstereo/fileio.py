@@ -9,23 +9,22 @@ with float x, y, z, intensity vertex properties.
 No codec parses cells one at a time in Python or formats a cell
 value twice within a block. The images of cartoon scenes repeat most
 of their rows, so the writers do not spell a row again that repeats
-the row before it, and the readers parse each distinct line once.
-The text writers work a block of rows at a time: a row bit-for-bit
-equal to the row before it is written as that row's bytes again,
-each distinct cell value of the other rows is formatted once, and
-the block is written as one byte gather from a table of those
-spellings, so memory stays bounded whatever the grid's size. The
-readers hand the distinct lines of the raster or grid to numpy's C
-parsers in one call, once the text has passed the checks that name a
-malformed sample or row, and gather the parsed lines back in file
-order.
+the row before it, and the readers parse each distinct line once;
+repeats are found by exact comparison of whole rows or lines. The
+text writers work a block of rows at a time, so memory stays bounded
+whatever the grid's size: a repeated row is written as the bytes of
+the row before, each distinct cell value of the other rows is
+formatted once, and the block goes out as one byte gather from a
+table of those spellings. The readers hand the distinct lines to
+numpy's C parsers in one call and gather the parsed lines back in
+file order.
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
-from bisect import bisect_left
 
 import numpy as np
 
@@ -35,9 +34,6 @@ _DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 # cells per block of rows a text writer formats and gathers at once
 _BLOCK_CELLS = 1 << 15
 _LEVELS = [str(level) for level in range(256)]
-# the readers compare two lines whole only if this many leading
-# characters of both agree
-_HEAD = 16
 
 
 def _pgm_tokens(raw: bytes):
@@ -105,17 +101,18 @@ def read_pgm(path) -> np.ndarray:
 def _p2_samples(raster: bytes) -> np.ndarray:
     """The samples of a P2 raster of digits and whitespace, in order.
 
-    If lines may repeat, each distinct line is parsed once, all in one
-    call, and the lines are gathered back in file order; a line need
+    If a line that is not blank repeats, each distinct line is parsed
+    once, all in one call, and gathered back in file order; a line need
     not be one image row. Otherwise the raster is parsed whole.
     """
-    if not raster or raster.isspace():
+    # readlines finds line ends with memchr; bytes.split tests each byte
+    lines = [line for line in io.BytesIO(raster).readlines() if not line.isspace()]
+    if not lines:
         # numpy would read a blank text as one 0
         return np.empty(0, dtype=np.int64)
-    lines = _lines_if_any_repeat(raster)
-    if lines is None:
-        return _parse_samples(raster)
     distinct, ids = _distinct(lines)
+    if len(distinct) == len(lines):
+        return _parse_samples(raster)
     # a -1 closes each distinct line: no sample of the raster reads as one
     samples = _parse_samples(b" -1\n".join(distinct) + b" -1")
     ends = np.flatnonzero(samples < 0).tolist()
@@ -136,37 +133,16 @@ def _parse_samples(text: bytes) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep=" ")
 
 
-def _lines_if_any_repeat(text: bytes):
-    """The lines of `text` if two of them may be equal, else None.
-
-    Lines can be equal only if their first _HEAD bytes are, so the
-    text is split only once a line's head repeats an earlier one's.
-    Blank heads are left out: blank lines repeat in many files and
-    parse to nothing.
-    """
-    heads = set()
-    find = text.find
-    start, end = 0, find(b"\n")
-    while end >= 0:
-        head = text[start : min(end, start + _HEAD)]
-        if head in heads and head.strip():
-            return text.split(b"\n")
-        heads.add(head)
-        start, end = end + 1, find(b"\n", end + 1)
-    head = text[start : start + _HEAD]
-    return text.split(b"\n") if head in heads and head.strip() else None
-
-
 def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
     """Write a 2-d float64 grid one line per row, its cells joined by `sep`.
 
-    A row bit-for-bit equal to the row before it is not spelled again:
-    the bytes of the row before are written once more. The other rows
-    go a block at a time to `spell(cells)`, which takes a flat block
-    of cells and returns the list of their distinct spellings with
-    each cell's index into it, as a fresh array. Each block is written
-    as one gather from a byte table of those spellings, each ending in
-    `sep`, or in a newline for the last cell of a row.
+    The rows go a block at a time. A row bit-for-bit equal to the row
+    before it, in this block or the last, is written as that row's
+    bytes again. The other rows go to `spell(cells)`, which takes their
+    flat cells and returns the list of their distinct spellings with
+    each cell's index into it, as a fresh array, and are written as one
+    gather from a byte table of those spellings, each ending in `sep`,
+    or in a newline for the last cell of a row.
     """
     rows, width = grid.shape
     if width == 0:
@@ -174,13 +150,14 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         return
     step = max(1, _BLOCK_CELLS // width)
     bits = grid.view(np.int64)
-    # only a row whose first cell repeats the row before can repeat it whole
-    maybe = (np.flatnonzero(bits[1:, 0] == bits[:-1, 0]) + 1).tolist()
     last = np.empty(0, dtype=np.uint8)  # the padded cells of the last row written
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         block = grid[start:stop]
-        heads = _run_heads(bits, start, stop, maybe)
+        lo = max(start, 1)
+        fresh = np.ones(stop - start, dtype=bool)
+        fresh[lo - start :] = (bits[lo:stop] != bits[lo - 1 : stop - 1]).any(axis=1)
+        heads = None if fresh.all() else np.flatnonzero(fresh)
         if heads is not None:
             lead = heads[0] if heads.size else stop - start
             handle.write(last.compress(last != 0).tobytes() * lead)
@@ -203,24 +180,6 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         # spellings hold no NUL, so dropping NULs drops the padding
         handle.write(cells.compress(cells.ravel() != 0))
         last = cells[-1].copy()
-
-
-def _run_heads(bits: np.ndarray, start: int, stop: int, maybe: list):
-    """The rows of bits[start:stop] that differ from the row before them.
-
-    Indices into the block, or None if every row differs. `maybe`
-    lists in order the rows whose first cell equals the one above: no
-    other row can repeat the row before it, so only the span of
-    those rows is compared whole.
-    """
-    lo, hi = bisect_left(maybe, start), bisect_left(maybe, stop)
-    if lo == hi:
-        return None
-    first, end = maybe[lo], maybe[hi - 1] + 1
-    fresh = np.ones(stop - start, dtype=bool)
-    differ = bits[first:end] != bits[first - 1 : end - 1]
-    fresh[first - start : end - start] = differ.any(axis=1)
-    return None if fresh.all() else np.flatnonzero(fresh)
 
 
 def _spell_floats(spell_one):
@@ -300,11 +259,10 @@ def write_csv(path, values: np.ndarray) -> None:
 def read_csv(path) -> np.ndarray:
     """Read a NaN-tokened CSV grid; malformed rows name their index.
 
-    Blank lines are skipped. A row is malformed if its cell count
-    differs from the first row's, or if numpy's parser rejects a cell;
-    the first malformed row in the file is named. Each distinct line
-    is counted and parsed once, all in one call, and the rows are
-    gathered back in file order.
+    Blank lines are skipped, and each distinct line is parsed once, all
+    in one call. If that parse fails, the first malformed row in the
+    file is named: its cell count differs from the first row's, or
+    numpy's parser rejects one of its cells.
     """
     with open(path, encoding="ascii") as handle:
         numbered = [
@@ -313,31 +271,30 @@ def read_csv(path) -> np.ndarray:
     if not numbered:
         return np.empty((0, 0))
     rows, lines = zip(*numbered)
-    if len({line[:_HEAD] for line in lines}) < len(lines):
-        distinct, ids = _distinct(lines)
-    else:
-        distinct, ids = lines, range(len(lines))
-    cells = [line.count(",") + 1 for line in distinct]
-    even = next((k for k, i in enumerate(ids) if cells[i] != cells[0]), len(ids))
-    # the rows before `even` hold the first max(ids[:even]) + 1 distinct lines
-    known = max(ids[:even]) + 1
+    distinct, ids = _distinct(lines)
     try:
-        values = _parse_csv(distinct[:known])
+        values = _parse_csv(distinct)
     except ValueError:
-        for k in range(known):
-            try:
-                _parse_csv(distinct[k : k + 1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}: row {rows[ids.index(k)]} holds a non-numeric cell"
-                ) from None
-        raise
-    if even < len(ids):
+        cells = [line.count(",") + 1 for line in distinct]
+        even = next((k for k, i in enumerate(ids) if cells[i] != cells[0]), len(ids))
+        # the rows before `even` hold the first max(ids[:even]) + 1 distinct lines
+        known = max(ids[:even]) + 1
+        try:
+            _parse_csv(distinct[:known])
+        except ValueError:
+            for k in range(known):
+                try:
+                    _parse_csv(distinct[k : k + 1])
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {rows[ids.index(k)]} holds a non-numeric cell"
+                    ) from None
+            raise
         raise ValueError(
             f"{path}: row {rows[even]} has {cells[ids[even]]} cells, "
             f"expected {cells[0]}"
-        )
-    return values if known == len(ids) else values[ids]
+        ) from None
+    return values if len(distinct) == len(ids) else values[ids]
 
 
 def _parse_csv(lines) -> np.ndarray:

@@ -382,6 +382,11 @@ def test_writers_reuse_rows_across_block_seams(tmp_path, monkeypatch):
         assert_writers_match_the_references(tmp_path / "out", values)
         tripled = np.repeat(values, 3, axis=0)
         assert_writers_match_the_references(tmp_path / "out", tripled)
+    # rows that agree in their first cell but differ later; in blocks of
+    # two rows, rows 1 and 2 meet across a seam, and rows 3 and 4
+    same_head = np.array([[1.5, 0.0], [1.5, -0.0], [1.5, 2.5]])
+    values = same_head[[0, 1, 2, 2, 1, 0, 0]]
+    assert_writers_match_the_references(tmp_path / "out", values)
 
 
 def test_equal_rows_are_spelled_once_per_block(tmp_path, monkeypatch):
@@ -545,6 +550,23 @@ def test_p2_reader_parses_each_distinct_line_once(tmp_path, monkeypatch):
     assert np.array_equal(image, p2_token_parse(raw))
     assert len(parsed) == 1
     assert parsed[0].count(b"1 2 3") == 1 and parsed[0].count(b"6  7") == 1
+
+    # only blank, whitespace-only and comment-only lines repeat: the
+    # raster is parsed whole, as it stands once its comments are gone
+    for header, body in [
+        (b"P2\r\n3 2\r\n255", b"\r\n\r\n1 2 3\r\n# a note\r\n \t\r\n4 5 6\r\n\r\n"),
+        (b"P2\n3 2\n255", b"\n\n1 2 3\n\n# a note\n4 5 6 # 7\n  \n\n"),
+    ]:
+        path.write_bytes(header + body)
+        parsed.clear()
+        assert np.array_equal(fileio.read_pgm(path), p2_token_parse(header + body))
+        assert parsed == [fileio._COMMENT.sub(b"", body)]
+    # one repeated line that is not blank: each distinct line is parsed once
+    raw = b"P2\n3 2\n255\n1 2\n3 4\n1 2\n"
+    path.write_bytes(raw)
+    parsed.clear()
+    assert np.array_equal(fileio.read_pgm(path), p2_token_parse(raw))
+    assert len(parsed) == 1 and parsed[0].count(b"1 2") == 1
 
 
 def test_p2_reader_reads_repeated_rows(tmp_path, monkeypatch):

@@ -20,16 +20,18 @@ scratch directory lies. Two checkouts write the same bytes exactly
 when `diff` of their two listings is empty.
 
 The scenes are the benchmark's (perfbench/scenes.py, imported and
-only read; seeds 1-3 of each workload) plus five written here: the
+only read; seeds 1-3 of each workload) plus six written here: the
 README example, a row whose far object is hidden from both views by
 a near one, the two single-row scenes of tests/test_occlusion.py
-whose row fails, given a second row so that `--y 1` traces it, and a
-640-wide frame of bands of equal rows.
+whose row fails, given a second row so that `--y 1` traces it, a
+640-wide frame of bands of equal rows, and a 640-wide frame in which
+no two rows are equal.
 """
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -43,6 +45,28 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from scenes import SCENES  # noqa: E402
 
 SEEDS = (1, 2, 3)
+
+
+def distinct_rows() -> str:
+    """A 640x24 frame whose rows all differ, so the codecs find no repeat.
+
+    Each row is its own band of 8-40 px objects with shifts 2-12. The
+    gap after each object is wider than any two shifts differ, so no
+    object hides another in either view.
+    """
+    rng = random.Random(20)
+    lines = ["width = 640", "height = 24"]
+    for y in range(24):
+        x = rng.randint(0, 20)
+        while True:
+            size, shift = rng.randint(8, 40), rng.randint(2, 12)
+            if x + size + shift > 640:
+                break
+            lines.append(f"object = x0:{x} width:{size} shift:{shift} "
+                         f"intensity:{rng.randint(1, 9) / 10} y0:{y} height:1")
+            x += size + rng.randint(11, 40)
+    return "\n".join(lines) + "\n"
+
 
 HAND_SCENES = {
     "readme": """\
@@ -86,6 +110,7 @@ object = x0:150 width:12 shift:11 intensity:0.8 y0:20 height:6
 object = x0:300 width:40 shift:8 intensity:0.7 y0:45 height:20
 object = x0:500 width:30 shift:3 intensity:0.3 y0:80 height:10
 """,
+    "distinct_rows": distinct_rows(),
 }
 
 COMMANDS = (
