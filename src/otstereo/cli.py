@@ -6,9 +6,11 @@ disparity map plus occlusion and convergence reports, `reconstruct`
 lifts a disparity grid to a point cloud, and `diagnose` records the
 per-iteration behaviour of a single scanline.
 
-All outputs are deterministic for a fixed input and configuration:
-scanlines are solved one after another in a fixed order and no
-timestamps are written.
+The commands name the files and hand what the library returns to
+otstereo.fileio, which spells every output file. All outputs are
+deterministic for a fixed input and configuration: scanlines are
+solved one after another in a fixed order and no timestamps are
+written.
 
 Exit codes: 0 on success, 1 for input or configuration errors, 2 for
 numerical failures such as an unresolved occlusion.
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from . import fileio
 from .errors import OtStereoError, UnresolvedOcclusionError
-from .maps import DisparityMap
 
 # Each command loads only the modules it runs: the solver stack
 # (disparity, scaling) and otstereo.scene are imported where a command
@@ -95,58 +95,6 @@ def resolve_config(args: argparse.Namespace):
     return config, fields.get("out_dir", ".")
 
 
-def _report_payload(report) -> dict:
-    return {
-        "y": report.y,
-        "phi": report.phi,
-        "intervals": [[int(lo), int(hi)] for lo, hi in report.intervals],
-        "left_frame": [[int(lo), int(hi)] for lo, hi in report.left_frame],
-        "object_shifts": [
-            [int(col), float(shift)] for col, shift in report.object_shifts
-        ],
-        "compression_plateau": report.compression_plateau,
-    }
-
-
-def _clean(value):
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        return value if np.isfinite(value) else None
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
-def _diagnostics_text(records) -> str:
-    """{"scanlines": records} as fileio.write_json spells it.
-
-    Row pairs solved once share one record but for "y", so each
-    distinct record is cleaned and spelled once, with y = 0 standing
-    in, and every row splices its own y into that text. JSON escapes
-    newlines inside strings, so the stand-in's line is the only one
-    that can match.
-    """
-    spelled: dict = {}
-    parts = []
-    for record in records:
-        rest = dict(record)
-        y = rest.pop("y")
-        # the records of one solved pair hold the same value objects;
-        # keying on identity never merges values that spell differently
-        # yet compare equal, as 0, 0.0 and -0.0 do
-        key = tuple((name, id(value)) for name, value in rest.items())
-        if key not in spelled:
-            clean = {name: _clean(value) for name, value in rest.items()}
-            text = json.dumps({**clean, "y": 0}, indent=2, sort_keys=True)
-            head, _, tail = text.replace("\n", "\n    ").partition('\n      "y": 0')
-            spelled[key] = head + '\n      "y": ', tail
-        head, tail = spelled[key]
-        parts.append(f"{head}{y:d}{tail}")
-    if not parts:
-        return '{\n  "scanlines": []\n}\n'
-    return '{\n  "scanlines": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"
-
-
 def disparity_map(left, right, config):
     """The pipeline's disparity_map; the first call loads the solver stack."""
     from .disparity import disparity_map as solve
@@ -190,33 +138,11 @@ def cmd_generate(args) -> int:
     fileio.write_pgm(out / "left.pgm", pair.left)
     fileio.write_pgm(out / "right.pgm", pair.right)
     fileio.write_csv(out / "truth_disparity.csv", pair.truth.values)
+    hidden = [{"y": y, **rows} for y, rows in sorted(pair.hidden.items())]
     fileio.write_json(
-        out / "occlusions.json",
-        {
-            "non_occluded": pair.non_occluded,
-            "scanlines": [
-                {
-                    "y": y,
-                    "right_frame": [[int(a), int(b)] for a, b in rows["right_frame"]],
-                    "left_frame": [[int(a), int(b)] for a, b in rows["left_frame"]],
-                }
-                for y, rows in sorted(pair.hidden.items())
-            ],
-        },
+        out / "occlusions.json", {"non_occluded": pair.non_occluded, "scanlines": hidden}
     )
     return 0
-
-
-def _write_map(out: Path, result: DisparityMap) -> None:
-    fileio.write_csv(out / "disparity.csv", result.values)
-    fileio.write_disparity_pgm(out / "disparity.pgm", result.values)
-    fileio.write_json(
-        out / "occlusion_report.json",
-        {"scanlines": [_report_payload(r) for r in result.reports]},
-    )
-    (out / "diagnostics.json").write_text(
-        _diagnostics_text(result.diagnostics), encoding="utf-8", newline="\n"
-    )
 
 
 def cmd_disparity(args) -> int:
@@ -228,7 +154,13 @@ def cmd_disparity(args) -> int:
     result = disparity_map(left, right, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_map(out, result)
+    fileio.write_csv(out / "disparity.csv", result.values)
+    fileio.write_disparity_pgm(out / "disparity.pgm", result.values)
+    fileio.write_scanlines(
+        out / "occlusion_report.json",
+        [{k: v for k, v in r._asdict().items() if k != "solve"} for r in result.reports],
+    )
+    fileio.write_scanlines(out / "diagnostics.json", result.diagnostics)
     budget = [
         info["y"] for info in result.diagnostics
         if info.get("stop_reason") == STOP_MAX_ITERATIONS
@@ -283,11 +215,7 @@ def cmd_diagnose(args) -> int:
     nu1 = measure_from_row(left[args.y], require_mass=True)
     # the series measures the contraction of the fixed-epsilon
     # iteration, so the solve starts cold
-    sk = SinkhornConfig(
-        epsilon=config.epsilon,
-        max_iterations=config.max_iterations,
-        stop_tolerance=config.stop_tolerance,
-    )
+    sk = SinkhornConfig(config.epsilon, config.max_iterations, config.stop_tolerance)
     kernel = build_kernel(left.shape[1], sk.epsilon)
 
     # the reference is this very run's endpoint, so the series shows
@@ -301,13 +229,7 @@ def cmd_diagnose(args) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "diagnose_series.csv", "w", encoding="ascii", newline="\n") as handle:
-        handle.write("iteration,hilbert_u_step,hilbert_v_step,u_error,profile_error\n")
-        for rec in records:
-            cells = (
-                rec.hilbert_u_step, rec.hilbert_v_step, rec.u_error, rec.profile_error
-            )
-            handle.write(f"{rec.iteration},{','.join(map(fileio._spell_csv, cells))}\n")
+    fileio.write_series(out / "diagnose_series.csv", records)
     fileio.write_csv(out / "diagnose_plan.csv", final_plan)
     fileio.write_json(
         out / "diagnose.json",

@@ -1,10 +1,13 @@
-"""Readers and writers for the file formats the command line uses.
+"""Readers and writers of every file the command line reads or writes.
 
 Images travel as 8-bit PGM (both ASCII P2 and binary P5 are read;
 P2 is written). Disparity grids travel as CSV with a literal NaN
 token for no-data cells, at 9 significant digits so a write/read
-round trip is lossless at that precision. Point clouds are ASCII PLY
-with float x, y, z, intensity vertex properties.
+round trip is lossless at that precision; iteration series as such
+CSV under a header. Point clouds are ASCII PLY with float x, y, z,
+intensity vertex properties, and reports JSON: per-scanline records
+(write_scanlines) or one object (write_json). The writers take the
+library's records and arrays as they are.
 
 No codec parses cells one at a time in Python or formats a cell
 value twice within a block. The images of cartoon scenes repeat most
@@ -262,7 +265,7 @@ def read_csv(path) -> np.ndarray:
     Blank lines are skipped, and each distinct line is parsed once, all
     in one call. If that parse fails, the first malformed row in the
     file is named: its cell count differs from the first row's, or
-    numpy's parser rejects one of its cells.
+    numpy's parser rejects it alone.
     """
     with open(path, encoding="ascii") as handle:
         numbered = [
@@ -275,25 +278,18 @@ def read_csv(path) -> np.ndarray:
     try:
         values = _parse_csv(distinct)
     except ValueError:
-        cells = [line.count(",") + 1 for line in distinct]
-        even = next((k for k, i in enumerate(ids) if cells[i] != cells[0]), len(ids))
-        # the rows before `even` hold the first max(ids[:even]) + 1 distinct lines
-        known = max(ids[:even]) + 1
-        try:
-            _parse_csv(distinct[:known])
-        except ValueError:
-            for k in range(known):
+        expected = distinct[0].count(",") + 1
+        for k, line in enumerate(distinct):
+            cells = line.count(",") + 1
+            problem = f"has {cells} cells, expected {expected}"
+            if cells == expected:
                 try:
-                    _parse_csv(distinct[k : k + 1])
+                    _parse_csv([line])
+                    continue
                 except ValueError:
-                    raise ValueError(
-                        f"{path}: row {rows[ids.index(k)]} holds a non-numeric cell"
-                    ) from None
-            raise
-        raise ValueError(
-            f"{path}: row {rows[even]} has {cells[ids[even]]} cells, "
-            f"expected {cells[0]}"
-        ) from None
+                    problem = "holds a non-numeric cell"
+            raise ValueError(f"{path}: row {rows[ids.index(k)]} {problem}") from None
+        raise
     return values if len(distinct) == len(ids) else values[ids]
 
 
@@ -323,7 +319,63 @@ def write_ply(path, points: np.ndarray) -> None:
         _write_lines(handle, points, " ", spell)
 
 
+def write_series(path, records) -> None:
+    """CSV of NamedTuples of one type: their field names, then one line each.
+
+    Cells are spelled as by write_csv, so integer fields, as iteration
+    counts, read as integers below 10**9, where .9g spells them whole.
+    """
+    with open(path, "wb") as handle:
+        handle.write((",".join(records[0]._fields) + "\n").encode("ascii"))
+        grid = np.array(records, dtype=float)
+        _write_lines(handle, grid, ",", _spell_floats(_spell_csv))
+
+
 def write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def write_scanlines(path, records) -> None:
+    """Write {"scanlines": records}, mappings each with an int "y" (_scanlines_text)."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(_scanlines_text(records))
+
+
+def _clean(value):
+    """A record's value as a plain Python one; NaN and infinity as None."""
+    if isinstance(value, (np.floating, float)):
+        return float(value) if math.isfinite(value) else None
+    return int(value) if isinstance(value, np.integer) else value
+
+
+def _scanlines_text(records) -> str:
+    """{"scanlines": records} as write_json spells it, each value cleaned.
+
+    Row pairs solved once share one record but for "y", so each
+    distinct record is cleaned and spelled once, with y = 0 standing
+    in, and every row splices its own y into that text. JSON escapes
+    newlines inside strings, so the stand-in's line is the only one
+    that can match.
+    """
+    spelled: dict = {}
+    parts = []
+    for record in records:
+        rest = dict(record)
+        y = rest.pop("y")
+        # the records of one solved pair hold the same value objects;
+        # keying on identity never merges values that spell differently
+        # yet compare equal, as 0, 0.0 and -0.0 do. Each entry keeps
+        # its values alive, so no later value can reuse their ids.
+        key = tuple((name, id(value)) for name, value in rest.items())
+        if key not in spelled:
+            clean = {name: _clean(value) for name, value in rest.items()}
+            text = json.dumps({**clean, "y": 0}, indent=2, sort_keys=True)
+            head, _, tail = text.replace("\n", "\n    ").partition('\n      "y": 0')
+            spelled[key] = head + '\n      "y": ', tail, rest
+        head, tail, _ = spelled[key]
+        parts.append(f"{head}{y:d}{tail}")
+    if not parts:
+        return '{\n  "scanlines": []\n}\n'
+    return '{\n  "scanlines": [\n    ' + ",\n    ".join(parts) + "\n  ]\n}\n"

@@ -299,21 +299,6 @@ def monotone_plan(nu0, nu1) -> np.ndarray:
     return plan
 
 
-def _shift_block(cost, f, g, i0, j0, i1, j1):
-    """Move block [i0, i1) x [j0, j1) by the midpoint of its free constant.
-
-    The constant t enters as f + t, g - t; its range keeps
-    f_i + g_j <= cost_ij between the block and every earlier one.
-    """
-    if i0 == 0:
-        return
-    upper = (cost[i0:i1, :j0] - f[i0:i1, None] - g[None, :j0]).min()
-    lower = (f[:i0, None] + g[None, j0:j1] - cost[:i0, j0:j1]).max()
-    t = 0.5 * (lower + upper)
-    f[i0:i1] += t
-    g[j0:j1] -= t
-
-
 def monotone_potentials(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     """Dual potentials (f, g) of the monotone matching of p onto q.
 
@@ -322,19 +307,23 @@ def monotone_potentials(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     f_i + g_j equals cost_ij on every cell of monotone_cells and is at
     most cost_ij everywhere, so sum p f + sum q g is the exact cost
     (Thornton & Cuturi, arXiv 2206.07630). Each cell fixes one new
-    potential; the walk's blocks are free up to one constant each,
-    which _shift_block sets. Points the walk leaves, carrying at most
+    potential; the walk's blocks are free up to one constant t each,
+    entering as f + t, g - t, and t is the midpoint of its range.
+    That range keeps the slack cost - f - g nonnegative between the
+    block and the earlier ones. The slack only grows away from the
+    staircase, so only the two cells beside the previous block's last
+    cell (i0 - 1, j0 - 1) bound it: (i0, j0 - 1) from above and
+    (i0 - 1, j0) from below. Points the walk leaves, carrying at most
     rounding error, get the c-transform of the others.
     """
     n, m = cost.shape
     f = np.empty(n)
     g = np.empty(m)
-    i0 = j0 = 0
+    starts = []
     i = j = -1
-    for i_new, j_new, _, starts in monotone_cells(p, q):
-        if starts:
-            _shift_block(cost, f, g, i0, j0, i_new, j_new)
-            i0, j0 = i_new, j_new
+    for i_new, j_new, _, first in monotone_cells(p, q):
+        if first:
+            starts.append((i_new, j_new))
             f[i_new] = 0.0
             g[j_new] = cost[i_new, j_new]
         elif i_new > i:
@@ -342,7 +331,13 @@ def monotone_potentials(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
         else:
             g[j_new] = cost[i_new, j_new] - f[i_new]
         i, j = i_new, j_new
-    _shift_block(cost, f, g, i0, j0, i + 1, j + 1)
+    # blocks [i0, i1) x [j0, j1) after the first, each set after the one before
+    for (i0, j0), (i1, j1) in zip(starts[1:], [*starts[2:], (i + 1, j + 1)]):
+        lower = f[i0 - 1] + g[j0] - cost[i0 - 1, j0]
+        upper = cost[i0, j0 - 1] - f[i0] - g[j0 - 1]
+        t = 0.5 * (lower + upper)
+        f[i0:i1] += t
+        g[j0:j1] -= t
     f[i + 1:] = (cost[i + 1:, :] - g[None, :]).min(axis=1)
     g[j + 1:] = (cost[:, j + 1:] - f[:, None]).min(axis=0)
     return f, g

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from otstereo import fileio
-from otstereo.cli import _clean, _diagnostics_text, main, parse_run_config
-from otstereo.disparity import DEFAULT_CONFIG, disparity_map
+from otstereo.cli import main, parse_run_config
+from otstereo.disparity import (
+    DEFAULT_CONFIG,
+    disparity_map,
+    disparity_profile,
+    measure_from_row,
+)
+from otstereo.fileio import _clean, _scanlines_text
+from otstereo.scaling import SinkhornConfig, build_kernel, iteration_trace, sinkhorn
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -377,6 +384,20 @@ def test_diagnose_series_and_gap(tmp_path):
     series = (run / "diagnose_series.csv").read_text().splitlines()
     assert series[0] == "iteration,hilbert_u_step,hilbert_v_step,u_error,profile_error"
     assert len(series) == payload["iterations"] + 1
+    # the rows are the trace's records: the iteration whole, the
+    # probes as write_csv spells them
+    nu0 = measure_from_row(right[0], require_mass=True)
+    nu1 = measure_from_row(left[0], require_mass=True)
+    config = SinkhornConfig(DEFAULT_CONFIG.epsilon, 4000, 1e-9)
+    kernel = build_kernel(60, config.epsilon)
+    endpoint, vectors, _ = sinkhorn(nu0, nu1, kernel, config)
+    records, _ = iteration_trace(nu0, nu1, kernel, config, reference_vectors=vectors,
+                                 reference_profile=disparity_profile(endpoint))
+
+    def spell(value):
+        return f"{value:.9g}" if np.isfinite(value) else "NaN"
+
+    assert series[1:] == [",".join([str(r.iteration), *map(spell, r[1:])]) for r in records]
     plan = fileio.read_csv(run / "diagnose_plan.csv")
     assert plan.shape == (60, 60)
     assert plan.sum() == pytest.approx(right[0].sum(), abs=1e-6)
@@ -575,8 +596,8 @@ def test_diagnostics_text_is_json_dump_byte_for_byte():
         {"y": 10, "phi": np.float64(np.nan), "lam": -np.inf, "iterations": np.int64(3)},
         {"y": 11, "zeta": 1, "error": 'x\n      "y": 0'},
     )
-    assert _diagnostics_text(records) == json_dump_text(records)
-    assert _diagnostics_text(()) == json_dump_text(())
+    assert _scanlines_text(records) == json_dump_text(records)
+    assert _scanlines_text(()) == json_dump_text(())
 
 
 def test_diagnostics_file_is_json_dump_byte_for_byte(tmp_path):
@@ -588,3 +609,9 @@ def test_diagnostics_file_is_json_dump_byte_for_byte(tmp_path):
                            DEFAULT_CONFIG)
     text = (run / "diagnostics.json").read_text()
     assert text == json_dump_text(result.diagnostics)
+    # the reports as json.dump spells their fields but the solve
+    reports = [{k: v for k, v in r._asdict().items() if k != "solve"}
+               for r in result.reports]
+    assert reports
+    text = (run / "occlusion_report.json").read_text()
+    assert text == json.dumps({"scanlines": reports}, indent=2, sort_keys=True) + "\n"

@@ -113,6 +113,9 @@ def potential_cases():
     # a last point lighter than the block tolerance: the walk ends
     # before it, and its potential is the c-transform of the others
     yield np.array([1.0, 1e-13, 0.0]), np.array([0.0, 0.0, 1.0])
+    # an integer shift of distinct masses: every pixel is its own block
+    row = np.random.default_rng(8).uniform(0.1, 1.0, 30)
+    yield np.r_[row, np.zeros(4)], np.r_[np.zeros(4), row]
 
 
 POTENTIAL_CASES = list(potential_cases())
@@ -134,6 +137,15 @@ def test_potentials_certify_the_monotone_plan(case):
     assert a[s0] @ f + b[s1] @ g == pytest.approx(
         transport_cost(plan), rel=1e-12, abs=1e-12 * scale
     )
+    # each block's free constant is the midpoint of its range: as much
+    # slack toward the earlier columns as toward the earlier rows
+    cells = list(monotone_cells(a[s0], b[s1]))
+    starts = [(i, j) for i, j, _, first in cells if first]
+    ends = [*starts[1:], (cells[-1][0] + 1, cells[-1][1] + 1)]
+    for (i0, j0), (i1, j1) in zip(starts[1:], ends[1:]):
+        assert slack[i0:i1, :j0].min() == pytest.approx(
+            slack[:i0, j0:j1].min(), abs=1e-12 * scale
+        )
 
 
 def test_block_break_drops_the_rounding_residue():
