@@ -42,7 +42,8 @@ _SUBMODULES = {
         "UnresolvedOcclusionError",
         "WrongPathError",
     ),
-    "maps": ("DisparityMap",),
+    "geometry": ("CameraRig", "depth_from_disparity", "pixel_shift", "reconstruct"),
+    "maps": ("DisparityMap", "map_from_values"),
     "reference": (
         "brute_force_plan",
         "estimate_phi",
@@ -65,16 +66,11 @@ _SUBMODULES = {
         "sinkhorn",
     ),
     "scene": (
-        "CameraRig",
         "CartoonScene",
         "RenderedPair",
         "SceneObject",
-        "depth_from_disparity",
         "load_scene",
-        "map_from_values",
         "parse_scene",
-        "pixel_shift",
-        "reconstruct",
         "render_pair",
     ),
 }

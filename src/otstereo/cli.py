@@ -18,7 +18,9 @@ numerical failures such as an unresolved occlusion.
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -27,12 +29,12 @@ import numpy as np
 from . import fileio
 from .errors import OtStereoError, UnresolvedOcclusionError
 
-# Each command loads only the modules it runs: the solver stack
-# (disparity, scaling) and otstereo.scene are imported where a command
-# calls into them, and no command loads otstereo.reference. The
-# commands call the scene and pipeline functions through the
-# module-level wrappers below, the names perfbench/spans.py replaces
-# with timed ones.
+# Each command loads only the modules it runs: the solver stack,
+# otstereo.scene and otstereo.geometry are imported where a command
+# calls into them, so `reconstruct` loads the rig geometry alone, and
+# no command loads otstereo.reference. The commands call the library
+# through the module-level wrappers below, the names
+# perfbench/spans.py replaces with timed ones.
 
 # The run settings a config file or a flag can set. epsilon, niter
 # and stop_tolerance override the fields of disparity.DEFAULT_CONFIG
@@ -117,15 +119,15 @@ def render_pair(scene, rig):
 
 
 def reconstruct(disparity, rig, right_image):
-    """scene.reconstruct; the first call loads otstereo.scene."""
-    from .scene import reconstruct as lift
+    """geometry.reconstruct; the first call loads otstereo.geometry."""
+    from .geometry import reconstruct as lift
 
     return lift(disparity, rig, right_image)
 
 
 def map_from_values(values):
-    """scene.map_from_values; the first call loads otstereo.scene."""
-    from .scene import map_from_values as wrap
+    """maps.map_from_values; the first call loads otstereo.maps."""
+    from .maps import map_from_values as wrap
 
     return wrap(values)
 
@@ -183,7 +185,7 @@ def cmd_disparity(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    from .scene import CameraRig
+    from .geometry import CameraRig
 
     rig = CameraRig(baseline=args.baseline, focal=args.focal, beta=args.beta)
     values = fileio.read_csv(args.disparity)
@@ -321,16 +323,38 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry of the `otstereo` command and `python -m otstereo.cli`.
 
-    Exits with main()'s code. It first moves every object the imports
-    made (numpy, this module) out of the garbage collector's reach:
-    that heap lives until exit anyway, yet every full collection
-    walks it, and interpreter finalization collects even with the
-    collector disabled. Objects the command creates are collected as
-    before. main() itself leaves the collector alone, for callers
-    that run it in their own process.
+    Freezes the import-time heap (numpy, this module), which lives
+    until exit anyway yet every full collection walks, and runs main().
+    Then it ends the process as the interpreter would, minus its
+    teardown: the exit code resolved as from a SystemExit, the atexit
+    handlers run, stdout and stderr flushed, then os._exit. A profiler
+    or tracer (cProfile, coverage, pdb), `python -i` or a failed flush
+    gets the plain sys.exit, so the tool gets control back or the
+    interpreter reports the failure. main() leaves the collector and
+    the process alone, for callers that run it in their own process.
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+    # pdb drops its tracer to run on to the end, yet wants control back
+    if sys.getprofile() is not None or sys.gettrace() is not None or (
+        "bdb" in sys.modules or sys.flags.inspect
+    ):
+        sys.exit(code)
+    if code is None:
+        code = 0
+    elif not isinstance(code, int):
+        print(code, file=sys.stderr)
+        code = 1
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ token for no-data cells, at 9 significant digits so a write/read
 round trip is lossless at that precision; iteration series as such
 CSV under a header. Point clouds are ASCII PLY with float x, y, z,
 intensity vertex properties, and reports JSON: per-scanline records
-(write_scanlines) or one object (write_json). The writers take the
-library's records and arrays as they are.
+(write_scanlines) or one object (write_json), the only two that load
+json. The writers take the library's records and arrays as they are.
 
 No codec parses cells one at a time in Python or formats a cell
 value twice within a block. The images of cartoon scenes repeat most
@@ -25,7 +25,6 @@ file order.
 from __future__ import annotations
 
 import io
-import json
 import math
 import re
 
@@ -332,6 +331,8 @@ def write_series(path, records) -> None:
 
 
 def write_json(path, payload) -> None:
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -359,6 +360,8 @@ def _scanlines_text(records) -> str:
     newlines inside strings, so the stand-in's line is the only one
     that can match.
     """
+    import json
+
     spelled: dict = {}
     parts = []
     for record in records:

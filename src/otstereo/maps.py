@@ -1,8 +1,9 @@
 """Disparity grids and the run-length helpers that read them.
 
-The renderer builds its ground truth from these and the solver its
-output, so they depend on numpy alone: commands that never solve
-(`generate`, `reconstruct`) load this module and not the solver stack.
+The renderer builds its ground truth from these, the solver its
+output and `reconstruct` its input (map_from_values), so they depend
+on numpy alone: commands that never solve (`generate`, `reconstruct`)
+load this module and not the solver stack.
 """
 from __future__ import annotations
 
@@ -56,6 +57,11 @@ class DisparityMap(Record):
     @property
     def no_data(self) -> np.ndarray:
         return ~self.defined_mask
+
+
+def map_from_values(values: np.ndarray) -> DisparityMap:
+    """Wrap a plain (h, d) disparity array, NaN meaning no data."""
+    return DisparityMap(values)
 
 
 def value_runs(values) -> list[tuple[int, int]]:

@@ -1,7 +1,12 @@
 """The package loads each submodule on first use, and each command
-loads only the modules it runs; none of them loads dataclasses or
-otstereo.reference. The process entry freezes the import-time heap;
-main() leaves the collector alone."""
+loads only the modules it runs: none of them loads dataclasses or
+otstereo.reference, `disparity` and `diagnose` load neither
+otstereo.scene nor numpy.ma, and `reconstruct` loads neither
+otstereo.scene nor json. The process entry freezes the import-time
+heap and ends the process without the interpreter's teardown, with
+the exit code, stdout, stderr and output files a plain exit gives,
+and it exits normally under a profiler; main() leaves the collector
+and the process alone."""
 import ast
 import importlib
 import json
@@ -42,10 +47,15 @@ object = x0:47 width:40 shift:4 intensity:0.6
 
 
 def spawn(*argv) -> subprocess.CompletedProcess:
-    """Run the interpreter on argv with this package importable."""
+    """Run the interpreter on argv with this package importable.
+
+    Its standard streams are buffered, as they are by default, so an
+    exit that skips their flush loses what they hold.
+    """
     src = str(Path(otstereo.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run(
         [sys.executable, *map(str, argv)], capture_output=True, text=True, env=env,
     )
@@ -124,6 +134,30 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
     assert "dataclasses" not in result["loaded"]
 
 
+def test_reconstruct_loads_neither_scene_nor_json(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    pair = tmp_path / "pair"
+    assert otstereo.cli.main(["generate", str(scene), "--out-dir", str(pair)]) == 0
+    code = """\
+import sys
+import otstereo.cli
+code = otstereo.cli.main(["reconstruct", *sys.argv[1:]])
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+    cloud = tmp_path / "cloud.ply"
+    result = fresh(code, pair / "truth_disparity.csv", pair / "right.pgm", "--out", cloud)
+    assert result["code"] == 0
+    assert {name for name in result["loaded"] if name.startswith("otstereo.")} == {
+        f"otstereo.{name}"
+        for name in ("cli", "fileio", "errors", "geometry", "maps", "records")
+    }
+    assert "json" not in result["loaded"]
+    assert "element vertex 42" in cloud.read_text()
+
+
 @pytest.mark.parametrize("command", ["generate", "reconstruct"])
 def test_the_process_entry_freezes_the_import_time_heap(tmp_path, command):
     scene = tmp_path / "scene.txt"
@@ -189,6 +223,112 @@ def test_the_process_entry_keeps_help_and_usage_errors(monkeypatch, capsys):
     assert "the following arguments are required: left, right" in stderr
 
 
+# the single-row scenes of tests/test_occlusion.py whose row fails
+FAILING_SCENES = {
+    "landing_past_start": """\
+width = 80
+height = 1
+object = x0:8 width:4 shift:9 intensity:0.3
+object = x0:12 width:15 shift:3 intensity:0.75
+""",
+    "mirror_landing_inside": """\
+width = 80
+height = 1
+object = x0:5 width:18 shift:3 intensity:0.3
+object = x0:17 width:4 shift:9 intensity:0.45
+""",
+}
+
+
+def command_lines(pair, out):
+    """Every command, writing under out and reading the pair in pair."""
+    left, right = str(pair / "left.pgm"), str(pair / "right.pgm")
+    return [
+        ["disparity", left, right, "--out-dir", str(out / "run")],
+        ["reconstruct", str(out / "run" / "disparity.csv"), right,
+         "--out", str(out / "cloud.ply")],
+        ["diagnose", left, right, "--y", "1", "--niter", "50",
+         "--out-dir", str(out / "diag")],
+    ]
+
+
+def files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_the_process_entry_writes_every_output(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(README_SCENE)
+    direct, entry = tmp_path / "direct", tmp_path / "entry"
+    for out in (direct, entry):
+        pair = out / "pair"
+        argvs = [["generate", str(scene), "--out-dir", str(pair)],
+                 *command_lines(pair, out)]
+        for argv in argvs:
+            if out is direct:
+                assert otstereo.cli.main(argv) == 0
+            else:
+                proc = spawn("-m", "otstereo.cli", *argv)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    written = files(direct)
+    assert len(written) == 12
+    assert files(entry) == written
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_SCENES))
+def test_the_process_entry_exits_2_on_a_failing_row(tmp_path, name):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(FAILING_SCENES[name])
+    pair, out = tmp_path / "pair", tmp_path / "out"
+    assert otstereo.cli.main(["generate", str(scene), "--out-dir", str(pair)]) == 0
+    proc = spawn("-m", "otstereo.cli", "disparity", pair / "left.pgm",
+                 pair / "right.pgm", "--out-dir", out)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "otstereo: numerical failure on scanlines [0]\n"
+    # the failed row is still written, as no data
+    assert (out / "disparity.csv").read_text() == ",".join(["NaN"] * 80) + "\n"
+    assert len(files(out)) == 4
+
+
+@pytest.mark.parametrize("command", ["disparity", "reconstruct"])
+def test_the_process_entry_exits_1_on_a_missing_input(tmp_path, capsys, command):
+    missing = str(tmp_path / "no_such_file")
+    argv = [command, missing, missing, "--out-dir" if command == "disparity" else "--out",
+            str(tmp_path / "out")]
+    assert otstereo.cli.main(argv) == 1
+    stderr = capsys.readouterr().err
+    assert stderr == f"otstereo: [Errno 2] No such file or directory: {missing!r}\n"
+    proc = spawn("-m", "otstereo.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", stderr)
+
+
+@pytest.mark.parametrize("command", ["generate", "disparity", "reconstruct", "diagnose"])
+def test_help_arrives_whole_through_a_pipe(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        otstereo.cli.main([command, "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith(f"usage: otstereo {command} ")
+    proc = spawn("-m", "otstereo.cli", command, "--help")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, help_text, "")
+
+
+def test_the_process_entry_exits_normally_under_a_profiler(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    pair = tmp_path / "pair"
+    proc = spawn("-m", "cProfile", "-s", "cumulative", "-m", "otstereo.cli",
+                 "generate", scene, "--out-dir", pair)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # cProfile prints its report once the command has returned to it
+    assert "function calls" in proc.stdout
+    assert "Ordered by: cumulative time" in proc.stdout
+    assert "(cmd_generate)" in proc.stdout
+    assert len(files(pair)) == 4
+
+
 def test_the_console_script_runs_the_main_block_entry():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
@@ -212,6 +352,18 @@ def test_every_exported_name_resolves_and_is_listed():
         assert name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         otstereo.no_such_name
+
+
+def test_the_moved_names_still_resolve_from_the_scene_module():
+    import otstereo.geometry
+    import otstereo.maps
+    import otstereo.scene
+
+    for name in ("CameraRig", "depth_from_disparity", "pixel_shift", "reconstruct"):
+        assert getattr(otstereo.scene, name) is getattr(otstereo.geometry, name)
+        assert getattr(otstereo, name) is getattr(otstereo.geometry, name)
+    assert otstereo.scene.map_from_values is otstereo.maps.map_from_values
+    assert otstereo.map_from_values is otstereo.maps.map_from_values
 
 
 def test_every_traced_name_resolves_to_a_callable():

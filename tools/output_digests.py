@@ -13,11 +13,18 @@ each as its own `python -m otstereo.cli` process:
     reconstruct disparity.csv right.pgm          (of the default run)
     diagnose left.pgm right.pgm --y 1 --niter 300
 
-and prints one `artifact sha256` line per output file, stdout, stderr
+and, once, in an empty directory, the exit paths that need no scene:
+
+    --help
+    disparity                                    (a usage error)
+    reconstruct no_such.csv no_such.pgm          (a missing input file)
+
+It prints one `artifact sha256` line per output file, stdout, stderr
 and exit code, sorted by artifact. Commands run inside the scene's own
 directory with relative paths, so no line depends on where the
-scratch directory lies. Two checkouts write the same bytes exactly
-when `diff` of their two listings is empty.
+scratch directory lies, with buffered standard streams and an
+80-column help text. Two checkouts write the same bytes exactly when
+`diff` of their two listings is empty.
 
 The scenes are the benchmark's (perfbench/scenes.py, imported and
 only read; seeds 1-3 of each workload) plus six written here: the
@@ -124,6 +131,12 @@ COMMANDS = (
                   "--niter", "300", "--out-dir", "diag"]),
 )
 
+EXIT_PATHS = (
+    ("help", ["--help"]),
+    ("usage-error", ["disparity"]),
+    ("missing-file", ["reconstruct", "no_such.csv", "no_such.pgm"]),
+)
+
 # one thread per numeric library, as the benchmark runs its children
 THREAD_ENV = {name: "1" for name in
               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -143,14 +156,14 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(src: Path, name: str, text: str, work: Path) -> list[tuple[str, str]]:
-    """Run every command on one scene; (artifact, digest) pairs."""
+def digests(src: Path, name: str, commands, work: Path) -> list[tuple[str, str]]:
+    """Run each (label, argv) of commands in work; (artifact, digest) pairs."""
     env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src),
-           "PYTHONDONTWRITEBYTECODE": "1"}
-    (work / "scene.txt").write_text(text)
-    (work / "cloud").mkdir()
+           "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
+    # buffered streams, so an exit that skips their flush shows
+    env.pop("PYTHONUNBUFFERED", None)
     lines = []
-    for label, argv in COMMANDS:
+    for label, argv in commands:
         before = {p for p in work.rglob("*") if p.is_file()}
         proc = subprocess.run(
             [sys.executable, "-m", "otstereo.cli", *argv],
@@ -180,8 +193,12 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="otstereo-digests-") as scratch:
         for name, text in scenes().items():
             work = Path(scratch) / name
-            work.mkdir()
-            lines += digests(src, name, text, work)
+            (work / "cloud").mkdir(parents=True)
+            (work / "scene.txt").write_text(text)
+            lines += digests(src, name, COMMANDS, work)
+        work = Path(scratch) / "exit-path"
+        work.mkdir()
+        lines += digests(src, "exit-path", EXIT_PATHS, work)
     for artifact, digest in sorted(lines):
         print(artifact, digest)
     return 0
