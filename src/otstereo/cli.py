@@ -328,20 +328,24 @@ def run() -> None:
     Then it ends the process as the interpreter would, minus its
     teardown: the exit code resolved as from a SystemExit, the atexit
     handlers run, stdout and stderr flushed, then os._exit. A profiler
-    or tracer (cProfile, coverage, pdb), `python -i` or a failed flush
-    gets the plain sys.exit, so the tool gets control back or the
-    interpreter reports the failure. main() leaves the collector and
-    the process alone, for callers that run it in their own process.
+    or tracer (cProfile, coverage, pdb; through setprofile, settrace or
+    sys.monitoring), `python -i` or a failed flush gets the plain
+    sys.exit, so the tool gets control back or the interpreter reports
+    the failure. main() leaves the collector and the process alone, for
+    callers that run it in their own process.
     """
     gc.freeze()
     try:
         code = main()
     except SystemExit as exc:
         code = exc.code
-    # pdb drops its tracer to run on to the end, yet wants control back
+    # pdb drops its tracer to run on to the end, yet wants control back;
+    # from Python 3.12 cProfile hooks in through sys.monitoring (tool
+    # ids 0-5) and leaves getprofile() None, as coverage can
+    monitoring = getattr(sys, "monitoring", None)
     if sys.getprofile() is not None or sys.gettrace() is not None or (
         "bdb" in sys.modules or sys.flags.inspect
-    ):
+    ) or (monitoring and any(monitoring.get_tool(i) is not None for i in range(6))):
         sys.exit(code)
     if code is None:
         code = 0

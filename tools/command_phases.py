@@ -5,9 +5,9 @@
 
 SRC_DIR is the directory that holds the `otstereo` package to run (the
 `src` directory of a checkout); give two to compare checkouts. S is a
-scene file, or the name of a benchmark workload (perfbench/scenes.py,
-imported and only read), whose seed-1 scene is used; the default is
-`wide_roundtrip`. Each tree first generates the pair and solves it
+scene file, or the name of a benchmark workload, whose seed-1 scene is
+used; the default is `wide_roundtrip`. The workloads, the commands and
+the child's environment are those of tools/output_digests.py. Each tree first generates the pair and solves it
 once, untimed, in a directory of its own. Then N rounds (default 21)
 run every command of every tree once, each as its own process, tree
 after tree, with the order of the trees reversed every other round, so
@@ -15,7 +15,7 @@ that drift of a shared machine falls on all of them alike:
 
     generate scene.txt
     disparity left.pgm right.pgm                 (the defaults)
-    reconstruct disparity.csv right.pgm
+    reconstruct disparity.csv right.pgm          (of the default run)
     diagnose left.pgm right.pgm --y 1 --niter 300
 
 Each child runs the command as `python -m otstereo.cli` does, through
@@ -49,15 +49,13 @@ import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import output_digests
+from output_digests import SCENES, child_env
 
-COMMANDS = (
-    ("generate", ["generate", "scene.txt", "--out-dir", "pair"]),
-    ("disparity", ["disparity", "pair/left.pgm", "pair/right.pgm", "--out-dir", "run"]),
-    ("reconstruct", ["reconstruct", "run/disparity.csv", "pair/right.pgm",
-                     "--out", "cloud.ply"]),
-    ("diagnose", ["diagnose", "pair/left.pgm", "pair/right.pgm", "--y", "1",
-                  "--niter", "300", "--out-dir", "diag"]),
+# the digests' commands but the --niter 10000 solve
+COMMANDS = tuple(
+    (label, argv) for label, argv in output_digests.COMMANDS
+    if label != "disparity-niter10000"
 )
 PHASES = ("start", "imports", "main", "teardown", "wall", "cpu")
 
@@ -81,20 +79,11 @@ otstereo.cli.main = timed
 otstereo.cli.run()
 """
 
-# one thread per numeric library, as the benchmark runs its children
-THREAD_ENV = {name: "1" for name in
-              ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-
 
 def scene_text(scene: str) -> str:
     path = Path(scene)
     if path.is_file():
         return path.read_text()
-    # the benchmark's scenes are only read: no bytecode cache is left there
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    from scenes import SCENES
-
     if scene not in SCENES:
         raise SystemExit(f"command_phases: {scene!r} is neither a file nor one of "
                          f"{sorted(SCENES)}")
@@ -103,8 +92,7 @@ def scene_text(scene: str) -> str:
 
 def timed_run(src: Path, argv: list[str], work: Path) -> dict[str, float]:
     """One fresh command in work; its phases, wall and CPU time in ms."""
-    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src),
-           "PYTHONDONTWRITEBYTECODE": "1"}
+    env = child_env(src)
     read_end, write_end = os.pipe()
     with os.fdopen(read_end, "rb") as pipe:
         spawned = time.monotonic_ns()
@@ -158,7 +146,7 @@ def main(argv=None) -> int:
         works = []
         for k, src in enumerate(trees):
             work = Path(scratch) / str(k)
-            work.mkdir()
+            (work / "cloud").mkdir(parents=True)
             (work / "scene.txt").write_text(text)
             # the pair and the solve that reconstruct reads
             for _, command in COMMANDS[:2]:

@@ -142,6 +142,12 @@ THREAD_ENV = {name: "1" for name in
               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
+def child_env(src: Path) -> dict[str, str]:
+    """The environment of a command run from the package under src."""
+    return {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src),
+            "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def scenes() -> dict[str, str]:
     found = {
         f"{name}-{seed}": build(seed)
@@ -158,8 +164,7 @@ def sha256(data: bytes) -> str:
 
 def digests(src: Path, name: str, commands, work: Path) -> list[tuple[str, str]]:
     """Run each (label, argv) of commands in work; (artifact, digest) pairs."""
-    env = {**os.environ, **THREAD_ENV, "PYTHONPATH": str(src),
-           "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "80"}
+    env = {**child_env(src), "COLUMNS": "80"}
     # buffered streams, so an exit that skips their flush shows
     env.pop("PYTHONUNBUFFERED", None)
     lines = []
