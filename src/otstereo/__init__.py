@@ -22,7 +22,6 @@ _SUBMODULES = {
         "compare_masses",
         "compression",
         "disparity_map",
-        "disparity_profile",
         "measure_from_row",
         "recover_occlusions",
     ),
@@ -60,6 +59,7 @@ _SUBMODULES = {
         "ShiftedLimits",
         "SinkhornConfig",
         "build_kernel",
+        "disparity_profile",
         "iteration_trace",
         "monotone_plan",
         "shifted_sinkhorn",

@@ -203,8 +203,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .disparity import disparity_profile, measure_from_row
-    from .scaling import SinkhornConfig, build_kernel, iteration_trace, sinkhorn
+    from .disparity import measure_from_row
+    from .scaling import SinkhornConfig, build_kernel, iteration_trace
 
     config, out_dir = resolve_config(args)
     left = fileio.read_pgm(args.left)
@@ -219,15 +219,9 @@ def cmd_diagnose(args) -> int:
     # iteration, so the solve starts cold
     sk = SinkhornConfig(config.epsilon, config.max_iterations, config.stop_tolerance)
     kernel = build_kernel(left.shape[1], sk.epsilon)
-
-    # the reference is this very run's endpoint, so the series shows
-    # the distance still to travel at each iteration
-    plan, vectors, report = sinkhorn(nu0, nu1, kernel, sk)
-    reference = disparity_profile(plan)
-    records, final_plan = iteration_trace(
-        nu0, nu1, kernel, sk,
-        reference_vectors=vectors, reference_profile=reference,
-    )
+    # the trace measures each iteration against the run's own endpoint,
+    # so the series shows the distance still to travel
+    records, final_plan, report = iteration_trace(nu0, nu1, kernel, sk)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

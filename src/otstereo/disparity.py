@@ -4,8 +4,9 @@ A grayscale scanline is a measure on the pixel grid: a nonnegative
 vector indexed by column, whose entries are the masses the transport
 solver moves around (measure_from_row). The disparity of a source
 column is the barycenter of its row in the plan minus the column
-index. On a balanced scanline of a piecewise constant scene this
-recovers each object's pixel shift. When one row carries more mass
+index (disparity_profile, from otstereo.scaling). On a balanced
+scanline of a piecewise constant scene this recovers each object's
+pixel shift. When one row carries more mass
 than the other, beyond the balance tolerance
 DEFAULT_BALANCE_TOLERANCE (compare_masses), the surplus marks pixels
 visible in that view only. Every scanline with mass in both views
@@ -41,6 +42,7 @@ from .scaling import (
     GibbsKernel,
     SinkhornConfig,
     build_kernel,
+    disparity_profile,
     monotone_plan,
     shifted_sinkhorn,  # not called here; perfbench/spans.py wraps this name for --trace 1
     sinkhorn,
@@ -121,24 +123,6 @@ class OcclusionReport(NamedTuple):
     compression_plateau: float | None
     solve: ConvergenceReport | None = None
     left_frame: tuple[tuple[int, int], ...] = ()
-
-
-def disparity_profile(plan) -> np.ndarray:
-    """Per-column rightward shift read off an (n, m) plan array.
-
-    Each source column's shift is its row's barycenter minus the
-    column index; it is NaN on rows without mass.
-    """
-    entries = np.asarray(plan, dtype=float)
-    n, m = entries.shape
-    row_mass = entries.sum(axis=1)
-    defined = row_mass > 0.0
-    values = np.full(n, np.nan)
-    cols = np.arange(m, dtype=float)
-    values[defined] = (entries[defined] @ cols) / row_mass[defined] - np.flatnonzero(
-        defined
-    ).astype(float)
-    return values
 
 
 def compression(profile: np.ndarray) -> np.ndarray:

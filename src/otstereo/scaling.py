@@ -17,8 +17,10 @@ monotone matching, which on the line are read off the northwest-corner
 staircase in one sweep; at small epsilon the entropic potentials lie
 close to them. The same sweep fills monotone_plan, the exact matching
 the occlusion loop reads shifts from. A solve stops on the marginal
-violation of its odd plan, or on its iteration budget. The dense
-kernel and the identities the solves are checked against live in
+violation of its odd plan, or on its iteration budget.
+disparity_profile reads a plan's per-column shifts, and iteration_trace
+records how a solve approaches its own endpoint. The dense kernel and
+the identities the solves are checked against live in
 otstereo.reference.
 """
 from __future__ import annotations
@@ -169,9 +171,9 @@ class ShiftedLimits(NamedTuple):
 class IterationRecord(NamedTuple):
     """Convergence probes for one iteration of a traced solve.
 
-    u_error and profile_error compare against a caller-supplied
-    reference (typically a longer run) and are NaN when no reference
-    was given.
+    u_error and profile_error measure how far the iterate still is
+    from the solve's own endpoint: u_error is 0 at the last record,
+    profile_error zero up to rounding.
     """
 
     iteration: int
@@ -209,7 +211,7 @@ class _Step(NamedTuple):
 
     u pairs with v_prev in the odd plan and with v_raw in the even
     plan, both against the log kernel block; col is the odd plan's
-    column marginal.
+    column marginal. _solve returns the last one.
     """
 
     u: np.ndarray
@@ -414,37 +416,25 @@ def _prepare(a: np.ndarray, b: np.ndarray, kernel: GibbsKernel, config: Sinkhorn
     return support0, support1, steps
 
 
-def _scatter_plan(support0, support1, step: _Step, v: np.ndarray, d: int) -> np.ndarray:
-    """The d x d plan array of step.u and v on the support, zero off it.
+def _solve(a: np.ndarray, b: np.ndarray, kernel: GibbsKernel, config: SinkhornConfig,
+           limit: np.ndarray, observe=None):
+    """Run one scaling solve on checked measures a, b.
 
-    v is step.v_prev for the odd plan, step.v_raw for the even one.
+    limit is the full-width vector the odd plan's column marginal
+    converges to; the tolerance stop compares against it. observe, if
+    given, is called with (iteration, step) after every iteration.
+    Returns (support0, support1, odd, step, report): the supports, the
+    odd plan on them, the last _Step and the report. The odd plan
+    pairs the last u with the previous v, so its row marginal is
+    exactly a. Off the support the plan carries no mass and the limit
+    is zero, so the report's marginal violation is read off the block.
     """
-    plan = np.zeros((d, d))
-    plan[np.ix_(support0, support1)] = np.exp(step.u[:, None] + step.block + v[None, :])
-    return plan
-
-
-def _run(support0, support1, steps, kernel: GibbsKernel, config: SinkhornConfig, limit,
-         observe=None):
-    """Drive the scaling iteration and package the odd plan plus report.
-
-    The first three arguments are what _prepare returns. limit is the
-    full-width vector the odd plan's column marginal converges to; the
-    tolerance stop compares against it. observe, if given, is called
-    with (iteration, step) after every iteration.
-    Returns (odd_plan, vectors, report, step); the odd plan pairs the
-    final u with the previous v, so its row marginal is exactly nu0.
-    The even plan, whose column marginal is exactly nu1, pairs u with
-    step.v_raw; only shifted_sinkhorn builds it.
-    """
+    support0, support1, steps = _prepare(a, b, kernel, config)
     limit_sub = limit[support1]
-    d = kernel.d
     hilbert_u: list[float] = []
     hilbert_v: list[float] = []
     stop_reason = STOP_MAX_ITERATIONS
-    iterations = 0
-    for step in steps:
-        iterations += 1
+    for iterations, step in enumerate(steps, 1):
         hilbert_u.append(step.du)
         hilbert_v.append(step.dv)
         if observe is not None:
@@ -458,22 +448,38 @@ def _run(support0, support1, steps, kernel: GibbsKernel, config: SinkhornConfig,
         if iterations >= config.max_iterations:
             break
 
-    odd = _scatter_plan(support0, support1, step, step.v_prev, d)
-    u_full = np.full(d, -np.inf)
-    v_full = np.full(d, -np.inf)
-    u_full[support0] = step.u
-    v_full[support1] = step.v_prev
-    violation = float(np.abs(odd.sum(axis=0) - limit).max())
+    odd = np.exp(step.u[:, None] + step.block + step.v_prev[None, :])
     report = ConvergenceReport(
         iterations=iterations,
         hilbert_u=hilbert_u,
         hilbert_v=hilbert_v,
-        marginal_violation=violation,
+        marginal_violation=float(np.abs(odd.sum(axis=0) - limit_sub).max()),
         lam=kernel.lam,
         stop_reason=stop_reason,
     )
-    vectors = ScalingVectors(u=u_full, v=v_full)
-    return odd, vectors, report, step
+    return support0, support1, odd, step, report
+
+
+def _scatter(support0, support1, block: np.ndarray, d: int) -> np.ndarray:
+    """The d x d plan array holding block on the support, zero off it."""
+    plan = np.zeros((d, d))
+    plan[np.ix_(support0, support1)] = block
+    return plan
+
+
+def disparity_profile(plan) -> np.ndarray:
+    """Per-column rightward shift read off an (n, m) plan array.
+
+    Each source column's shift is its row's barycenter minus the
+    column index; it is NaN on rows without mass.
+    """
+    entries = np.asarray(plan, dtype=float)
+    row_mass = entries.sum(axis=1)
+    rows = np.flatnonzero(row_mass > 0.0)
+    values = np.full(len(entries), np.nan)
+    cols = np.arange(entries.shape[1], dtype=float)
+    values[rows] = (entries[rows] @ cols) / row_mass[rows] - rows
+    return values
 
 
 def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
@@ -492,8 +498,12 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         from nu1.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
-    odd, vectors, report, _ = _run(*_prepare(a, b, kernel, config), kernel, config, b)
-    return odd, vectors, report
+    support0, support1, odd, step, report = _solve(a, b, kernel, config, b)
+    u = np.full(kernel.d, -np.inf)
+    v = np.full(kernel.d, -np.inf)
+    u[support0] = step.u
+    v[support1] = step.v_prev
+    return _scatter(support0, support1, odd, kernel.d), ScalingVectors(u=u, v=v), report
 
 
 def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> ShiftedLimits:
@@ -520,65 +530,53 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
         raise WrongPathError(
             f"source mass {m0} does not exceed the target's; use sinkhorn or swap roles"
         )
-    support0, support1, steps = _prepare(a, b, kernel, config)
-    odd, _, report, step = _run(support0, support1, steps, kernel, config, m0 * b)
-    even = _scatter_plan(support0, support1, step, step.v_raw, kernel.d)
-    return ShiftedLimits(even=even, odd=odd, report=report)
+    support0, support1, odd, step, report = _solve(a, b, kernel, config, m0 * b)
+    # the even plan pairs the last u with the v it produced
+    even = np.exp(step.u[:, None] + step.block + step.v_raw[None, :])
+    return ShiftedLimits(
+        even=_scatter(support0, support1, even, kernel.d),
+        odd=_scatter(support0, support1, odd, kernel.d),
+        report=report,
+    )
 
 
 def iteration_trace(
-    nu0,
-    nu1,
-    kernel: GibbsKernel,
-    config: SinkhornConfig,
-    reference_vectors: ScalingVectors | None = None,
-    reference_profile: np.ndarray | None = None,
-) -> tuple[list[IterationRecord], np.ndarray]:
+    nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
+) -> tuple[list[IterationRecord], np.ndarray, ConvergenceReport]:
     """Run a solve while recording per-iteration convergence probes.
 
-    Per iteration this captures the Hilbert step of each scaling
-    update and, when references are given, the Hilbert distance of u
-    to reference_vectors and the sup-norm gap between the iterate's
-    disparity values and reference_profile (a full-width vector, NaN
-    where undefined). References typically come from a separate run
-    with a larger budget. The solve stops by the same rule as
-    sinkhorn, so the records number its iterations. Returns the
-    records and the final odd plan as a d x d float64 array.
+    The solve runs twice with config: once to find its endpoint, then
+    again to record, per iteration, the Hilbert step of each scaling
+    update, the Hilbert distance of u to the endpoint's, and the
+    sup-norm gap between the iterate's disparity values and the
+    endpoint's profile (disparity_profile of its plan). The solve stops
+    by the same rule as sinkhorn, so the records number its
+    iterations. Returns (records, plan, report); plan and report are
+    those sinkhorn returns, the plan a d x d float64 array.
     """
     a, b = _check_inputs(nu0, nu1, kernel)
-    support0, support1, steps = _prepare(a, b, kernel, config)
+    support0, support1, odd, end, report = _solve(a, b, kernel, config, b)
+    plan = _scatter(support0, support1, odd, kernel.d)
+    end_f = disparity_profile(plan)[support0]
     rows = support0.astype(float)
     cols = support1.astype(float)
-
-    ref_lu = None
-    if reference_vectors is not None:
-        ref_lu = reference_vectors.u[support0]
-    ref_f = None
-    if reference_profile is not None:
-        ref_f = np.asarray(reference_profile, dtype=float)[support0]
-
     records: list[IterationRecord] = []
 
     def record(iteration: int, step: _Step) -> None:
-        u_error = float("nan")
-        if ref_lu is not None:
-            u_error = _oscillation(step.u - ref_lu)
-        profile_error = float("nan")
-        if ref_f is not None:
-            # each row sums to nu0_i, so the floor cannot change f
-            odd_block = _floored_exp(step.u[:, None] + step.block + step.v_prev[None, :])
-            f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
-            good = np.isfinite(ref_f) & np.isfinite(f)
-            profile_error = float(np.abs(f[good] - ref_f[good]).max()) if good.any() else 0.0
+        # each row sums to nu0_i, so the floor cannot change f
+        odd_block = _floored_exp(step.u[:, None] + step.block + step.v_prev[None, :])
+        f = (odd_block @ cols) / odd_block.sum(axis=1) - rows
+        good = np.isfinite(end_f) & np.isfinite(f)
+        gap = float(np.abs(f[good] - end_f[good]).max()) if good.any() else 0.0
         records.append(
             IterationRecord(
                 iteration=iteration,
                 hilbert_u_step=step.du,
                 hilbert_v_step=step.dv,
-                u_error=u_error,
-                profile_error=profile_error,
+                u_error=_oscillation(step.u - end.u),
+                profile_error=gap,
             )
         )
 
-    plan, _, _, _ = _run(support0, support1, steps, kernel, config, b, observe=record)
-    return records, plan
+    _solve(a, b, kernel, config, b, observe=record)
+    return records, plan, report

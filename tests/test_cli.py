@@ -7,14 +7,9 @@ import pytest
 
 from otstereo import fileio
 from otstereo.cli import main, parse_run_config
-from otstereo.disparity import (
-    DEFAULT_CONFIG,
-    disparity_map,
-    disparity_profile,
-    measure_from_row,
-)
+from otstereo.disparity import DEFAULT_CONFIG, disparity_map, measure_from_row
 from otstereo.fileio import _clean, _scanlines_text
-from otstereo.scaling import SinkhornConfig, build_kernel, iteration_trace, sinkhorn
+from otstereo.scaling import SinkhornConfig, build_kernel, iteration_trace
 from otstereo.scene import (
     CameraRig,
     CartoonScene,
@@ -390,9 +385,7 @@ def test_diagnose_series_and_gap(tmp_path):
     nu1 = measure_from_row(left[0], require_mass=True)
     config = SinkhornConfig(DEFAULT_CONFIG.epsilon, 4000, 1e-9)
     kernel = build_kernel(60, config.epsilon)
-    endpoint, vectors, _ = sinkhorn(nu0, nu1, kernel, config)
-    records, _ = iteration_trace(nu0, nu1, kernel, config, reference_vectors=vectors,
-                                 reference_profile=disparity_profile(endpoint))
+    records = iteration_trace(nu0, nu1, kernel, config)[0]
 
     def spell(value):
         return f"{value:.9g}" if np.isfinite(value) else "NaN"

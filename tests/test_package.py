@@ -2,7 +2,8 @@
 loads only the modules it runs: none of them loads dataclasses or
 otstereo.reference, `disparity` and `diagnose` load neither
 otstereo.scene nor numpy.ma, and `reconstruct` loads neither
-otstereo.scene nor json. The process entry freezes the import-time
+otstereo.scene nor json; README counts the lines `disparity` and
+`reconstruct` load. The process entry freezes the import-time
 heap and ends the process without the interpreter's teardown, with
 the exit code, stdout, stderr and output files a plain exit gives,
 and it exits normally under a profiler; main() leaves the collector
@@ -12,6 +13,7 @@ import importlib
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import types
@@ -28,6 +30,10 @@ SOLVER = {
 }
 
 LOADED = 'sorted(m for m in sys.modules if m.startswith("otstereo."))'
+
+# the submodules each command loads, besides the package itself
+DISPARITY_LOADS = ("cli", "fileio", "errors", "maps", "records", "disparity", "scaling")
+RECONSTRUCT_LOADS = ("cli", "fileio", "errors", "geometry", "maps", "records")
 
 SCENE = """\
 width = 40
@@ -127,8 +133,7 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
     diagnostics = json.loads((out / "diagnostics.json").read_text())["scanlines"]
     assert [row["path"] for row in diagnostics] == ["occlusion"] * 3
     assert {name for name in result["loaded"] if name.startswith("otstereo.")} == {
-        f"otstereo.{name}"
-        for name in ("cli", "fileio", "errors", "maps", "records", "disparity", "scaling")
+        f"otstereo.{name}" for name in DISPARITY_LOADS
     }
     assert "numpy.ma" not in result["loaded"]
     assert "dataclasses" not in result["loaded"]
@@ -151,11 +156,21 @@ print(json.dumps({"code": code, "loaded": loaded}))
     result = fresh(code, pair / "truth_disparity.csv", pair / "right.pgm", "--out", cloud)
     assert result["code"] == 0
     assert {name for name in result["loaded"] if name.startswith("otstereo.")} == {
-        f"otstereo.{name}"
-        for name in ("cli", "fileio", "errors", "geometry", "maps", "records")
+        f"otstereo.{name}" for name in RECONSTRUCT_LOADS
     }
     assert "json" not in result["loaded"]
     assert "element vertex 42" in cloud.read_text()
+
+
+def test_the_readme_counts_the_lines_each_command_loads():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    for command, names in (("disparity", DISPARITY_LOADS), ("reconstruct", RECONSTRUCT_LOADS)):
+        paths = [root / "src" / "otstereo" / f"{name}.py" for name in ("__init__", *names)]
+        lines = sum(path.read_bytes().count(b"\n") for path in paths)
+        match = re.search(rf"`{command}`\s+loads\s+(\d[\d ]*?)\s+lines\s+in\s+(\d+)", readme)
+        assert match, command
+        assert (int(match[1].replace(" ", "")), int(match[2])) == (lines, len(paths)), command
 
 
 @pytest.mark.parametrize("command", ["generate", "reconstruct"])

@@ -127,6 +127,23 @@ def test_unequal_masses_never_report_convergence():
         assert report.marginal_violation > 1e-3
 
 
+@pytest.mark.parametrize("mass, stop_reason", [(1.0, "converged"), (1.3, "max-iterations")])
+def test_iteration_trace_ends_at_the_endpoint_of_sinkhorn(mass, stop_reason):
+    rng = np.random.default_rng(23)
+    a = mass * random_probability(rng, 12, zeros=2)
+    b = random_probability(rng, 12, zeros=1)
+    kern = build_kernel(12, 4.0)
+    config = SinkhornConfig(4.0, max_iterations=400, stop_tolerance=1e-9)
+    records, plan, report = iteration_trace(a, b, kern, config)
+    expected_plan, _, expected_report = sinkhorn(a, b, kern, config)
+    assert report.stop_reason == stop_reason
+    assert np.array_equal(plan, expected_plan)
+    assert report == expected_report
+    assert [r.iteration for r in records] == list(range(1, report.iterations + 1))
+    assert records[-1].u_error == 0.0
+    assert records[-1].profile_error < 1e-12
+
+
 def test_plain_and_log_domains_agree():
     rng = np.random.default_rng(17)
     kern = build_kernel(7, 1.0)
