@@ -17,9 +17,16 @@ numerical failures such as an unresolved occlusion.
 """
 from __future__ import annotations
 
+import gc
+
+# No collection while numpy and the package load: what the imports
+# make lives until exit, and run() freezes it. The collector comes
+# back on in run(), or at the end of this module when it is imported.
+_COLLECTOR_WAS_ON = gc.isenabled()
+gc.disable()
+
 import argparse
 import atexit
-import gc
 import os
 import sys
 from pathlib import Path
@@ -318,7 +325,8 @@ def run() -> None:
     """Process entry of the `otstereo` command and `python -m otstereo.cli`.
 
     Freezes the import-time heap (numpy, this module), which lives
-    until exit anyway yet every full collection walks, and runs main().
+    until exit anyway yet every full collection walks, turns on the
+    collector the imports ran without, and runs main().
     Then it ends the process as the interpreter would, minus its
     teardown: the exit code resolved as from a SystemExit, the atexit
     handlers run, stdout and stderr flushed, then os._exit. A profiler
@@ -329,6 +337,7 @@ def run() -> None:
     callers that run it in their own process.
     """
     gc.freeze()
+    gc.enable()
     try:
         code = main()
     except SystemExit as exc:
@@ -357,3 +366,5 @@ def run() -> None:
 
 if __name__ == "__main__":
     run()
+elif _COLLECTOR_WAS_ON:
+    gc.enable()

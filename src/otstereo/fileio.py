@@ -17,10 +17,13 @@ repeats are found by exact comparison of whole rows or lines. The
 text writers work a block of rows at a time, so memory stays bounded
 whatever the grid's size: a repeated row is written as the bytes of
 the row before, each distinct cell value of the other rows is
-formatted once, and the block goes out as one byte gather from a
-table of those spellings. The readers hand the distinct lines to
-numpy's C parsers in one call and gather the parsed lines back in
-file order.
+formatted once, all in one format call, and the block goes out as one
+byte gather from a table of those spellings, NUL-padded to one width,
+from which one bytes.translate drops the padding. The readers hand
+the distinct lines to numpy's C parsers in one call and gather the
+parsed lines back in file order, each into the one array they
+return: P2 lines are scaled to [0, 1] before the gather, and CSV
+lines gathered as parsed.
 """
 from __future__ import annotations
 
@@ -59,7 +62,8 @@ def _pgm_tokens(raw: bytes):
 def read_pgm(path) -> np.ndarray:
     """Read a P2 or P5 grayscale image as floats in [0, 1].
 
-    A P2 raster's distinct lines are parsed once each (_p2_samples).
+    A P2 raster's distinct lines are parsed once each and scaled once
+    each (_p2_samples); the scaled lines are gathered into the image.
     """
     with open(path, "rb") as handle:
         raw = handle.read()
@@ -83,43 +87,47 @@ def read_pgm(path) -> np.ndarray:
         data = raw[header_end + 1 : header_end + 1 + width * height]
         if len(data) != width * height:
             raise ValueError(f"{path}: truncated P5 raster")
-        samples = np.frombuffer(data, dtype=np.uint8)
+        samples, lines = np.frombuffer(data, dtype=np.uint8), None
     else:
         raster = raw[header_end:]
         if b"#" in raster:
             raster = _COMMENT.sub(b"", raster)
         if raster.translate(None, _DIGITS_AND_SPACE):
             raise ValueError(f"{path}: P2 raster holds a non-integer sample")
-        samples = _p2_samples(raster)
-        if samples.size != width * height:
-            raise ValueError(
-                f"{path}: expected {width * height} samples, found {samples.size}"
-            )
+        samples, lines = _p2_samples(raster)
+        found = sum(span.stop - span.start for span in lines) if lines else samples.size
+        if found != width * height:
+            raise ValueError(f"{path}: expected {width * height} samples, found {found}")
     if samples.max(initial=0) > maxval:
         raise ValueError(f"{path}: sample exceeds maxval {maxval}")
-    return np.divide(samples, maxval, dtype=float).reshape(height, width)
+    values = np.divide(samples, maxval, dtype=float)
+    if lines:
+        values = np.concatenate([values[line] for line in lines])
+    return values.reshape(height, width)
 
 
-def _p2_samples(raster: bytes) -> np.ndarray:
-    """The samples of a P2 raster of digits and whitespace, in order.
+def _p2_samples(raster: bytes):
+    """The samples of a P2 raster of digits and whitespace, and its lines.
 
     If a line that is not blank repeats, each distinct line is parsed
-    once, all in one call, and gathered back in file order; a line need
-    not be one image row. Otherwise the raster is parsed whole.
+    once, all in one call, and the lines are the slices of the samples
+    that give the raster's lines in file order; a line need not be one
+    image row. Otherwise the raster is parsed whole, in order, and the
+    lines are None.
     """
     # readlines finds line ends with memchr; bytes.split tests each byte
     lines = [line for line in io.BytesIO(raster).readlines() if not line.isspace()]
     if not lines:
         # numpy would read a blank text as one 0
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int64), None
     distinct, ids = _distinct(lines)
     if len(distinct) == len(lines):
-        return _parse_samples(raster)
+        return _parse_samples(raster), None
     # a -1 closes each distinct line: no sample of the raster reads as one
     samples = _parse_samples(b" -1\n".join(distinct) + b" -1")
     ends = np.flatnonzero(samples < 0).tolist()
     starts = [0, *(end + 1 for end in ends[:-1])]
-    return np.concatenate([samples[starts[k] : ends[k]] for k in ids])
+    return samples, [slice(starts[k], ends[k]) for k in ids]
 
 
 def _distinct(lines):
@@ -143,8 +151,9 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
     bytes again. The other rows go to `spell(cells)`, which takes their
     flat cells and returns the list of their distinct spellings with
     each cell's index into it, as a fresh array, and are written as one
-    gather from a byte table of those spellings, each ending in `sep`,
-    or in a newline for the last cell of a row.
+    gather from a table of those spellings padded with NULs, each
+    ending in `sep`, or in a newline for the last cell of a row, with
+    the NULs dropped.
     """
     rows, width = grid.shape
     if width == 0:
@@ -152,7 +161,7 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         return
     step = max(1, _BLOCK_CELLS // width)
     bits = grid.view(np.int64)
-    last = np.empty(0, dtype=np.uint8)  # the padded cells of the last row written
+    last = b""  # the last row written
     for start in range(0, rows, step):
         stop = min(start + step, rows)
         block = grid[start:stop]
@@ -162,7 +171,7 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         heads = None if fresh.all() else np.flatnonzero(fresh)
         if heads is not None:
             lead = heads[0] if heads.size else stop - start
-            handle.write(last.compress(last != 0).tobytes() * lead)
+            handle.write(last * lead)
             if not heads.size:
                 continue
             block = block[heads]
@@ -180,26 +189,31 @@ def _write_lines(handle, grid: np.ndarray, sep: str, spell) -> None:
         if heads is not None:
             cells = np.repeat(cells, np.diff(heads, append=stop - start), axis=0)
         # spellings hold no NUL, so dropping NULs drops the padding
-        handle.write(cells.compress(cells.ravel() != 0))
-        last = cells[-1].copy()
+        handle.write(cells.tobytes().translate(None, b"\0"))
+        last = cells[-1].tobytes().translate(None, b"\0")
 
 
-def _spell_floats(spell_one):
+def _spell_floats(nonfinite: str | None = None):
     """A `_write_lines` speller over the distinct float64 bit patterns.
 
-    Bit patterns, not values: 0.0 and -0.0 compare equal but spell
+    A block's distinct values are spelled in one `%.9g` format, which
+    spells each as format(value, ".9g") does (-0, nan, inf, -inf);
+    `nonfinite`, if given, spells NaN and the infinities instead. Bit
+    patterns, not values: 0.0 and -0.0 compare equal but spell
     differently.
     """
 
     def spell(cells: np.ndarray):
         bits, index = np.unique(cells.view(np.int64), return_inverse=True)
-        return [spell_one(v) for v in bits.view(np.float64).tolist()], index
+        values = bits.view(np.float64)
+        tokens = ("%.9g\n" * values.size % tuple(values.tolist())).split("\n")
+        tokens.pop()  # the empty text after the last newline
+        if nonfinite is not None:
+            for k in np.flatnonzero(~np.isfinite(values)).tolist():
+                tokens[k] = nonfinite
+        return tokens, index
 
     return spell
-
-
-def _spell_csv(value: float) -> str:
-    return f"{value:.9g}" if math.isfinite(value) else "NaN"
 
 
 def _write_p2(path, grid: np.ndarray, levels, comment: str | None = None) -> None:
@@ -255,7 +269,7 @@ def write_csv(path, values: np.ndarray) -> None:
     if values.ndim != 2:
         raise ValueError(f"expected a 2-d array, got shape {values.shape}")
     with open(path, "wb") as handle:
-        _write_lines(handle, values, ",", _spell_floats(_spell_csv))
+        _write_lines(handle, values, ",", _spell_floats("NaN"))
 
 
 def read_csv(path) -> np.ndarray:
@@ -314,8 +328,7 @@ def write_ply(path, points: np.ndarray) -> None:
     ]
     with open(path, "wb") as handle:
         handle.write(("\n".join(header) + "\n").encode("ascii"))
-        spell = _spell_floats("{:.9g}".format)
-        _write_lines(handle, points, " ", spell)
+        _write_lines(handle, points, " ", _spell_floats())
 
 
 def write_series(path, records) -> None:
@@ -327,7 +340,7 @@ def write_series(path, records) -> None:
     with open(path, "wb") as handle:
         handle.write((",".join(records[0]._fields) + "\n").encode("ascii"))
         grid = np.array(records, dtype=float)
-        _write_lines(handle, grid, ",", _spell_floats(_spell_csv))
+        _write_lines(handle, grid, ",", _spell_floats("NaN"))
 
 
 def write_json(path, payload) -> None:

@@ -76,7 +76,10 @@ def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray
             f"{disparity.height}x{disparity.width} disparity map"
         )
     values = disparity.values
-    keep = np.isfinite(values) & (values > 0.0) & ~disparity.occluded
+    # one mask, built in place: NaN fails both tests, -inf the first, inf the second
+    keep = values > 0.0
+    keep &= values < np.inf
+    keep[disparity.occluded] = False
     ys, xs = np.nonzero(keep)
     depth = rig.focal * rig.baseline / (rig.beta * values[ys, xs])
     return np.column_stack([xs.astype(float), ys.astype(float), depth, image[ys, xs]])

@@ -586,6 +586,45 @@ def test_p2_reader_reads_repeated_rows(tmp_path, monkeypatch):
     assert np.array_equal(fileio.read_pgm(path), p2_token_parse(raw))
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # each repeat counts toward the samples found
+        (b"1 2 3\n1 2 3\n1 2 3\n", "expected 6 samples, found 9"),
+        (b"1 2\n1 2\n", "expected 6 samples, found 4"),
+        # a wrong count is named before a sample above maxval
+        (b"9 200\n1\n9 200\n9 200\n", "expected 6 samples, found 7"),
+        # a sample above maxval on repeated lines alone
+        (b"1 200\n3 4\n1 200\n", "sample exceeds maxval 100"),
+        (b"101\n1 2 3\n101\n101\n", "sample exceeds maxval 100"),
+    ],
+)
+def test_p2_repeated_lines_keep_their_errors_and_order(tmp_path, body, message):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P2\n3 2\n100\n" + body)
+    with pytest.raises(ValueError, match=message):
+        fileio.read_pgm(path)
+
+
+@pytest.mark.parametrize("maxval", [7, 100, 254, 255])
+def test_p2_repeated_lines_that_are_not_rows_read_bit_equal(tmp_path, maxval):
+    # lines of 3, 2, 1 and 5 samples over rows of 4, repeated in runs and apart
+    rng = np.random.default_rng(maxval)
+    pieces = [" ".join(map(str, rng.integers(0, maxval + 1, size=n))) for n in (3, 2, 1, 5)]
+    order = [0, 0, 1, 3, 2, 0, 1, 1, 2, 3, 0, 2, 3, 3, 1, 2]
+    raw = f"P2\n4 11\n{maxval}\n".encode() + "".join(
+        pieces[k] + "\n" for k in order
+    ).encode()
+    path = tmp_path / "img.pgm"
+    path.write_bytes(raw)
+    samples = [int(token) for k in order for token in pieces[k].split()]
+    # what a parse of every sample in order, then one divide, gives
+    expected = np.divide(np.array(samples, dtype=np.int64), maxval, dtype=float)
+    image = fileio.read_pgm(path)
+    assert (image.shape, image.dtype) == ((11, 4), np.float64)
+    assert image.tobytes() == expected.tobytes()
+
+
 def test_csv_reader_parses_each_distinct_line_once(tmp_path, monkeypatch):
     lines = ["1,-0,NaN", "1,0,NaN", "1,-0,NaN", "", "2.5,1e-3,inf", "1,0,NaN",
              "1,0,NaN", "  ", "2.5,1e-3,inf", "1,-0,NaN"]

@@ -3,11 +3,13 @@ loads only the modules it runs: none of them loads dataclasses or
 otstereo.reference, `disparity` and `diagnose` load neither
 otstereo.scene nor numpy.ma, and `reconstruct` loads neither
 otstereo.scene nor json; README counts the lines `disparity` and
-`reconstruct` load. The process entry freezes the import-time
-heap and ends the process without the interpreter's teardown, with
-the exit code, stdout, stderr and output files a plain exit gives,
-and it exits normally under a profiler; main() leaves the collector
-and the process alone."""
+`reconstruct` load. No collection runs while the command line's
+imports load; the process entry freezes the import-time heap before
+the collector comes back on and ends the process without the
+interpreter's teardown, with the exit code, stdout, stderr and output
+files a plain exit gives, and it exits normally under a profiler;
+main() and `import otstereo.cli` leave the collector as they found
+it, and the process alone."""
 import ast
 import importlib
 import json
@@ -193,6 +195,43 @@ runpy.run_module("otstereo.cli", run_name="__main__")
     assert fresh(code, *argv) > 0
     assert (pair / "left.pgm").exists()
     assert cloud.exists() == (command == "reconstruct")
+
+
+def test_no_collection_runs_before_the_process_entry_freezes_the_heap(tmp_path):
+    """From the first statement of otstereo.cli on, every collection
+    comes after run()'s gc.freeze(); one while runpy compiles the
+    module would come before that statement."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    # runs as `python -m otstereo.cli` does, then reports at exit
+    code = """\
+import atexit, gc, json, runpy, sys
+started, frozen = [], []
+sys.addaudithook(lambda event, args: event == "exec" and getattr(
+    args[0], "co_filename", "").endswith("cli.py") and started.append(True))
+gc.callbacks.append(lambda phase, info: phase == "start" and started
+                    and frozen.append(gc.get_freeze_count()))
+atexit.register(lambda: print(json.dumps([frozen, gc.isenabled()])))
+sys.argv = ["otstereo", *sys.argv[1:]]
+runpy.run_module("otstereo.cli", run_name="__main__")
+"""
+    frozen, collecting = fresh(code, "generate", scene, "--out-dir", tmp_path / "pair")
+    assert all(count > 0 for count in frozen), frozen
+    # run() turned the collector back on
+    assert collecting
+    assert len(files(tmp_path / "pair")) == 4
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_importing_the_command_line_leaves_the_collector_as_found(collecting):
+    code = f"""\
+import gc, json
+if not {collecting}:
+    gc.disable()
+import otstereo.cli
+print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
+"""
+    assert fresh(code) == [collecting, 0]
 
 
 def test_the_pipeline_modules_never_import_the_reference_module():

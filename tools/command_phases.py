@@ -20,10 +20,13 @@ that drift of a shared machine falls on all of them alike:
 
 Each child runs the command as `python -m otstereo.cli` does, through
 otstereo.cli.run() (its process entry), with no bytecode cache and one
-thread per numeric library, as the benchmark runs its children. It
-stamps the system-wide monotonic clock at its first statement, after
-`import otstereo.cli` and when main() returns, which splits the wall
-time into four phases:
+thread per numeric library, as the benchmark runs its children, with
+one difference: it imports otstereo.cli as a module, whose import
+turns the collector back on at its end, so the child collects the
+young objects of the imports once, which `python -m` does not (about
+5 ms on a 2-core shared VM). It stamps the system-wide monotonic clock
+at its first statement, after `import otstereo.cli` and when main()
+returns, which splits the wall time into four phases:
 
     start     spawn to the child's first statement: fork, exec and
               interpreter start-up
@@ -36,7 +39,12 @@ time into four phases:
 
 and prints, per tree and command, the median of each phase, of the
 wall time and of the child's CPU time (user plus system, from
-os.wait4), in ms. The timings go to stdout only.
+os.wait4), in ms, and of the child's minor page faults:
+
+    minflt    ru_minflt from os.wait4, the pages the whole child
+              touched first and the kernel mapped in, a count
+
+The timings go to stdout only.
 """
 from __future__ import annotations
 
@@ -57,7 +65,7 @@ COMMANDS = tuple(
     (label, argv) for label, argv in output_digests.COMMANDS
     if label != "disparity-niter10000"
 )
-PHASES = ("start", "imports", "main", "teardown", "wall", "cpu")
+PHASES = ("start", "imports", "main", "teardown", "wall", "cpu", "minflt")
 
 # argv: the write end of the stamp pipe, then the command's arguments.
 # The stamps go out unbuffered, so the exit path cannot lose them.
@@ -91,7 +99,7 @@ def scene_text(scene: str) -> str:
 
 
 def timed_run(src: Path, argv: list[str], work: Path) -> dict[str, float]:
-    """One fresh command in work; its phases, wall and CPU time in ms."""
+    """One fresh command in work; its phases, wall and CPU time in ms, and faults."""
     env = child_env(src)
     read_end, write_end = os.pipe()
     with os.fdopen(read_end, "rb") as pipe:
@@ -123,6 +131,7 @@ def timed_run(src: Path, argv: list[str], work: Path) -> dict[str, float]:
     }
     phases = {name: ns / 1e6 for name, ns in phases.items()}
     phases["cpu"] = (usage.ru_utime + usage.ru_stime) * 1e3
+    phases["minflt"] = usage.ru_minflt
     return phases
 
 
@@ -160,11 +169,12 @@ def main(argv=None) -> int:
 
     for k, src in enumerate(trees):
         print(f"# tree {k}: {src}")
-    print(f"# ms, median of {args.runs} fresh runs")
+    print(f"# ms (minflt: pages), median of {args.runs} fresh runs")
     print(f"{'tree':>4} {'command':<12}" + "".join(f"{name:>10}" for name in PHASES))
     for (k, label), runs in samples.items():
         medians = [statistics.median(run[name] for run in runs) for name in PHASES]
-        print(f"{k:>4} {label:<12}" + "".join(f"{value:>10.1f}" for value in medians))
+        print(f"{k:>4} {label:<12}" + "".join(f"{value:>10.1f}" for value in medians[:-1])
+              + f"{medians[-1]:>10.0f}")
     return 0
 
 
