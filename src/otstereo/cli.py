@@ -367,4 +367,11 @@ def run() -> None:
 if __name__ == "__main__":
     run()
 elif _COLLECTOR_WAS_ON:
+    # freeze() then unfreeze() moves every tracked object, the caller's
+    # as well as the imports', to the oldest generation without a walk,
+    # so no young collection walks the import-time heap before a console
+    # script's run() freezes it; unfreeze() would release what a caller froze
+    if not gc.get_freeze_count():
+        gc.freeze()
+        gc.unfreeze()
     gc.enable()

@@ -34,29 +34,15 @@ import re
 import numpy as np
 
 _COMMENT = re.compile(rb"#[^\n]*")
+# a PGM header token after the whitespace and # comments before it (a #
+# inside a token is part of it), matched where the last token ended: a
+# search would restart inside a trailing comment and read it as tokens
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 # the bytes a P2 raster may hold once its comments are gone
 _DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 # cells per block of rows a text writer formats and gathers at once
 _BLOCK_CELLS = 1 << 15
 _LEVELS = [str(level) for level in range(256)]
-
-
-def _pgm_tokens(raw: bytes):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    pos = 0
-    while pos < len(raw):
-        ch = raw[pos : pos + 1]
-        if ch.isspace():
-            pos += 1
-        elif ch == b"#":
-            end = raw.find(b"\n", pos)
-            pos = len(raw) if end < 0 else end + 1
-        else:
-            end = pos
-            while end < len(raw) and not raw[end : end + 1].isspace():
-                end += 1
-            yield raw[pos:end], end
-            pos = end
 
 
 def read_pgm(path) -> np.ndarray:
@@ -67,17 +53,18 @@ def read_pgm(path) -> np.ndarray:
     """
     with open(path, "rb") as handle:
         raw = handle.read()
-    tokens = _pgm_tokens(raw)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
+    tokens, header_end = [], 0
+    while len(tokens) < 4 and (token := _TOKEN.match(raw, header_end)):
+        tokens.append(token[1])
+        header_end = token.end()
+    if not tokens:
         raise ValueError(f"{path}: empty file")
-    if magic not in (b"P2", b"P5"):
-        raise ValueError(f"{path}: not a PGM file (magic {magic!r})")
+    if tokens[0] not in (b"P2", b"P5"):
+        raise ValueError(f"{path}: not a PGM file (magic {tokens[0]!r})")
     try:
-        (w, _), (h, _), (maxval, header_end) = (next(tokens) for _ in range(3))
+        magic, w, h, maxval = tokens
         width, height, maxval = int(w), int(h), int(maxval)
-    except (StopIteration, ValueError):
+    except ValueError:
         raise ValueError(f"{path}: malformed PGM header")
     if width < 1 or height < 1 or not 0 < maxval <= 255:
         raise ValueError(

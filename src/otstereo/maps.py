@@ -1,4 +1,4 @@
-"""Disparity grids and the run-length helpers that read them.
+"""Disparity grids and the run-length helper that reads them.
 
 The renderer builds its ground truth from these, the solver its
 output and `reconstruct` its input (map_from_values), so they depend
@@ -65,13 +65,11 @@ def map_from_values(values: np.ndarray) -> DisparityMap:
 
 
 def value_runs(values) -> list[tuple[int, int]]:
-    """Inclusive (start, end) of each maximal run of one positive value, left to right."""
+    """Inclusive (start, end) of each maximal run of one positive value, left to right.
+
+    A boolean row reads as 0/1, so its runs are those of its true entries.
+    """
     values = np.asarray(values, dtype=float)
     starts = np.flatnonzero(np.diff(values, prepend=np.nan) != 0.0).tolist()
     ends = [start - 1 for start in starts[1:]] + [values.size - 1]
     return [(lo, hi) for lo, hi in zip(starts, ends) if values[lo] > 0.0]
-
-
-def mask_runs(mask) -> list[tuple[int, int]]:
-    """Inclusive (start, end) of each maximal run of true entries, left to right."""
-    return value_runs(np.asarray(mask, dtype=bool))

@@ -8,9 +8,8 @@ proportional to depth. Painting far to near produces occlusion, and
 the renderer emits exact per-pixel shifts plus the hidden regions of
 both views, so solver output can be scored against ground truth.
 
-The rig and its depth geometry live in otstereo.geometry, and
-map_from_values beside DisparityMap in otstereo.maps; they still
-import from here as well.
+The rig and its depth geometry live in otstereo.geometry, and the
+disparity grids in otstereo.maps.
 """
 from __future__ import annotations
 
@@ -19,8 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OutOfFrameError, SceneFormatError
-from .geometry import CameraRig, depth_from_disparity, pixel_shift, reconstruct  # noqa: F401
-from .maps import DisparityMap, map_from_values, mask_runs  # noqa: F401
+from .geometry import CameraRig, depth_from_disparity, pixel_shift
+from .maps import DisparityMap, value_runs
 from .records import Record
 
 
@@ -160,7 +159,7 @@ def render_pair(scene: CartoonScene, rig: CameraRig) -> RenderedPair:
     for y in np.flatnonzero(hidden_rows).tolist():
         key = occluded[y].tobytes() + hidden_l[y].tobytes()
         if key not in runs:
-            runs[key] = mask_runs(occluded[y]), mask_runs(hidden_l[y])
+            runs[key] = value_runs(occluded[y]), value_runs(hidden_l[y])
         right_frame, left_frame = runs[key]
         hidden[y] = {"right_frame": list(right_frame), "left_frame": list(left_frame)}
 

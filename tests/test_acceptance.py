@@ -22,14 +22,8 @@ from otstereo.reference import (
     project_rows,
     transport_cost,
 )
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    reconstruct,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity, reconstruct
+from otstereo.scene import CartoonScene, SceneObject, render_pair
 from otstereo.scaling import (
     STOP_CONVERGED,
     SinkhornConfig,

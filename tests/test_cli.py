@@ -10,13 +10,8 @@ from otstereo.cli import main, parse_run_config
 from otstereo.disparity import DEFAULT_CONFIG, disparity_map, measure_from_row
 from otstereo.fileio import _clean, _scanlines_text
 from otstereo.scaling import SinkhornConfig, build_kernel, iteration_trace
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity
+from otstereo.scene import CartoonScene, SceneObject, render_pair
 
 NON_OCCLUDED = """\
 width = 50
@@ -294,6 +289,17 @@ def test_disparity_size_mismatch_exits_1(tmp_path):
     assert main(["disparity", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm")]) == 1
 
 
+def test_a_truncated_pgm_header_exits_1_naming_the_file(tmp_path):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(b"P2\n3 2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "otstereo.cli", "disparity", str(path), str(path)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"otstereo: {path}: malformed PGM header\n"
+
+
 def test_disparity_missing_file_exits_1(tmp_path):
     fileio.write_pgm(tmp_path / "a.pgm", np.zeros((2, 8)))
     assert main(["disparity", str(tmp_path / "nope.pgm"), str(tmp_path / "a.pgm")]) == 1
@@ -350,6 +356,18 @@ def test_reconstruct_malformed_csv_exits_1(tmp_path, capsys):
     assert main(["reconstruct", str(tmp_path / "disp.csv"),
                  str(tmp_path / "img.pgm")]) == 1
     assert "row 1" in capsys.readouterr().err
+
+
+def test_reconstruct_grid_and_image_shapes_must_match(tmp_path, capsys):
+    fileio.write_csv(tmp_path / "disp.csv", np.full((2, 3), 4.0))
+    fileio.write_pgm(tmp_path / "img.pgm", np.zeros((3, 3)))
+    out = tmp_path / "cloud.ply"
+    assert main(["reconstruct", str(tmp_path / "disp.csv"), str(tmp_path / "img.pgm"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "otstereo: disparity grid (2, 3) does not match image (3, 3)\n"
+    )
+    assert not out.exists()
 
 
 def test_reconstruct_applies_rig_flags(tmp_path):
@@ -429,6 +447,16 @@ def test_diagnose_rejects_bad_scanline(tmp_path, capsys):
     assert "scanline" in capsys.readouterr().err
 
 
+def test_diagnose_image_shapes_must_match(tmp_path, capsys):
+    fileio.write_pgm(tmp_path / "a.pgm", np.zeros((2, 8)))
+    fileio.write_pgm(tmp_path / "b.pgm", np.zeros((3, 8)))
+    run = tmp_path / "run"
+    assert main(["diagnose", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
+                 "--y", "0", "--out-dir", str(run)]) == 1
+    assert capsys.readouterr().err == "otstereo: image shapes (2, 8) and (3, 8) differ\n"
+    assert not run.exists()
+
+
 def test_config_file_and_flag_override(tmp_path):
     out = generate(tmp_path, NON_OCCLUDED)
     sub = tmp_path / "from-file"
@@ -470,6 +498,22 @@ def test_zero_stop_tolerance_runs_the_full_budget(tmp_path):
     assert row["path"] == "balanced"
     assert row["iterations"] == 300
     assert row["stop_reason"] == "max-iterations"
+
+
+def test_a_bad_config_value_names_its_line(tmp_path, capsys):
+    with pytest.raises(ValueError) as error:
+        parse_run_config("# run settings\nniter = ten\n")
+    assert str(error.value) == (
+        "config line 2: invalid literal for int() with base 10: 'ten'"
+    )
+    out = generate(tmp_path, NON_OCCLUDED)
+    config = tmp_path / "run.cfg"
+    config.write_text("epsilon = small\n")
+    assert main(["disparity", str(out / "left.pgm"), str(out / "right.pgm"),
+                 "--config", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        "otstereo: config line 1: could not convert string to float: 'small'\n"
+    )
 
 
 @pytest.mark.parametrize(

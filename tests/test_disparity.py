@@ -3,7 +3,7 @@ import pytest
 
 from otstereo.disparity import compression, disparity_profile
 from otstereo.errors import NoPlateauError
-from otstereo.maps import mask_runs
+from otstereo.maps import value_runs
 from otstereo.reference import estimate_phi
 from otstereo.scaling import SinkhornConfig, build_kernel, shifted_sinkhorn
 
@@ -23,7 +23,7 @@ from otstereo.scaling import SinkhornConfig, build_kernel, shifted_sinkhorn
          "interior"],
 )
 def test_mask_runs(mask, runs):
-    assert mask_runs(np.array(mask, dtype=bool)) == runs
+    assert value_runs(np.array(mask, dtype=bool)) == runs
 
 
 def test_mask_runs_matches_a_scan():
@@ -42,7 +42,7 @@ def test_mask_runs_matches_a_scan():
     rng = np.random.default_rng(5)
     for size in range(1, 40):
         mask = rng.uniform(size=size) < 0.5
-        assert mask_runs(mask) == scan(mask)
+        assert value_runs(mask) == scan(mask)
 
 
 def test_single_atom_plan():

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -61,6 +62,54 @@ def test_bad_pgm_rejected(tmp_path, content):
     path.write_text(content)
     with pytest.raises(ValueError):
         fileio.read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "header", [b"P2\n3 2\n", b"P2\n3\n", b"P2 3 2 # c", b"P2\n3 2\n# 255"],
+)
+def test_truncated_pgm_header_is_malformed(tmp_path, header):
+    # a header's last comment runs to the end of the file: its tokens
+    # are not read as the header's
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header)
+    with pytest.raises(ValueError) as error:
+        fileio.read_pgm(path)
+    assert str(error.value) == f"{path}: malformed PGM header"
+
+
+def test_a_hash_inside_a_header_token_is_part_of_it(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2#c\n2 1\n255\n3 250\n")
+    with pytest.raises(ValueError) as error:
+        fileio.read_pgm(path)
+    assert str(error.value) == f"{path}: not a PGM file (magic b'P2#c')"
+
+
+@pytest.mark.parametrize(
+    "header",
+    [b"# a note\nP2\n2 1\n255\n", b"P2\v2\f1\v255\n", b"P2\f# c\n2\v1 255\f"],
+    ids=["comment-before-magic", "vertical-tab-and-form-feed", "comment-between-feeds"],
+)
+def test_pgm_header_separators_and_leading_comment(tmp_path, header):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + b"3 250\n")
+    assert np.array_equal(fileio.read_pgm(path) * 255.0, [[3, 250]])
+
+
+def test_random_pgm_headers_raise_only_value_errors(tmp_path):
+    separators = [b"", b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"#", b"# c\n", b" # c"]
+    tokens = [b"P2", b"P5", b"1", b"2", b"3", b"255", b"0", b"300", b"x", b"\xff", b"#"]
+    rng = random.Random(27)
+    path = tmp_path / "fuzz.pgm"
+    for _ in range(2000):
+        body = b"".join(
+            rng.choice(separators) + rng.choice(tokens) for _ in range(rng.randrange(8))
+        )
+        path.write_bytes(rng.choice([b"P2", b"P5", b""]) + body)
+        try:
+            fileio.read_pgm(path)
+        except ValueError:
+            pass
 
 
 def test_p2_raster_comments_are_skipped(tmp_path):

@@ -9,13 +9,8 @@ import pytest
 from otstereo.disparity import DEFAULT_CONFIG, disparity_map
 from otstereo.errors import DimensionMismatchError, SupportMismatchError
 from otstereo.reference import hilbert_distance, kernel_entries, log_kernel
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity
+from otstereo.scene import CartoonScene, SceneObject, render_pair
 from otstereo.scaling import GibbsKernel, build_kernel
 
 RIG = CameraRig()

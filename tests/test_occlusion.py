@@ -10,13 +10,8 @@ from otstereo.disparity import (
 from otstereo import disparity
 from otstereo.errors import MassMismatchError, UnresolvedOcclusionError, WrongPathError
 from otstereo.reference import estimate_phi
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity
+from otstereo.scene import CartoonScene, SceneObject, render_pair
 from otstereo.scaling import SinkhornConfig, build_kernel
 
 RIG = CameraRig()

@@ -197,14 +197,14 @@ runpy.run_module("otstereo.cli", run_name="__main__")
     assert cloud.exists() == (command == "reconstruct")
 
 
-def test_no_collection_runs_before_the_process_entry_freezes_the_heap(tmp_path):
-    """From the first statement of otstereo.cli on, every collection
-    comes after run()'s gc.freeze(); one while runpy compiles the
-    module would come before that statement."""
+def collections_after_the_command_line_starts(tmp_path, entry: str):
+    """Run `generate` through entry, the code that starts the command
+    line; the freeze count at the start of each collection from the
+    first statement of otstereo.cli on, and whether the collector was
+    on at exit."""
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)
-    # runs as `python -m otstereo.cli` does, then reports at exit
-    code = """\
+    code = f"""\
 import atexit, gc, json, runpy, sys
 started, frozen = [], []
 sys.addaudithook(lambda event, args: event == "exec" and getattr(
@@ -213,25 +213,57 @@ gc.callbacks.append(lambda phase, info: phase == "start" and started
                     and frozen.append(gc.get_freeze_count()))
 atexit.register(lambda: print(json.dumps([frozen, gc.isenabled()])))
 sys.argv = ["otstereo", *sys.argv[1:]]
-runpy.run_module("otstereo.cli", run_name="__main__")
+{entry}
 """
     frozen, collecting = fresh(code, "generate", scene, "--out-dir", tmp_path / "pair")
+    assert len(files(tmp_path / "pair")) == 4
+    return frozen, collecting
+
+
+def test_no_collection_runs_before_the_process_entry_freezes_the_heap(tmp_path):
+    """From the first statement of otstereo.cli on, every collection
+    comes after run()'s gc.freeze(); one while runpy compiles the
+    module would come before that statement."""
+    # runs as `python -m otstereo.cli` does
+    frozen, collecting = collections_after_the_command_line_starts(
+        tmp_path, 'runpy.run_module("otstereo.cli", run_name="__main__")'
+    )
     assert all(count > 0 for count in frozen), frozen
     # run() turned the collector back on
     assert collecting
-    assert len(files(tmp_path / "pair")) == 4
 
 
-@pytest.mark.parametrize("collecting", [True, False])
-def test_importing_the_command_line_leaves_the_collector_as_found(collecting):
+def test_no_collection_runs_before_the_console_script_entry_freezes_the_heap(tmp_path):
+    """The `otstereo` console script imports otstereo.cli, whose end
+    turns the collector back on, then calls run(): no collection walks
+    the import-time heap in between, young as it was."""
+    frozen, collecting = collections_after_the_command_line_starts(
+        tmp_path, "from otstereo.cli import run\nrun()"
+    )
+    assert all(count > 0 for count in frozen), frozen
+    assert collecting
+
+
+@pytest.mark.parametrize(
+    "collecting, freezing",
+    [(True, False), (False, False), (True, True)],
+    ids=["True", "False", "True-frozen"],
+)
+def test_importing_the_command_line_leaves_the_collector_as_found(collecting, freezing):
     code = f"""\
 import gc, json
 if not {collecting}:
     gc.disable()
+if {freezing}:
+    gc.freeze()
+found = gc.get_freeze_count()
 import otstereo.cli
-print(json.dumps([gc.isenabled(), gc.get_freeze_count()]))
+print(json.dumps([gc.isenabled(), found, gc.get_freeze_count()]))
 """
-    assert fresh(code) == [collecting, 0]
+    enabled, found, frozen = fresh(code)
+    assert enabled == collecting
+    assert (found > 0) == freezing
+    assert frozen == found
 
 
 def test_the_pipeline_modules_never_import_the_reference_module():
@@ -423,20 +455,12 @@ def test_the_console_script_runs_the_main_block_entry():
 
 
 def test_every_exported_name_resolves_and_is_listed():
-    import otstereo.scene
-
     listed = dir(otstereo)
     for name in otstereo.__all__:
         value = getattr(otstereo, name)
         assert not isinstance(value, types.ModuleType), name
         assert value.__module__.startswith("otstereo."), name
         assert name in listed
-        # the rig geometry and map_from_values left otstereo.scene,
-        # which still offers them
-        if value.__module__ in ("otstereo.geometry", "otstereo.maps") and (
-            name != "DisparityMap"
-        ):
-            assert getattr(otstereo.scene, name) is value, name
     with pytest.raises(AttributeError, match="no_such_name"):
         otstereo.no_such_name
 
@@ -493,7 +517,8 @@ def test_there_is_no_sinkhorn_submodule():
 def test_records_are_immutable_and_round_trip():
     from otstereo.disparity import OcclusionReport
     from otstereo.scaling import SinkhornConfig
-    from otstereo.scene import CameraRig, CartoonScene, SceneObject
+    from otstereo.geometry import CameraRig
+    from otstereo.scene import CartoonScene, SceneObject
 
     box = SceneObject(x0=2, width=3, depth=100.0, intensity=0.5, y0=1, height=2)
     records = [

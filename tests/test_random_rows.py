@@ -15,13 +15,8 @@ import pytest
 from otstereo.disparity import disparity_map
 from otstereo.errors import OutOfFrameError
 from otstereo.scaling import SinkhornConfig
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity
+from otstereo.scene import CartoonScene, SceneObject, render_pair
 
 RIG = CameraRig()
 WIDTH = 100

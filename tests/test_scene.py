@@ -4,19 +4,9 @@ import numpy as np
 import pytest
 
 from otstereo.errors import OutOfFrameError, SceneFormatError
-from otstereo.maps import mask_runs
-from otstereo.scene import (
-    CameraRig,
-    CartoonScene,
-    SceneObject,
-    depth_from_disparity,
-    load_scene,
-    map_from_values,
-    parse_scene,
-    pixel_shift,
-    reconstruct,
-    render_pair,
-)
+from otstereo.geometry import CameraRig, depth_from_disparity, pixel_shift, reconstruct
+from otstereo.maps import map_from_values, value_runs
+from otstereo.scene import CartoonScene, SceneObject, load_scene, parse_scene, render_pair
 
 RIG = CameraRig()
 
@@ -198,8 +188,8 @@ def test_hidden_masks_match_the_pixel_loop():
         assert np.array_equal(pair.truth.occluded, hidden_r)
         for y in range(h):
             rows = pair.hidden.get(y, {"right_frame": [], "left_frame": []})
-            assert rows == {"right_frame": mask_runs(hidden_r[y]),
-                            "left_frame": mask_runs(hidden_l[y])}
+            assert rows == {"right_frame": value_runs(hidden_r[y]),
+                            "left_frame": value_runs(hidden_l[y])}
         checked += 1
         hidden_rows += len(pair.hidden)
     assert hidden_rows >= 20
@@ -281,7 +271,7 @@ def test_render_matches_the_full_frame_gathers():
         assert pair.truth.occluded.dtype == bool
         assert np.array_equal(pair.truth.occluded, occluded)
         expected = {
-            y: {"right_frame": mask_runs(occluded[y]), "left_frame": mask_runs(hidden_l[y])}
+            y: {"right_frame": value_runs(occluded[y]), "left_frame": value_runs(hidden_l[y])}
             for y in range(scene.height) if occluded[y].any() or hidden_l[y].any()
         }
         assert pair.hidden == expected
@@ -421,6 +411,28 @@ def test_parse_scene_rejects_unknown_scalar():
     with pytest.raises(SceneFormatError) as info:
         parse_scene("width = 20\nheight = 4\nzoom = 3\n")
     assert info.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("width = 0\nheight = 4\n", "frame 0x4 is empty"),
+        ("width = 20\nheight = 4\nobject = x0:1 x0:2 width:3 shift:2 intensity:0.5\n",
+         "line 3: duplicate object field 'x0'"),
+        ("width = 20\nheight = 4\nobject = x0:one width:3 shift:2 intensity:0.5\n",
+         "line 3: bad value for 'x0': 'one'"),
+        ("width = 20\nheight 4\n", "line 2: expected key = value, got 'height 4'"),
+        ("width = 20\n= 4\n", "line 2: expected key = value, got '= 4'"),
+        ("width = 20\nheight = 4\nwidth = 30\n", "line 3: duplicate key 'width'"),
+        ("width = 20\nheight = four\n", "line 2: bad value for 'height': 'four'"),
+    ],
+    ids=["empty-frame", "duplicate-field", "bad-field-value", "no-equals", "no-key",
+         "duplicate-key", "bad-scalar-value"],
+)
+def test_parse_scene_names_each_input_error(text, message):
+    with pytest.raises(SceneFormatError) as info:
+        parse_scene(text)
+    assert str(info.value) == message
 
 
 def test_load_scene(tmp_path):

@@ -21,12 +21,15 @@ that drift of a shared machine falls on all of them alike:
 Each child runs the command as `python -m otstereo.cli` does, through
 otstereo.cli.run() (its process entry), with no bytecode cache and one
 thread per numeric library, as the benchmark runs its children, with
-one difference: it imports otstereo.cli as a module, whose import
-turns the collector back on at its end, so the child collects the
-young objects of the imports once, which `python -m` does not (about
-5 ms on a 2-core shared VM). It stamps the system-wide monotonic clock
-at its first statement, after `import otstereo.cli` and when main()
-returns, which splits the wall time into four phases:
+one difference: it imports otstereo.cli as a module, as the `otstereo`
+console script does, whose import turns the collector back on at its
+end. The import first moves its heap to the oldest generation, so the
+child's collections cost what they cost under `python -m`: 0.2-0.7 ms
+in all per command on a 2-core shared VM, against about 4-5 ms when
+the first young collection walked that heap. It stamps the
+system-wide monotonic clock at its first statement, after `import
+otstereo.cli` and when main() returns, which splits the wall time
+into four phases:
 
     start     spawn to the child's first statement: fork, exec and
               interpreter start-up
