@@ -243,37 +243,40 @@ def monotone_cells(a: np.ndarray, b: np.ndarray):
     """Walk the northwest-corner staircase between two equal masses.
 
     Moves as much mass as the current source entry still holds and the
-    current target entry still accepts, left to right, and yields
-    (i, j, mass, starts_block) for every cell that moves mass.
-    starts_block is true on the first cell and after both entries ran
-    out together. An entry whose remainder is within BLOCK_RTOL of
-    the total mass counts as run out, so rounding leaves no cell
-    between blocks. On the line these cells are the optimal plan for
-    any convex cost.
+    current target entry still accepts, left to right, and returns the
+    cells that move mass as arrays (i, j, mass, starts). An entry whose
+    remainder is within BLOCK_RTOL of the total mass counts as run out,
+    so rounding leaves no cell between blocks. An index advances only
+    when its own entry runs out, so a cell past the one before in both
+    i and j follows two entries that ran out in one step: starts marks
+    it, the first of a new block, and the first cell. On the line these
+    cells are the optimal plan for any convex cost.
     """
     tol = BLOCK_RTOL * max(float(a.sum()), float(b.sum()))
+    a, b = a.tolist(), b.tolist()
     n, m = len(a), len(b)
     i = j = 0
-    left_a, left_b = float(a[0]), float(b[0])
-    starts = True
+    left_a, left_b = a[0], b[0]
+    cells = []
     while True:
         move = min(left_a, left_b)
         if move > 0.0:
-            yield i, j, move, starts
-            starts = False
+            cells += i, j, move
         left_a -= move
         left_b -= move
         done_row = left_a <= tol
         done_col = left_b <= tol
-        starts = starts or (done_row and done_col)
         i += done_row
         j += done_col
         if i == n or j == m:
-            return
+            break
         if done_row:
-            left_a = float(a[i])
+            left_a = a[i]
         if done_col:
-            left_b = float(b[j])
+            left_b = b[j]
+    i, j, mass = np.array(cells).reshape(-1, 3).T
+    starts = (np.diff(i, prepend=-1) > 0) & (np.diff(j, prepend=-1) > 0)
+    return i.astype(np.intp), j.astype(np.intp), mass, starts
 
 
 def _check_equal_masses(a: np.ndarray, b: np.ndarray) -> float:
@@ -296,8 +299,8 @@ def monotone_plan(nu0, nu1) -> np.ndarray:
     b = np.asarray(nu1, dtype=float)
     _check_equal_masses(a, b)
     plan = np.zeros((a.shape[0], b.shape[0]))
-    for i, j, move, _ in monotone_cells(a, b):
-        plan[i, j] = move
+    i, j, move, _ = monotone_cells(a, b)
+    plan[i, j] = move
     return plan
 
 
@@ -308,40 +311,36 @@ def monotone_potentials(cost: np.ndarray, p: np.ndarray, q: np.ndarray):
     points, and cost is the squared distance between those points.
     f_i + g_j equals cost_ij on every cell of monotone_cells and is at
     most cost_ij everywhere, so sum p f + sum q g is the exact cost
-    (Thornton & Cuturi, arXiv 2206.07630). Each cell fixes one new
-    potential; the walk's blocks are free up to one constant t each,
-    entering as f + t, g - t, and t is the midpoint of its range.
-    That range keeps the slack cost - f - g nonnegative between the
-    block and the earlier ones. The slack only grows away from the
-    staircase, so only the two cells beside the previous block's last
-    cell (i0 - 1, j0 - 1) bound it: (i0, j0 - 1) from above and
-    (i0 - 1, j0) from below. Points the walk leaves, carrying at most
-    rounding error, get the c-transform of the others.
+    (Thornton & Cuturi, arXiv 2206.07630). Along a block f starts at 0
+    and changes by the cost step wherever i moves, and g = cost - f.
+    Each block is free up to one constant t, entering as f + t, g - t,
+    and t is the midpoint of the range that keeps the slack
+    cost - f - g nonnegative between the block and the earlier ones.
+    The slack only grows away from the staircase, so only the two
+    cells beside the previous block's last cell (i0 - 1, j0 - 1) bound
+    it: (i0, j0 - 1) from above and (i0 - 1, j0) from below. Points
+    the walk leaves, carrying at most rounding error, get the
+    c-transform of the others. The costs of whole-pixel shifts give
+    integer and half-integer potentials, which these sums hold
+    exactly; other costs round.
     """
-    n, m = cost.shape
-    f = np.empty(n)
-    g = np.empty(m)
-    starts = []
-    i = j = -1
-    for i_new, j_new, _, first in monotone_cells(p, q):
-        if first:
-            starts.append((i_new, j_new))
-            f[i_new] = 0.0
-            g[j_new] = cost[i_new, j_new]
-        elif i_new > i:
-            f[i_new] = cost[i_new, j_new] - g[j_new]
-        else:
-            g[j_new] = cost[i_new, j_new] - f[i_new]
-        i, j = i_new, j_new
-    # blocks [i0, i1) x [j0, j1) after the first, each set after the one before
-    for (i0, j0), (i1, j1) in zip(starts[1:], [*starts[2:], (i + 1, j + 1)]):
-        lower = f[i0 - 1] + g[j0] - cost[i0 - 1, j0]
-        upper = cost[i0, j0 - 1] - f[i0] - g[j0 - 1]
-        t = 0.5 * (lower + upper)
-        f[i0:i1] += t
-        g[j0:j1] -= t
-    f[i + 1:] = (cost[i + 1:, :] - g[None, :]).min(axis=1)
-    g[j + 1:] = (cost[:, j + 1:] - f[:, None]).min(axis=0)
+    i, j, _, starts = monotone_cells(p, q)
+    c = cost[i, j]
+    block = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    f_run = np.cumsum(np.where(np.diff(i, prepend=-1) > 0, np.diff(c, prepend=0.0), 0.0))
+    f_cells = f_run - f_run[first][block]
+    f, g = np.empty(cost.shape[0]), np.empty(cost.shape[1])
+    f[i], g[j] = f_cells, c - f_cells
+    i0, j0 = i[first[1:]], j[first[1:]]
+    lower = f[i0 - 1] + g[j0] - cost[i0 - 1, j0]
+    upper = cost[i0, j0 - 1] - f[i0] - g[j0 - 1]
+    # a block's constant is its own midpoint plus the previous block's
+    t = np.cumsum(np.r_[0.0, 0.5 * (lower + upper)])[block]
+    f[i] += t
+    g[j] -= t
+    f[i[-1] + 1:] = (cost[i[-1] + 1:, :] - g[None, :]).min(axis=1)
+    g[j[-1] + 1:] = (cost[:, j[-1] + 1:] - f[:, None]).min(axis=0)
     return f, g
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from otstereo.errors import InstanceTooLargeError, MassMismatchError, QuantizationError
 from otstereo.reference import brute_force_plan, exact_cost, transport_cost
-from otstereo.scaling import monotone_cells, monotone_plan, monotone_potentials
+from otstereo.scaling import BLOCK_RTOL, monotone_cells, monotone_plan, monotone_potentials
 
 
 def test_monotone_shift_instance():
@@ -30,6 +30,12 @@ def test_monotone_tie_advances_both_pointers():
 def test_monotone_requires_equal_mass():
     with pytest.raises(MassMismatchError):
         monotone_plan([1.0, 0.0], [0.5, 0.0])
+
+
+def test_monotone_requires_positive_mass():
+    with pytest.raises(MassMismatchError) as error:
+        monotone_plan([0.0, 0.0], [0.0, 0.0])
+    assert str(error.value) == "both measures must carry positive mass"
 
 
 def test_monotone_marginals_match_inputs():
@@ -77,6 +83,12 @@ def test_brute_force_rejects_large_instances():
 def test_brute_force_rejects_off_grid_masses():
     with pytest.raises(QuantizationError):
         brute_force_plan([0.3, 0.7], [0.5, 0.5], grid_steps=4)
+
+
+def test_brute_force_rejects_a_grid_of_no_steps():
+    with pytest.raises(ValueError) as error:
+        brute_force_plan([0.5, 0.5], [0.5, 0.5], grid_steps=0)
+    assert str(error.value) == "grid_steps must be a positive integer"
 
 
 def test_exact_cost_quadratic_in_shift():
@@ -139,9 +151,9 @@ def test_potentials_certify_the_monotone_plan(case):
     )
     # each block's free constant is the midpoint of its range: as much
     # slack toward the earlier columns as toward the earlier rows
-    cells = list(monotone_cells(a[s0], b[s1]))
-    starts = [(i, j) for i, j, _, first in cells if first]
-    ends = [*starts[1:], (cells[-1][0] + 1, cells[-1][1] + 1)]
+    i, j, _, first = monotone_cells(a[s0], b[s1])
+    starts = list(zip(i[first], j[first]))
+    ends = [*starts[1:], (i[-1] + 1, j[-1] + 1)]
     for (i0, j0), (i1, j1) in zip(starts[1:], ends[1:]):
         assert slack[i0:i1, :j0].min() == pytest.approx(
             slack[:i0, j0:j1].min(), abs=1e-12 * scale
@@ -151,5 +163,124 @@ def test_potentials_certify_the_monotone_plan(case):
 def test_block_break_drops_the_rounding_residue():
     a = np.array([0.1, 0.2, 0.7, 0.0])
     b = np.array([0.0, 0.3, 0.3, 0.4])
-    cells = [(i, j, starts) for i, j, _, starts in monotone_cells(a, b)]
+    i, j, _, starts = monotone_cells(a, b)
+    cells = list(zip(i.tolist(), j.tolist(), starts.tolist()))
     assert cells == [(0, 1, True), (1, 1, False), (2, 2, True), (2, 3, False)]
+
+
+# Reference forms: the staircase as a generator walk that keeps a
+# block flag, and its potentials as a per-cell loop. The array forms
+# in otstereo.scaling must match them bit for bit.
+def reference_cells(a, b):
+    tol = BLOCK_RTOL * max(float(a.sum()), float(b.sum()))
+    n, m = len(a), len(b)
+    i = j = 0
+    left_a, left_b = float(a[0]), float(b[0])
+    starts = True
+    while True:
+        move = min(left_a, left_b)
+        if move > 0.0:
+            yield i, j, move, starts
+            starts = False
+        left_a -= move
+        left_b -= move
+        done_row = left_a <= tol
+        done_col = left_b <= tol
+        starts = starts or (done_row and done_col)
+        i += done_row
+        j += done_col
+        if i == n or j == m:
+            return
+        if done_row:
+            left_a = float(a[i])
+        if done_col:
+            left_b = float(b[j])
+
+
+def reference_potentials(cost, p, q):
+    n, m = cost.shape
+    f = np.empty(n)
+    g = np.empty(m)
+    starts = []
+    i = j = -1
+    for i_new, j_new, _, first in reference_cells(p, q):
+        if first:
+            starts.append((i_new, j_new))
+            f[i_new] = 0.0
+            g[j_new] = cost[i_new, j_new]
+        elif i_new > i:
+            f[i_new] = cost[i_new, j_new] - g[j_new]
+        else:
+            g[j_new] = cost[i_new, j_new] - f[i_new]
+        i, j = i_new, j_new
+    # blocks [i0, i1) x [j0, j1) after the first, each set after the one before
+    for (i0, j0), (i1, j1) in zip(starts[1:], [*starts[2:], (i + 1, j + 1)]):
+        lower = f[i0 - 1] + g[j0] - cost[i0 - 1, j0]
+        upper = cost[i0, j0 - 1] - f[i0] - g[j0 - 1]
+        t = 0.5 * (lower + upper)
+        f[i0:i1] += t
+        g[j0:j1] -= t
+    f[i + 1:] = (cost[i + 1:, :] - g[None, :]).min(axis=1)
+    g[j + 1:] = (cost[:, j + 1:] - f[:, None]).min(axis=0)
+    return f, g
+
+
+def shifted_blocks(rng, levels):
+    """The same equal-mass blocks in both rows, the second shifted right."""
+    width = int(rng.integers(1, 6))
+    pad = int(rng.integers(0, 5))
+    row = np.repeat(levels, width)
+    return np.r_[row, np.zeros(pad)], np.r_[np.zeros(pad), row]
+
+
+def oracle_row(rng, kind):
+    d = int(rng.integers(2, 40))
+    if kind == "uniform":
+        a, b = rng.uniform(size=d), rng.uniform(size=d)
+        return a, b * (a.sum() / b.sum())
+    if kind == "k/255":
+        a = rng.integers(0, 256, d) * (rng.uniform(size=d) < 0.7) / 255.0
+        a[rng.integers(d)] = 1.0
+        b = rng.permutation(a) if rng.uniform() < 0.5 else np.roll(a, int(rng.integers(d)))
+        return a, b
+    levels = rng.uniform(0.1, 1.0, int(rng.integers(2, 8)))
+    if kind == "blocks":
+        return shifted_blocks(rng, levels)
+    # near-tie: one entry off by about 1e-13 of itself, so that later
+    # block breaks meet within BLOCK_RTOL without being equal
+    a, b = shifted_blocks(rng, levels)
+    k = rng.choice(np.flatnonzero(a))
+    a[k] *= 1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * 1e-13
+    return a, b
+
+
+ROW_KINDS = ["uniform", "k/255", "blocks", "near-tie"]
+
+
+@pytest.mark.parametrize("kind", ROW_KINDS)
+def test_array_staircase_matches_the_walk_bit_for_bit(kind):
+    rng = np.random.default_rng(ROW_KINDS.index(kind))
+    near_ties = 0
+    for _ in range(600):
+        a, b = oracle_row(rng, kind)
+        cells = monotone_cells(a, b)
+        walked = list(reference_cells(a, b))
+        expected = [np.array([cell[k] for cell in walked]) for k in range(4)]
+        for got, want in zip(cells, expected):
+            assert np.array_equal(got, want)
+        plan = np.zeros((len(a), len(b)))
+        for i, j, move, _ in walked:
+            plan[i, j] = move
+        assert np.array_equal(monotone_plan(a, b), plan)
+        # the pipeline's warm start: unit masses on the supports,
+        # squared differences of pixel indices as the cost
+        s0, s1 = np.flatnonzero(a), np.flatnonzero(b)
+        p, q = a[s0] / a[s0].sum(), b[s1] / b[s1].sum()
+        cost = (s0[:, None] - s1[None, :]).astype(float) ** 2
+        f, g = monotone_potentials(cost, p, q)
+        f_ref, g_ref = reference_potentials(cost, p, q)
+        assert np.array_equal(f, f_ref) and np.array_equal(g, g_ref)
+        gaps = np.abs(np.cumsum(a)[:, None] - np.cumsum(b)[None, :])
+        near_ties += bool(((gaps > 0.0) & (gaps <= BLOCK_RTOL * a.sum())).any())
+    if kind == "near-tie":
+        assert near_ties >= 500

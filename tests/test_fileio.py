@@ -255,6 +255,18 @@ def test_disparity_pgm_rejects_a_grid_that_is_not_2d(tmp_path, shape):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("write, message", [
+    (fileio.write_pgm, "expected a 2-d image, got shape (3,)"),
+    (fileio.write_csv, "expected a 2-d array, got shape (3,)"),
+])
+def test_grid_writers_reject_a_1d_array(tmp_path, write, message):
+    path = tmp_path / "grid"
+    with pytest.raises(ValueError) as error:
+        write(path, np.zeros(3))
+    assert str(error.value) == message
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("shape", [(0,), (0, 3), (4,), (2, 3), (1, 4, 1), (0, 4, 0)])
 def test_ply_rejects_points_not_shaped_n_by_4(tmp_path, shape):
     path = tmp_path / "cloud.ply"

@@ -129,6 +129,10 @@ def test_hilbert_distance_support_mismatch():
         hilbert_distance([0.0, 1.0], [1.0, 1.0])
 
 
+def test_hilbert_distance_of_zero_vectors_is_zero():
+    assert hilbert_distance([0.0, 0.0], [0.0, 0.0]) == 0.0
+
+
 def test_hilbert_distance_shape_mismatch():
     with pytest.raises(DimensionMismatchError):
         hilbert_distance([1.0, 1.0], [1.0, 1.0, 1.0])

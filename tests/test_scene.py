@@ -62,6 +62,12 @@ def test_far_objects_project_to_zero_shift():
         pixel_shift(1e-320, RIG)
 
 
+def test_depth_zero_rejected():
+    with pytest.raises(ValueError) as error:
+        pixel_shift(0.0, RIG)
+    assert str(error.value) == "depth must be positive, got 0.0"
+
+
 def test_object_validation():
     with pytest.raises(ValueError):
         SceneObject(x0=0, width=0, depth=100.0, intensity=0.5)

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import otstereo.scaling as scaling_module
-from otstereo.errors import EmptyScanlineError, InfeasibleProjectionError
+from otstereo.errors import (
+    DimensionMismatchError,
+    EmptyScanlineError,
+    InfeasibleProjectionError,
+)
 from otstereo.disparity import disparity_profile
 from otstereo.reference import (
     brute_force_plan,
@@ -353,6 +357,20 @@ def test_empty_input_rejected():
         sinkhorn(np.zeros(3), np.ones(3) / 3, kern, SinkhornConfig(1.0))
 
 
+def test_measure_of_the_wrong_length_rejected():
+    kern = build_kernel(3, 1.0)
+    with pytest.raises(DimensionMismatchError) as error:
+        sinkhorn(np.ones(2) / 2, np.ones(3) / 3, kern, SinkhornConfig(1.0))
+    assert str(error.value) == "measures of length (2,) and (3,) against a kernel of width 3"
+
+
+def test_negative_entry_rejected():
+    kern = build_kernel(3, 1.0)
+    with pytest.raises(ValueError) as error:
+        sinkhorn(np.array([0.6, -0.1, 0.5]), np.ones(3) / 3, kern, SinkhornConfig(1.0))
+    assert str(error.value) == "measures must be nonnegative"
+
+
 def test_config_epsilon_must_match_kernel():
     kern = build_kernel(3, 1.0)
     with pytest.raises(ValueError):
@@ -417,6 +435,12 @@ def test_project_rejects_malformed_marginals(project, bad):
     gamma = np.full((2, 2), 0.25)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         project(gamma, np.array([bad, 0.5]))
+
+
+def test_project_rejects_a_marginal_of_the_wrong_length():
+    with pytest.raises(DimensionMismatchError) as error:
+        project_rows(np.full((2, 2), 0.25), np.ones(3) / 3)
+    assert str(error.value) == "plan with 2 rows against a marginal of length 3"
 
 
 def test_projections_idempotent():
