@@ -25,11 +25,11 @@ import gc
 _COLLECTOR_WAS_ON = gc.isenabled()
 gc.disable()
 
-import argparse
 import atexit
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def parse_run_config(text: str) -> dict:
     return fields
 
 
-def resolve_config(args: argparse.Namespace):
+def resolve_config(args):
     """The run's (SinkhornConfig, out_dir).
 
     Layers the defaults (disparity.DEFAULT_CONFIG, out_dir "."), then
@@ -253,64 +253,118 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse flavor whose usage errors exit with code 1."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(f"{self.prog}: error: {message}")
-
-
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--config", help="key=value file setting epsilon, niter, stop_tolerance, out_dir"
-    )
-    parser.add_argument("--epsilon", type=float, help="entropic regularization")
-    parser.add_argument("--niter", type=int, help="iteration budget per scanline")
-    parser.add_argument(
-        "--stop-tolerance", dest="stop_tolerance", type=float,
-        help="largest column-marginal violation (max norm, unit-mass rows) "
+# Every command: its help line, its handler, its positionals with their
+# help, and its flags as add_argument takes them, in the order
+# build_parser() adds them. _plain_args() reads the plain argv forms
+# from the same table, so the two cannot drift apart.
+_CONFIG_FLAGS = (
+    ("--config", {
+        "help": "key=value file setting epsilon, niter, stop_tolerance, out_dir",
+    }),
+    ("--epsilon", {"type": float, "help": "entropic regularization"}),
+    ("--niter", {"type": int, "help": "iteration budget per scanline"}),
+    ("--stop-tolerance", {
+        "dest": "stop_tolerance", "type": float,
+        "help": "largest column-marginal violation (max norm, unit-mass rows) "
         "at which a solve stops; default 1e-6, 0 runs exactly niter iterations",
-    )
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+    }),
+    ("--out-dir", {"dest": "out_dir", "help": "output directory"}),
+)
+_PAIR = (("left", "left PGM image"), ("right", "right PGM image"))
+
+COMMANDS = {
+    "generate": (
+        "render a scene into a stereo pair", cmd_generate,
+        (("scene", "scene description file"),),
+        (("--out-dir", {"dest": "out_dir", "default": "."}),),
+    ),
+    "disparity": ("solve a stereo pair", cmd_disparity, _PAIR, _CONFIG_FLAGS),
+    "reconstruct": (
+        "lift disparity to a point cloud", cmd_reconstruct,
+        (("disparity", "disparity CSV"),
+         ("image", "right PGM image supplying intensities")),
+        (
+            ("--out", {"default": "cloud.ply", "help": "output PLY path"}),
+            ("--baseline", {"type": float, "default": 10.0}),
+            ("--focal", {"type": float, "default": 1000.0}),
+            ("--beta", {"type": float, "default": 2.0}),
+        ),
+    ),
+    "diagnose": (
+        "trace one scanline's iterations", cmd_diagnose, _PAIR,
+        (("--y", {"type": int, "required": True, "help": "scanline to trace"}),
+         *_CONFIG_FLAGS),
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of COMMANDS, for what _plain_args leaves to it."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse flavor whose usage errors exit with code 1."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            raise SystemExit(f"{self.prog}: error: {message}")
+
     parser = _Parser(prog="otstereo", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-
-    gen = commands.add_parser("generate", help="render a scene into a stereo pair")
-    gen.add_argument("scene", help="scene description file")
-    gen.add_argument("--out-dir", dest="out_dir", default=".")
-    gen.set_defaults(run=cmd_generate)
-
-    disp = commands.add_parser("disparity", help="solve a stereo pair")
-    disp.add_argument("left", help="left PGM image")
-    disp.add_argument("right", help="right PGM image")
-    _add_config_flags(disp)
-    disp.set_defaults(run=cmd_disparity)
-
-    rec = commands.add_parser("reconstruct", help="lift disparity to a point cloud")
-    rec.add_argument("disparity", help="disparity CSV")
-    rec.add_argument("image", help="right PGM image supplying intensities")
-    rec.add_argument("--out", default="cloud.ply", help="output PLY path")
-    rec.add_argument("--baseline", type=float, default=10.0)
-    rec.add_argument("--focal", type=float, default=1000.0)
-    rec.add_argument("--beta", type=float, default=2.0)
-    rec.set_defaults(run=cmd_reconstruct)
-
-    diag = commands.add_parser("diagnose", help="trace one scanline's iterations")
-    diag.add_argument("left", help="left PGM image")
-    diag.add_argument("right", help="right PGM image")
-    diag.add_argument("--y", type=int, required=True, help="scanline to trace")
-    _add_config_flags(diag)
-    diag.set_defaults(run=cmd_diagnose)
+    for name, (help_line, handler, positionals, flags) in COMMANDS.items():
+        command = commands.add_parser(name, help=help_line)
+        for positional, help_text in positionals:
+            command.add_argument(positional, help=help_text)
+        for flag, spec in flags:
+            command.add_argument(flag, **spec)
+        command.set_defaults(run=handler)
     return parser
 
 
+def _plain_args(argv):
+    """What build_parser().parse_args(argv) gives, for a plain argv; else None.
+
+    A plain argv is a command, then that command's positionals in
+    order, with its flags spelled in full anywhere after the command,
+    each followed by a value that does not start with "-" and that the
+    flag's type accepts, and every required flag given; a repeated flag
+    keeps its last value. Every other form, such as --help, "--",
+    --flag=value, an abbreviated flag or a negative value, is left to
+    argparse, which also reports what is wrong.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, handler, positionals, flags = COMMANDS[argv[0]]
+    flags = dict(flags)
+    # argparse's dest for a flag with none given
+    dests = {
+        flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in flags.items()
+    }
+    values = {dests[flag]: spec.get("default") for flag, spec in flags.items()}
+    given, words = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            words.append(token)
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if token not in flags or value.startswith("-"):
+            return None
+        try:
+            values[dests[token]] = flags[token].get("type", str)(value)
+        except ValueError:
+            return None
+        given.add(token)
+    required = {flag for flag, spec in flags.items() if spec.get("required")}
+    if len(words) != len(positionals) or not required <= given:
+        return None
+    values.update(zip((name for name, _ in positionals), words))
+    return SimpleNamespace(command=argv[0], run=handler, **values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.run(args)
     except UnresolvedOcclusionError as exc:

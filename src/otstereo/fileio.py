@@ -6,8 +6,10 @@ token for no-data cells, at 9 significant digits so a write/read
 round trip is lossless at that precision; iteration series as such
 CSV under a header. Point clouds are ASCII PLY with float x, y, z,
 intensity vertex properties, and reports JSON: per-scanline records
-(write_scanlines) or one object (write_json), the only two that load
-json. The writers take the library's records and arrays as they are.
+(write_scanlines) or one object (write_json), spelled here byte for
+byte as json.dumps(indent=2, sort_keys=True) spells them, so no
+command loads json. The writers take the library's records and arrays
+as they are.
 
 No codec parses cells one at a time in Python or formats a cell
 value twice within a block. The images of cartoon scenes repeat most
@@ -33,11 +35,6 @@ import re
 
 import numpy as np
 
-_COMMENT = re.compile(rb"#[^\n]*")
-# a PGM header token after the whitespace and # comments before it (a #
-# inside a token is part of it), matched where the last token ended: a
-# search would restart inside a trailing comment and read it as tokens
-_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
 # the bytes a P2 raster may hold once its comments are gone
 _DIGITS_AND_SPACE = b"0123456789 \t\n\r\v\f"
 # cells per block of rows a text writer formats and gathers at once
@@ -53,8 +50,13 @@ def read_pgm(path) -> np.ndarray:
     """
     with open(path, "rb") as handle:
         raw = handle.read()
+    # a header token after the whitespace and # comments before it (a #
+    # inside a token is part of it), matched where the last token ended: a
+    # search would restart inside a trailing comment and read it as tokens.
+    # Compiled here, not at import, as generate reads no image; re caches it.
+    token_pattern = re.compile(rb"(?:\s|#[^\n]*(?:\n|\Z))*([^\s#]\S*)")
     tokens, header_end = [], 0
-    while len(tokens) < 4 and (token := _TOKEN.match(raw, header_end)):
+    while len(tokens) < 4 and (token := token_pattern.match(raw, header_end)):
         tokens.append(token[1])
         header_end = token.end()
     if not tokens:
@@ -78,7 +80,7 @@ def read_pgm(path) -> np.ndarray:
     else:
         raster = raw[header_end:]
         if b"#" in raster:
-            raster = _COMMENT.sub(b"", raster)
+            raster = re.sub(rb"#[^\n]*", b"", raster)
         if raster.translate(None, _DIGITS_AND_SPACE):
             raise ValueError(f"{path}: P2 raster holds a non-integer sample")
         samples, lines = _p2_samples(raster)
@@ -331,11 +333,76 @@ def write_series(path, records) -> None:
 
 
 def write_json(path, payload) -> None:
-    import json
-
+    """One object as json.dump spells it, indent 2 and keys sorted (_spell_json)."""
+    text = _spell_json(payload) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
+
+
+# the characters json.dumps escapes by name
+_ESCAPES = {
+    '"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r",
+    "\t": "\\t",
+}
+
+
+def _spell_string(text: str) -> str:
+    """text as a JSON string, escaped as json.dumps's ensure_ascii does."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_spell_char, text)) + '"'
+
+
+def _spell_char(char: str) -> str:
+    if " " <= char <= "~" and char not in '"\\':
+        return char
+    if char in _ESCAPES:
+        return _ESCAPES[char]
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000  # astral: a UTF-16 surrogate pair
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+
+
+def _spell_json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2, sort_keys=True) spells it.
+
+    Takes dicts with str keys, lists, tuples, str, None, bool, int and
+    float (NaN and the infinities as NaN, Infinity and -Infinity), and
+    raises TypeError on anything else. `indent` starts every line after
+    the first, as it would for a value nested that deep.
+    """
+    if isinstance(value, str):
+        return _spell_string(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_spell_json(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items = [
+            f"{_spell_string(key)}: {_spell_json(item, inner)}"
+            for key, item in sorted(value.items())
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_scanlines(path, records) -> None:
@@ -360,8 +427,6 @@ def _scanlines_text(records) -> str:
     newlines inside strings, so the stand-in's line is the only one
     that can match.
     """
-    import json
-
     spelled: dict = {}
     parts = []
     for record in records:
@@ -374,8 +439,8 @@ def _scanlines_text(records) -> str:
         key = tuple((name, id(value)) for name, value in rest.items())
         if key not in spelled:
             clean = {name: _clean(value) for name, value in rest.items()}
-            text = json.dumps({**clean, "y": 0}, indent=2, sort_keys=True)
-            head, _, tail = text.replace("\n", "\n    ").partition('\n      "y": 0')
+            text = _spell_json({**clean, "y": 0}, "    ")
+            head, _, tail = text.partition('\n      "y": 0')
             spelled[key] = head + '\n      "y": ', tail, rest
         head, tail, _ = spelled[key]
         parts.append(f"{head}{y:d}{tail}")

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from otstereo import fileio
-from otstereo.cli import main, parse_run_config
+from otstereo.cli import COMMANDS, _plain_args, build_parser, main, parse_run_config
 from otstereo.disparity import DEFAULT_CONFIG, disparity_map, measure_from_row
 from otstereo.fileio import _clean, _scanlines_text
 from otstereo.scaling import SinkhornConfig, build_kernel, iteration_trace
@@ -652,3 +657,114 @@ def test_diagnostics_file_is_json_dump_byte_for_byte(tmp_path):
     assert reports
     text = (run / "occlusion_report.json").read_text()
     assert text == json.dumps({"scanlines": reports}, indent=2, sort_keys=True) + "\n"
+
+
+def spelled(args) -> dict:
+    """Each attribute's repr: NaN matches NaN, and 1 neither 1.0 nor True."""
+    return {name: repr(value) for name, value in vars(args).items()}
+
+
+def argparse_args(parser, argv):
+    """spelled(parser.parse_args(argv)), or None where argparse exits."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return spelled(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+VALUES = ["1", "12", "0.5", "1e-3", "nan", "-1", "-2.5", "abc", "", "x.pgm", "-"]
+WORDS = ["a.pgm", "b", "7", "out dir", "generate", "--", "-h"]
+ODD_TOKENS = ["-h", "--help", "--", "--bogus", "-x", "-1", "--out-dir=run", "--niter=5"]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """An argv drawn from the command table's words, many of them malformed."""
+    name = rng.choice([*COMMANDS, "solve", "--help"])
+    _, _, positionals, flags = COMMANDS.get(name, COMMANDS["disparity"])
+    pieces = [[rng.choice(WORDS[:5])]
+              for _ in range(max(0, len(positionals) + rng.choice([-1, 0, 0, 0, 0, 1])))]
+    if rng.random() < 0.1:
+        pieces.append([rng.choice(WORDS)])
+    for _ in range(rng.randrange(5)):
+        flag, _ = rng.choice(flags)
+        value = rng.choice(VALUES)
+        form = rng.randrange(12)
+        if form == 0:
+            pieces.append([flag[: rng.randrange(3, len(flag) + 1)], value])  # abbreviated
+        elif form == 1:
+            pieces.append([f"{flag}={value}"])
+        elif form == 2:
+            pieces.append([flag])  # its value missing
+        elif form == 3:
+            pieces.append([rng.choice(ODD_TOKENS)])
+        else:
+            pieces.append([flag, value])
+    if name == "diagnose" and rng.random() < 0.8:
+        pieces.append(["--y", rng.choice(["1", "0", "3"])])
+    if rng.random() < 0.5:
+        rng.shuffle(pieces)  # flags before, between and after the positionals
+    return [name, *(token for piece in pieces for token in piece)]
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    parser = build_parser()
+    rng = random.Random(29)
+    read = 0
+    for _ in range(3000):
+        argv = random_argv(rng)
+        plain = _plain_args(argv)
+        if plain is not None:
+            assert spelled(plain) == argparse_args(parser, argv), argv
+            read += 1
+    # the draws reach the plain reader often enough to test it
+    assert read > 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["diagnose", "l.pgm", "r.pgm"],  # --y is required
+    ["disparity", "l.pgm", "r.pgm", "--niter"],
+    ["disparity", "l.pgm", "r.pgm", "--niter", "-3"],
+    ["disparity", "l.pgm", "r.pgm", "--niter", "1.5"],
+    ["disparity", "l.pgm", "r.pgm", "--epsilon=0.1"],
+    ["disparity", "l.pgm", "r.pgm", "--eps", "0.1"],
+    ["disparity", "l.pgm", "--", "r.pgm"],
+    ["disparity", "l.pgm", "r.pgm", "extra.pgm"],
+    ["generate", "--help"],
+    ["generate", "scene.txt", "--out", "pair"],
+    ["solve", "l.pgm", "r.pgm"],
+    [],
+])
+def test_the_plain_reader_leaves_other_forms_to_argparse(argv):
+    assert _plain_args(argv) is None
+
+
+def test_the_benchmark_and_digest_argvs_are_read_plainly():
+    root = Path(__file__).resolve().parents[1]
+    code = """\
+import json, sys
+from pathlib import Path
+sys.dont_write_bytecode = True
+root = Path(sys.argv[1])
+sys.path[:0] = [str(root / "perfbench"), str(root / "tools")]
+import output_digests, run
+argvs = [argv for _, argv in output_digests.COMMANDS]
+for workload in sorted(run.scenes.SCENES):
+    argvs += [[str(a) for a in step.argv]
+              for step in run._steps(workload, Path("work"), "run", (4, 6))]
+print(json.dumps(argvs))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    argvs = json.loads(proc.stdout)
+    commands = {argv[0] for argv in argvs}
+    assert commands == {"generate", "disparity", "reconstruct", "diagnose"}
+    parser = build_parser()
+    for argv in argvs:
+        plain = _plain_args(argv)
+        assert plain is not None, argv
+        assert spelled(plain) == argparse_args(parser, argv)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -621,7 +622,7 @@ def test_p2_reader_parses_each_distinct_line_once(tmp_path, monkeypatch):
         path.write_bytes(header + body)
         parsed.clear()
         assert np.array_equal(fileio.read_pgm(path), p2_token_parse(header + body))
-        assert parsed == [fileio._COMMENT.sub(b"", body)]
+        assert parsed == [re.sub(rb"#[^\n]*", b"", body)]
     # one repeated line that is not blank: each distinct line is parsed once
     raw = b"P2\n3 2\n255\n1 2\n3 4\n1 2\n"
     path.write_bytes(raw)
@@ -745,3 +746,65 @@ def test_writer_memory_is_bounded_per_block(tmp_path, write, bound_mib):
     assert peaks[0] <= bound_mib * 2**20
     # a whole-frame writer's peak doubles with the frame
     assert peaks[1] < 1.25 * peaks[0]
+
+
+# characters that exercise every escape: named, control, DEL, non-ASCII,
+# a lone surrogate and astral ones that json spells as surrogate pairs
+JSON_CHARS = 'az~ "\\/\b\f\n\r\t\x00\x1f\x7f\x80é \ud800￿\U0001f600\U0010ffff'
+JSON_FLOATS = [
+    0.0, -0.0, 1.0, -2.5, 0.1, 1e22, 1e-7, 1e16, 5e-324, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+JSON_INTS = [0, -1, 7, 2**53 + 1, -(2**64), 10**30]
+
+
+def random_json(rng: random.Random, depth: int = 0):
+    """A payload json.dumps takes: nested dicts, lists and tuples of scalars."""
+    kind = rng.randrange(9 if depth < 3 else 6)
+    if kind == 0:
+        return "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([None, True, False])
+    if kind == 2:
+        return rng.choice([*JSON_INTS, rng.randrange(-10**6, 10**6)])
+    if kind in (3, 4):
+        return rng.choice([*JSON_FLOATS, rng.uniform(-1e3, 1e3), rng.random() * 1e-300])
+    if kind == 5:
+        return np.float64(rng.uniform(-1, 1))  # a float subclass, as numpy's are
+    size = rng.randrange(4)
+    if kind == 6:
+        return [random_json(rng, depth + 1) for _ in range(size)]
+    if kind == 7:
+        return tuple(random_json(rng, depth + 1) for _ in range(size))
+    return {
+        "".join(rng.choice(JSON_CHARS) for _ in range(rng.randrange(4))):
+        random_json(rng, depth + 1)
+        for _ in range(size)
+    }
+
+
+def test_spell_json_is_json_dumps_byte_for_byte():
+    rng = random.Random(29)
+    for _ in range(20_000):
+        payload = random_json(rng)
+        assert fileio._spell_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    nested = {"b": [[], {}, ()], "a": {"z": [1, {"y": None}]}}
+    assert fileio._spell_json(nested) == json.dumps(nested, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("payload", [
+    {1: "a"}, {"a": {None: 1}}, {"a": np.int64(3)}, [np.bool_(True)], {1, 2}, b"x",
+])
+def test_spell_json_rejects_what_it_cannot_spell(payload):
+    with pytest.raises(TypeError):
+        fileio._spell_json(payload)
+
+
+def test_write_json_writes_nothing_it_cannot_spell(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        fileio.write_json(path, {"a": object()})
+    assert not path.exists()
+    fileio.write_json(path, {"b": [1.5, "é"], "a": None})
+    assert path.read_text() == json.dumps({"b": [1.5, "é"], "a": None},
+                                          indent=2, sort_keys=True) + "\n"

@@ -1,15 +1,16 @@
 """The package loads each submodule on first use, and each command
 loads only the modules it runs: none of them loads dataclasses or
 otstereo.reference, `disparity` and `diagnose` load neither
-otstereo.scene nor numpy.ma, and `reconstruct` loads neither
-otstereo.scene nor json; README counts the lines `disparity` and
-`reconstruct` load. No collection runs while the command line's
-imports load; the process entry freezes the import-time heap before
-the collector comes back on and ends the process without the
-interpreter's teardown, with the exit code, stdout, stderr and output
-files a plain exit gives, and it exits normally under a profiler;
-main() and `import otstereo.cli` leave the collector as they found
-it, and the process alone."""
+otstereo.scene nor numpy.ma, `reconstruct` does not load
+otstereo.scene, and none of `generate`, `disparity` and `reconstruct`
+loads argparse, gettext, locale or json; README counts the lines
+`disparity` and `reconstruct` load. No collection runs while the
+command line's imports load; the process entry freezes the import-time
+heap before the collector comes back on and ends the process without
+the interpreter's teardown, with the exit code, stdout, stderr and
+output files a plain exit gives, and it exits normally under a
+profiler; main() and `import otstereo.cli` leave the collector as they
+found it, and the process alone."""
 import ast
 import importlib
 import json
@@ -141,27 +142,53 @@ print(json.dumps({{"codes": codes, "loaded": sorted(sys.modules),
     assert "dataclasses" not in result["loaded"]
 
 
+# what no command loads: argparse, with the gettext and locale its
+# messages load, is built only for help, usage errors and the argument
+# forms the plain reader leaves to it, and fileio spells JSON itself
+NEVER_LOADED = {"argparse", "gettext", "locale", "json"}
+
+
+def loaded_by(*argv) -> dict:
+    """The exit code and sys.modules of a fresh interpreter's main(argv)."""
+    code = """\
+import sys
+import otstereo.cli
+code = otstereo.cli.main(sys.argv[1:])
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({"code": code, "loaded": loaded}))
+"""
+    return fresh(code, *argv)
+
+
 def test_reconstruct_loads_neither_scene_nor_json(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)
     pair = tmp_path / "pair"
     assert otstereo.cli.main(["generate", str(scene), "--out-dir", str(pair)]) == 0
-    code = """\
-import sys
-import otstereo.cli
-code = otstereo.cli.main(["reconstruct", *sys.argv[1:]])
-loaded = sorted(sys.modules)
-import json
-print(json.dumps({"code": code, "loaded": loaded}))
-"""
     cloud = tmp_path / "cloud.ply"
-    result = fresh(code, pair / "truth_disparity.csv", pair / "right.pgm", "--out", cloud)
+    result = loaded_by("reconstruct", pair / "truth_disparity.csv", pair / "right.pgm",
+                       "--out", cloud)
     assert result["code"] == 0
     assert {name for name in result["loaded"] if name.startswith("otstereo.")} == {
         f"otstereo.{name}" for name in RECONSTRUCT_LOADS
     }
-    assert "json" not in result["loaded"]
+    assert NEVER_LOADED.isdisjoint(result["loaded"])
     assert "element vertex 42" in cloud.read_text()
+
+
+def test_generate_and_disparity_load_neither_argparse_nor_json(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(README_SCENE)
+    pair, run = tmp_path / "pair", tmp_path / "run"
+    for argv in (["generate", scene, "--out-dir", pair],
+                 ["disparity", pair / "left.pgm", pair / "right.pgm", "--niter", "10000",
+                  "--out-dir", run]):
+        result = loaded_by(*argv)
+        assert result["code"] == 0
+        assert NEVER_LOADED.isdisjoint(result["loaded"]), argv[0]
+    assert (pair / "occlusions.json").is_file()
+    assert (run / "diagnostics.json").is_file()
 
 
 def test_the_readme_counts_the_lines_each_command_loads():
