@@ -34,7 +34,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import fileio
-from .errors import OtStereoError, UnresolvedOcclusionError
+from .errors import OtStereoError
 
 # Each command loads only the modules it runs: the solver stack,
 # otstereo.scene and otstereo.geometry are imported where a command
@@ -43,19 +43,9 @@ from .errors import OtStereoError, UnresolvedOcclusionError
 # through the module-level wrappers below, the names
 # perfbench/spans.py replaces with timed ones.
 
-# The run settings a config file or a flag can set. epsilon, niter
-# and stop_tolerance override the fields of disparity.DEFAULT_CONFIG
-# (niter is its max_iterations); out_dir defaults to ".".
-_CONFIG_PARSERS = {
-    "epsilon": float,
-    "niter": int,
-    "stop_tolerance": float,
-    "out_dir": str.strip,
-}
-
 
 def parse_run_config(text: str) -> dict:
-    """Parse flat key=value lines into run settings, keyed as _CONFIG_PARSERS."""
+    """Parse flat key=value lines into run settings, keyed as _CONFIG_TYPES."""
     fields = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -63,12 +53,12 @@ def parse_run_config(text: str) -> dict:
             continue
         key, sep, raw = line.partition("=")
         key = key.strip()
-        if not sep or key not in _CONFIG_PARSERS:
+        if not sep or key not in _CONFIG_TYPES:
             raise ValueError(f"config line {line_no}: unknown entry {line!r}")
         if key in fields:
             raise ValueError(f"config line {line_no}: duplicate entry {key!r}")
         try:
-            fields[key] = _CONFIG_PARSERS[key](raw.strip())
+            fields[key] = _CONFIG_TYPES[key](raw.strip())
         except ValueError as exc:
             raise ValueError(f"config line {line_no}: {exc}")
     return fields
@@ -88,7 +78,7 @@ def resolve_config(args):
     fields = {}
     if getattr(args, "config", None):
         fields.update(parse_run_config(Path(args.config).read_text()))
-    for name in _CONFIG_PARSERS:
+    for name in _CONFIG_TYPES:
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
@@ -194,7 +184,8 @@ def cmd_disparity(args) -> int:
 def cmd_reconstruct(args) -> int:
     from .geometry import CameraRig
 
-    rig = CameraRig(baseline=args.baseline, focal=args.focal, beta=args.beta)
+    rig = CameraRig(**{name: getattr(args, name) for name in CameraRig._fields
+                       if getattr(args, name) is not None})
     values = fileio.read_csv(args.disparity)
     image = fileio.read_pgm(args.image)
     if values.size == 0:
@@ -257,6 +248,8 @@ def cmd_diagnose(args) -> int:
 # help, and its flags as add_argument takes them, in the order
 # build_parser() adds them. _plain_args() reads the plain argv forms
 # from the same table, so the two cannot drift apart.
+# _CONFIG_FLAGS are the run settings; a config file sets each but
+# --config under its dest, and resolve_config layers the two.
 _CONFIG_FLAGS = (
     ("--config", {
         "help": "key=value file setting epsilon, niter, stop_tolerance, out_dir",
@@ -264,19 +257,29 @@ _CONFIG_FLAGS = (
     ("--epsilon", {"type": float, "help": "entropic regularization"}),
     ("--niter", {"type": int, "help": "iteration budget per scanline"}),
     ("--stop-tolerance", {
-        "dest": "stop_tolerance", "type": float,
+        "type": float,
         "help": "largest column-marginal violation (max norm, unit-mass rows) "
         "at which a solve stops; default 1e-6, 0 runs exactly niter iterations",
     }),
-    ("--out-dir", {"dest": "out_dir", "help": "output directory"}),
+    ("--out-dir", {"help": "output directory"}),
 )
 _PAIR = (("left", "left PGM image"), ("right", "right PGM image"))
+
+
+def _dest(flag: str) -> str:
+    """argparse's dest for a flag: --stop-tolerance sets stop_tolerance."""
+    return flag[2:].replace("-", "_")
+
+
+_CONFIG_TYPES = {
+    _dest(flag): spec.get("type", str) for flag, spec in _CONFIG_FLAGS if flag != "--config"
+}
 
 COMMANDS = {
     "generate": (
         "render a scene into a stereo pair", cmd_generate,
         (("scene", "scene description file"),),
-        (("--out-dir", {"dest": "out_dir", "default": "."}),),
+        (("--out-dir", {"default": "."}),),
     ),
     "disparity": ("solve a stereo pair", cmd_disparity, _PAIR, _CONFIG_FLAGS),
     "reconstruct": (
@@ -285,9 +288,10 @@ COMMANDS = {
          ("image", "right PGM image supplying intensities")),
         (
             ("--out", {"default": "cloud.ply", "help": "output PLY path"}),
-            ("--baseline", {"type": float, "default": 10.0}),
-            ("--focal", {"type": float, "default": 1000.0}),
-            ("--beta", {"type": float, "default": 2.0}),
+            # no defaults: cmd_reconstruct leaves unset ones to CameraRig
+            ("--baseline", {"type": float}),
+            ("--focal", {"type": float}),
+            ("--beta", {"type": float}),
         ),
     ),
     "diagnose": (
@@ -336,11 +340,7 @@ def _plain_args(argv):
         return None
     _, handler, positionals, flags = COMMANDS[argv[0]]
     flags = dict(flags)
-    # argparse's dest for a flag with none given
-    dests = {
-        flag: spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in flags.items()
-    }
-    values = {dests[flag]: spec.get("default") for flag, spec in flags.items()}
+    values = {_dest(flag): spec.get("default") for flag, spec in flags.items()}
     given, words = set(), []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -351,7 +351,7 @@ def _plain_args(argv):
         if token not in flags or value.startswith("-"):
             return None
         try:
-            values[dests[token]] = flags[token].get("type", str)(value)
+            values[_dest(token)] = flags[token].get("type", str)(value)
         except ValueError:
             return None
         given.add(token)
@@ -367,9 +367,6 @@ def main(argv=None) -> int:
     args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except UnresolvedOcclusionError as exc:
-        print(f"otstereo: numerical failure: {exc}", file=sys.stderr)
-        return 2
     except (OtStereoError, OSError, ValueError) as exc:
         print(f"otstereo: {exc}", file=sys.stderr)
         return 1

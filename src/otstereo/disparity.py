@@ -232,7 +232,7 @@ def recover_occlusions(
     b = np.asarray(nu1, dtype=float)
     m0 = float(a.sum())
     m1 = float(b.sum())
-    if m1 - m0 > DEFAULT_BALANCE_TOLERANCE * max(m0, m1):
+    if m1 > m0 and not compare_masses(m0, m1):
         raise WrongPathError(
             f"source mass {m0} is below target mass {m1}; "
             "this loop recovers content hidden from the target view only"

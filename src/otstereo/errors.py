@@ -26,7 +26,7 @@ class InfeasibleProjectionError(OtStereoError, ValueError):
 
 
 class WrongPathError(OtStereoError, ValueError):
-    """Balanced input sent to the shifted solver or vice versa."""
+    """A source row too light for shifted_sinkhorn or recover_occlusions."""
 
 
 class MassMismatchError(OtStereoError, ValueError):

@@ -184,9 +184,7 @@ class IterationRecord(NamedTuple):
 
 
 def _oscillation(delta: np.ndarray) -> float:
-    """Variation seminorm of a finite vector; zero when empty."""
-    if delta.size == 0:
-        return 0.0
+    """Variation seminorm of a finite nonempty vector."""
     return float(delta.max() - delta.min())
 
 
@@ -284,6 +282,9 @@ def _check_equal_masses(a: np.ndarray, b: np.ndarray) -> float:
     mb = float(b.sum())
     if ma <= 0.0 or mb <= 0.0:
         raise MassMismatchError("both measures must carry positive mass")
+    # a NaN mass passes every comparison below, and its walk never ends
+    if not (math.isfinite(ma) and math.isfinite(mb)):
+        raise MassMismatchError("measures must be finite")
     if abs(ma - mb) > MASS_EQUALITY_RTOL * max(ma, mb):
         raise MassMismatchError(f"masses differ: {ma} vs {mb}")
     return ma

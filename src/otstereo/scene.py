@@ -238,11 +238,7 @@ def parse_scene(text: str) -> tuple[CartoonScene, CameraRig]:
         if required not in scalars:
             raise SceneFormatError(f"missing required key {required!r}")
     try:
-        rig = CameraRig(
-            baseline=scalars.get("baseline", 10.0),
-            focal=scalars.get("focal", 1000.0),
-            beta=scalars.get("beta", 2.0),
-        )
+        rig = CameraRig(**{key: scalars[key] for key in CameraRig._fields if key in scalars})
     except ValueError as exc:
         raise SceneFormatError(str(exc))
 

@@ -383,6 +383,13 @@ def test_reconstruct_applies_rig_flags(tmp_path):
           "--out", str(out), "--baseline", "20", "--focal", "500", "--beta", "1"])
     z = float(out.read_text().splitlines()[8].split()[2])
     assert z == pytest.approx(500 * 20 / 4.0)
+    # no rig flag gives CameraRig's defaults
+    clouds = []
+    for rig_flags in ([], ["--baseline", "10", "--focal", "1000", "--beta", "2"]):
+        assert main(["reconstruct", str(tmp_path / "disp.csv"), str(tmp_path / "img.pgm"),
+                     "--out", str(out), *rig_flags]) == 0
+        clouds.append(out.read_bytes())
+    assert clouds[0] == clouds[1]
 
 
 def test_diagnose_series_and_gap(tmp_path):

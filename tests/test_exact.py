@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -36,6 +41,34 @@ def test_monotone_requires_positive_mass():
     with pytest.raises(MassMismatchError) as error:
         monotone_plan([0.0, 0.0], [0.0, 0.0])
     assert str(error.value) == "both measures must carry positive mass"
+
+
+def test_a_nan_entry_is_rejected_before_the_walk():
+    # the walk on a NaN mass never ended, so the calls run in a child
+    # interpreter whose timeout fails the test instead of hanging it
+    code = """\
+import numpy as np
+from otstereo.disparity import DEFAULT_CONFIG, recover_occlusions
+from otstereo.scaling import build_kernel, monotone_plan
+row = np.array([0.0, 0.5, np.nan, 0.5, 0.0, 0.0])
+for call in (lambda: monotone_plan([np.nan, 1.0], [0.5, 0.5]),
+             lambda: recover_occlusions(row, np.roll(np.nan_to_num(row), 1),
+                                        build_kernel(6, 0.1), DEFAULT_CONFIG)):
+    try:
+        call()
+    except Exception as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "MassMismatchError: measures must be finite",
+        "UnresolvedOcclusionError: measures must be finite",
+    ]
 
 
 def test_monotone_marginals_match_inputs():

@@ -302,6 +302,23 @@ def test_mass_mismatch_in_the_matching_fails_only_its_rows(monkeypatch):
     assert not np.isnan(result.values[2, 30:60]).any()
 
 
+# ROADMAP item 3's simplest case: the near object covers the far one's
+# columns 30-39 in the right view and its columns 40-49 in the left
+# view, so the masses agree and the row takes the balanced path, which
+# converges on a matching that is off by up to 9.5 px on 10 of the 40
+# pixels both views show
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a row that hides content from both views")
+def test_a_row_hiding_content_from_both_views_is_right_or_no_data():
+    pair = scene_rows((obj(20, 50, 10, 0.4), obj(30, 10, 20, 0.8)), d=100, h=3)
+    result = disparity_map(pair.left, pair.right, DEFAULT_CONFIG)
+    truth = pair.truth.values[0]
+    visible = np.isfinite(truth) & ~pair.truth.occluded[0]
+    assert visible.sum() == 40
+    found = result.values[0, visible]
+    assert (np.isnan(found) | (np.abs(found - truth[visible]) <= 0.5)).all()
+
+
 def test_map_rejects_mismatched_shapes():
     with pytest.raises(ValueError):
         disparity_map(np.zeros((2, 10)), np.zeros((3, 10)), CONFIG)

@@ -387,8 +387,9 @@ def test_parse_scene_requires_frame():
         with pytest.raises(SceneFormatError, match="must be a whole number") as info:
             parse_scene(text)
         assert info.value.line == line
-    scene, _ = parse_scene("width = 20.0\nheight = 3\n")
+    scene, rig = parse_scene("width = 20.0\nheight = 3\n")
     assert (scene.width, scene.height) == (20, 3) and type(scene.width) is int
+    assert rig == CameraRig()
 
 
 def test_parse_scene_rejects_depth_and_shift_together():

@@ -167,7 +167,7 @@ def test_plain_and_log_domains_agree():
     assert np.allclose(plan_from_scalings(vectors, kern), plan, atol=1e-13)
 
 
-def test_log_domain_flag_dispatches():
+def test_a_small_epsilon_solve_stays_finite():
     rng = np.random.default_rng(21)
     kern = build_kernel(5, 0.05)
     a = random_probability(rng, 5)

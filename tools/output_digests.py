@@ -10,14 +10,18 @@ each as its own `python -m otstereo.cli` process:
     generate scene.txt
     disparity left.pgm right.pgm                 (the defaults)
     disparity left.pgm right.pgm --niter 10000
+    disparity left.pgm right.pgm --config run.cfg
     reconstruct disparity.csv right.pgm          (of the default run)
     diagnose left.pgm right.pgm --y 1 --niter 300
 
-and, once, in an empty directory, the exit paths that need no scene:
+where run.cfg sets niter, stop_tolerance and out_dir, and, once, in a
+directory without a scene, the exit paths that need none:
 
     --help
     disparity                                    (a usage error)
     reconstruct no_such.csv no_such.pgm          (a missing input file)
+    disparity no_such.pgm no_such.pgm --config bad.cfg
+                                                 (an unknown config key)
 
 It prints one `artifact sha256` line per output file, stdout, stderr
 and exit code, sorted by artifact. Commands run inside the scene's own
@@ -125,6 +129,8 @@ COMMANDS = (
     ("disparity", ["disparity", "pair/left.pgm", "pair/right.pgm", "--out-dir", "run"]),
     ("disparity-niter10000", ["disparity", "pair/left.pgm", "pair/right.pgm",
                               "--niter", "10000", "--out-dir", "run10000"]),
+    ("disparity-config", ["disparity", "pair/left.pgm", "pair/right.pgm",
+                          "--config", "run.cfg"]),
     ("reconstruct", ["reconstruct", "run/disparity.csv", "pair/right.pgm",
                      "--out", "cloud/cloud.ply"]),
     ("diagnose", ["diagnose", "pair/left.pgm", "pair/right.pgm", "--y", "1",
@@ -135,7 +141,16 @@ EXIT_PATHS = (
     ("help", ["--help"]),
     ("usage-error", ["disparity"]),
     ("missing-file", ["reconstruct", "no_such.csv", "no_such.pgm"]),
+    ("config-unknown-key", ["disparity", "no_such.pgm", "no_such.pgm",
+                            "--config", "bad.cfg"]),
 )
+
+# the config files the commands above read, written before they run
+CONFIG_FILES = {
+    "run.cfg": "# settings from a file\nniter = 5000\nstop_tolerance = 1e-5\n"
+               "out_dir =  runcfg \n",
+    "bad.cfg": "niter = 100\nworkers = 2\n",
+}
 
 # one thread per numeric library, as the benchmark runs its children
 THREAD_ENV = {name: "1" for name in
@@ -200,9 +215,11 @@ def main(argv: list[str]) -> int:
             work = Path(scratch) / name
             (work / "cloud").mkdir(parents=True)
             (work / "scene.txt").write_text(text)
+            (work / "run.cfg").write_text(CONFIG_FILES["run.cfg"])
             lines += digests(src, name, COMMANDS, work)
         work = Path(scratch) / "exit-path"
         work.mkdir()
+        (work / "bad.cfg").write_text(CONFIG_FILES["bad.cfg"])
         lines += digests(src, "exit-path", EXIT_PATHS, work)
     for artifact, digest in sorted(lines):
         print(artifact, digest)
