@@ -191,10 +191,6 @@ def cmd_reconstruct(args) -> int:
     if values.size == 0:
         fileio.write_ply(args.out, np.empty((0, 4)))
         return 0
-    if values.shape != image.shape:
-        raise ValueError(
-            f"disparity grid {values.shape} does not match image {image.shape}"
-        )
     cloud = reconstruct(map_from_values(values), rig, image)
     fileio.write_ply(args.out, cloud)
     return 0

@@ -6,17 +6,17 @@ solver moves around (measure_from_row). The disparity of a source
 column is the barycenter of its row in the plan minus the column
 index (disparity_profile, from otstereo.scaling). On a balanced
 scanline of a piecewise constant scene this recovers each object's
-pixel shift. When one row carries more mass
-than the other, beyond the balance tolerance
-DEFAULT_BALANCE_TOLERANCE (compare_masses), the surplus marks pixels
-visible in that view only. Every scanline with mass in both views
-runs one recovery loop: it peels objects left to right, reads their
+pixel shift. When one row carries more mass than the other, beyond
+the balance tolerance DEFAULT_BALANCE_TOLERANCE (compare_masses),
+the surplus marks pixels visible in that view only. Every scanline
+with mass in both views, whichever is heavier, goes to one entry,
+recover_occlusions: it peels objects left to right, reads their
 rigid shifts off the exact monotone matching, localizes the hidden
 interval by mass accounting, and checks that the shifts carry the
-heavier row onto the other; balanced rows peel nothing and go
-straight to the loop's one regularized solve. A row whose left view
-is heavier runs the same loop on both rows flipped. The exact matching
-is scaling.monotone_plan; otstereo.reference holds the paper's
+heavier row onto the other, on both rows flipped when the target is
+the heavier; balanced rows peel nothing and go straight to the
+loop's one regularized solve. The exact matching is
+scaling.monotone_plan; otstereo.reference holds the paper's
 identities the loop is checked against. DEFAULT_CONFIG is the solve
 the command line runs unless told otherwise.
 """
@@ -32,7 +32,6 @@ from .errors import (
     MassMismatchError,
     NoPlateauError,
     UnresolvedOcclusionError,
-    WrongPathError,
 )
 from .maps import DisparityMap, value_runs
 from .scaling import (
@@ -41,6 +40,7 @@ from .scaling import (
     ConvergenceReport,
     GibbsKernel,
     SinkhornConfig,
+    _check_inputs,
     build_kernel,
     disparity_profile,
     monotone_plan,
@@ -191,32 +191,62 @@ def _hides_next(source, target, runs, shift: int) -> bool:
 def recover_occlusions(
     nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig
 ) -> tuple[np.ndarray, OcclusionReport]:
-    """Disparity of a scanline plus the intervals its source view alone shows.
+    """Disparity of a scanline plus the intervals one view alone shows.
 
-    nu0 is the source row and nu1 the target row, each a 1-d array of
-    nonnegative masses. Returns the per-column profile, NaN on columns
-    without an estimate (no source mass, or flagged hidden), and the
-    loop's OcclusionReport.
+    nu0 is the source row and nu1 the target row: 1-d arrays of
+    kernel.d finite, nonnegative masses, both with mass, checked as
+    the solvers check them. Returns the profile over the source's
+    columns, NaN where there is no estimate (no source mass, or
+    flagged hidden), and the loop's OcclusionReport.
 
-    The target must not carry more mass than the source beyond the
-    balance tolerance (DEFAULT_BALANCE_TOLERANCE, relative to the
-    larger mass), else WrongPathError; the surplus is content visible
-    in the source view only. An object is a maximal run of one
-    positive value, as the cartoon model paints each object in one
-    intensity. The loop peels the leftmost remaining object X and
-    reads its rigid shift at its leftmost column, from the exact
-    monotone matching of the remaining source, rescaled to the
-    remaining target's mass, onto that target (monotone_plan). X
-    occludes its right neighbor Y when the run of Y's value that
-    starts in the target right after X's image is shorter than Y, or,
-    with no such run, when Y fits behind X (see _hides_next). The
-    columns from Y's left end whose mass accounts for the remaining
-    surplus are then flagged hidden and removed. X itself is removed
-    from both views and the loop continues until the masses agree
-    within the balance tolerance; the reconciled remainder is solved
-    as a balanced problem by regularized scaling (sinkhorn). Balanced
-    input short-circuits to that final solve and yields a report with
-    no objects.
+    Either view may be heavier. When the target is heavier beyond
+    compare_masses, the peel loop (_peel) runs on both rows flipped,
+    the target as source with the shifts unchanged: each target pixel
+    x with shift s is written to source pixel x - s where the source
+    has mass, and the report, failed or not, is in target columns
+    (_mirrored).
+    """
+    a, b = _check_inputs(nu0, nu1, kernel)
+    m0 = float(a.sum())
+    m1 = float(b.sum())
+    if compare_masses(m0, m1) or m0 > m1:
+        return _peel(a, b, kernel, config)
+    d = kernel.d
+    try:
+        flipped, report = _peel(b[::-1], a[::-1], kernel, config)
+    except UnresolvedOcclusionError as exc:
+        exc.report = _mirrored(exc.report, d)
+        raise
+    target = flipped[::-1]
+    xt = np.flatnonzero(np.isfinite(target))
+    xs = np.rint(xt - target[xt]).astype(int)
+    inside = (xs >= 0) & (xs < d)
+    xt, xs = xt[inside], xs[inside]
+    lands = a[xs] > 0.0
+    profile = np.full(d, np.nan)
+    profile[xs[lands]] = target[xt[lands]]
+    return profile, _mirrored(report, d)
+
+
+def _peel(a: np.ndarray, b: np.ndarray, kernel: GibbsKernel, config: SinkhornConfig):
+    """The peel loop on checked rows whose source a is not the lighter.
+
+    An object is a maximal run of one positive value, as the cartoon
+    model paints each object in one intensity. The loop peels the
+    leftmost remaining object X and reads its rigid shift at its
+    leftmost column, from the exact monotone matching of the remaining
+    source, rescaled to the remaining target's mass, onto that target
+    (monotone_plan). X occludes its right neighbor Y when the run of
+    Y's value that starts in the target right after X's image is
+    shorter than Y, or, with no such run, when Y fits behind X (see
+    _hides_next). The columns from Y's left end whose mass accounts
+    for the remaining surplus are then flagged hidden and removed. X
+    itself is removed from both views and the loop continues until
+    the masses agree within the balance tolerance
+    (DEFAULT_BALANCE_TOLERANCE, relative to the larger mass); the
+    reconciled remainder is solved as a balanced problem by
+    regularized scaling (sinkhorn). Balanced input short-circuits to
+    that final solve and yields a report with no objects.
 
     Once an object was peeled, and unless the remainder's solve
     stopped on its budget, the shifts must carry the source row onto
@@ -228,15 +258,8 @@ def recover_occlusions(
     lands past the start of the object it hides, which no monotone
     matching can read.
     """
-    a = np.asarray(nu0, dtype=float)
-    b = np.asarray(nu1, dtype=float)
     m0 = float(a.sum())
     m1 = float(b.sum())
-    if m1 > m0 and not compare_masses(m0, m1):
-        raise WrongPathError(
-            f"source mass {m0} is below target mass {m1}; "
-            "this loop recovers content hidden from the target view only"
-        )
     phi = m1 / m0
     d = a.shape[0]
     remaining0 = a / m1
@@ -273,11 +296,7 @@ def recover_occlusions(
                 profile[defined] = rest[defined]
             break
         runs = value_runs(remaining0)
-        if not runs:
-            raise UnresolvedOcclusionError(
-                f"mass surplus {deficit:.6f} left with no objects to attribute it to",
-                report=report(),
-            )
+        # no run left means no source mass, and the loop broke off above
         if mass1 <= 0.0:
             raise UnresolvedOcclusionError(
                 f"mass surplus {deficit:.6f} left but the target view is exhausted",
@@ -342,11 +361,11 @@ def _reproduces(source: np.ndarray, target: np.ndarray, profile: np.ndarray) -> 
 
 
 def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
-    """A report of the peel loop on flipped rows, in left-image columns.
+    """A report of the peel loop on flipped rows, in target columns.
 
-    The flipped source is the left row, so the hidden intervals are
-    left-frame ones, and each object's leftmost flipped column is its
-    rightmost left-image column.
+    The flipped source is the target row, the left row of a disparity
+    map, so the hidden intervals are left-frame ones, and each
+    object's leftmost flipped column is its rightmost target column.
     """
     flip = d - 1
     return report._replace(
@@ -378,15 +397,11 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
     report is the row's OcclusionReport, None unless the loop peeled
     an object or failed; info is the row's diagnostics record.
 
-    The right row is the source. A row whose left view is heavier
-    carries content hidden from the right view: flipping both rows
-    turns it into the source-heavy case, with the left row as source
-    and the shifts unchanged, so the same loop solves it. Each left
-    pixel xl with shift s is then written to right pixel xl - s,
-    where the right row has mass; right pixels that no left pixel
-    lands on stay NaN. Its report, failed or not, is in left-image
-    columns (_mirrored). A row the loop cannot resolve takes the
-    failed path: no data, and the error in its record.
+    The right row is the source. The row is empty, one-sided (mass in
+    one view only), or goes to recover_occlusions, whichever view is
+    heavier; there it is balanced (nothing peeled), occluded, or
+    failed: a row the loop cannot resolve has no data, and the error
+    in its record.
     """
     d = kernel.d
     nan = np.full(d, np.nan)
@@ -399,26 +414,11 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
         return nan, no_occlusion, None, {"path": "empty"}
     if m0 == 0.0 or m1 == 0.0:
         return nan, no_occlusion, None, {"path": "one-sided"}
-    mirror = not compare_masses(m0, m1) and m1 > m0
     try:
-        if mirror:
-            flipped, report = recover_occlusions(nu1[::-1], nu0[::-1], kernel, config)
-        else:
-            values, report = recover_occlusions(nu0, nu1, kernel, config)
+        values, report = recover_occlusions(nu0, nu1, kernel, config)
     except UnresolvedOcclusionError as exc:
-        report = _mirrored(exc.report, d) if mirror else exc.report
-        info = {"path": "failed", "error": str(exc), **_solve_facts(report.solve)}
-        return nan, no_occlusion, report, info
-    if mirror:
-        left = flipped[::-1]
-        xl = np.flatnonzero(np.isfinite(left))
-        xr = np.rint(xl - left[xl]).astype(int)
-        inside = (xr >= 0) & (xr < d)
-        xl, xr = xl[inside], xr[inside]
-        lands = nu0[xr] > 0.0
-        values = np.full(d, np.nan)
-        values[xr[lands]] = left[xl[lands]]
-        report = _mirrored(report, d)
+        info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report.solve)}
+        return nan, no_occlusion, exc.report, info
     if not report.object_shifts:
         info = {"path": "balanced", **_solve_facts(report.solve)}
         return values, no_occlusion, None, info

@@ -26,7 +26,7 @@ class InfeasibleProjectionError(OtStereoError, ValueError):
 
 
 class WrongPathError(OtStereoError, ValueError):
-    """A source row too light for shifted_sinkhorn or recover_occlusions."""
+    """A source row too light for shifted_sinkhorn."""
 
 
 class MassMismatchError(OtStereoError, ValueError):

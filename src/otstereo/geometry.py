@@ -70,10 +70,9 @@ def reconstruct(disparity: DisparityMap, rig: CameraRig, right_image: np.ndarray
     column), y (scanline), depth, intensity.
     """
     image = np.asarray(right_image, dtype=float)
-    if image.shape != (disparity.height, disparity.width):
+    if image.shape != disparity.values.shape:
         raise ValueError(
-            f"image of shape {image.shape} against a "
-            f"{disparity.height}x{disparity.width} disparity map"
+            f"disparity grid {disparity.values.shape} does not match image {image.shape}"
         )
     values = disparity.values
     # one mask, built in place: NaN fails both tests, -inf the first, inf the second

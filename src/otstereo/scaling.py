@@ -60,8 +60,8 @@ LOG_FLOOR = -700.0
 # absorbed again. Kernel entries are floored at LOG_FLOOR + ABSORB_BOUND
 # so that every product with a deviation stays a normal float.
 ABSORB_BOUND = 30.0
-# A column sum of the absorbed kernel below this is too close to the
-# floored entries to trust; that half-step runs on logarithms instead.
+# A row or column sum of the absorbed kernel below this is too close to
+# the floored entries to trust; that half-step runs on logarithms instead.
 MIN_COLUMN_SUM = 1e-200
 
 
@@ -353,9 +353,10 @@ def _iterate(la_sub, cost, lb_sub, log_drift, epsilon, lu, lv):
     a kernel that absorbs the potentials alpha, beta:
     kernel = exp(block + alpha + beta), so that each half-step is one
     matrix-vector product with exp(lv - beta) or exp(lu - alpha).
-    The potentials are absorbed at the start and whenever a deviation
-    exceeds ABSORB_BOUND, each time from a log-domain u half-step. A
-    v half-step whose column sums fall below MIN_COLUMN_SUM runs on
+    The potentials are absorbed at the start, whenever a deviation
+    exceeds ABSORB_BOUND and whenever a row sum falls below
+    MIN_COLUMN_SUM, each time from a log-domain u half-step. A v
+    half-step whose column sums fall below MIN_COLUMN_SUM runs on
     logarithms. lv is the start; lu only enters the first step's du.
 
     log v is shifted by the log mass quotient after every update so
@@ -366,8 +367,9 @@ def _iterate(la_sub, cost, lb_sub, log_drift, epsilon, lu, lv):
     kernel = None
     while True:
         if kernel is not None:
-            lu_new = la_sub + alpha - np.log(kernel @ np.exp(lv - beta))
-            if np.abs(lu_new - alpha).max() > ABSORB_BOUND:
+            row_sums = kernel @ np.exp(lv - beta)
+            lu_new = la_sub + alpha - np.log(row_sums)
+            if row_sums.min() < MIN_COLUMN_SUM or np.abs(lu_new - alpha).max() > ABSORB_BOUND:
                 kernel = None
         if kernel is None:
             lu_new = la_sub - _lse(block + lv[None, :], axis=1)

@@ -67,7 +67,7 @@ for call in (lambda: monotone_plan([np.nan, 1.0], [0.5, 0.5]),
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "MassMismatchError: measures must be finite",
-        "UnresolvedOcclusionError: measures must be finite",
+        "ValueError: measures must be finite",
     ]
 
 

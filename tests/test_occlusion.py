@@ -8,7 +8,7 @@ from otstereo.disparity import (
     recover_occlusions,
 )
 from otstereo import disparity
-from otstereo.errors import MassMismatchError, UnresolvedOcclusionError, WrongPathError
+from otstereo.errors import EmptyScanlineError, MassMismatchError, UnresolvedOcclusionError
 from otstereo.reference import estimate_phi
 from otstereo.geometry import CameraRig, depth_from_disparity
 from otstereo.scene import CartoonScene, SceneObject, render_pair
@@ -42,14 +42,21 @@ def four_object_pair():
     return scene_rows(objects, d=120, h=4)
 
 
-def test_wrong_path_for_target_heavy_rows():
-    kern = build_kernel(16, 0.5)
-    a = np.zeros(16)
-    a[2:5] = 0.2
-    b = np.zeros(16)
-    b[2:8] = 0.2
-    with pytest.raises(WrongPathError):
-        recover_occlusions(a, b, kern, SinkhornConfig(epsilon=0.5))
+ROW = np.r_[np.zeros(4), np.full(5, 0.5), np.zeros(11)]
+
+
+NO_MASS = "both scanlines must carry positive mass"
+
+
+@pytest.mark.parametrize("nu0, nu1, error, message", [
+    (ROW, np.zeros(20), EmptyScanlineError, NO_MASS),
+    (np.zeros(20), np.zeros(20), EmptyScanlineError, NO_MASS),
+    (-ROW, -np.roll(ROW, 3), EmptyScanlineError, NO_MASS),
+    (ROW, np.roll(ROW, 3) - 0.01, ValueError, "measures must be nonnegative"),
+], ids=["zero-target", "zero-rows", "negated", "negative-entry"])
+def test_rows_are_checked_as_the_solvers_check_them(nu0, nu1, error, message):
+    with pytest.raises(error, match=message):
+        recover_occlusions(nu0, nu1, build_kernel(20, 0.1), CONFIG)
 
 
 def test_balanced_input_gives_empty_report():
@@ -247,6 +254,19 @@ def test_mirror_row_profile_and_left_frame_are_exact():
     assert np.abs(result.values - truth)[np.isfinite(truth)].max() < 1e-4
     # nothing of the right image is hidden from the left camera
     assert not result.occluded.any()
+
+
+def test_target_heavy_row_is_peeled_on_flipped_rows():
+    pair = mirror_pair()
+    nu0 = measure_from_row(pair.right[0])
+    nu1 = measure_from_row(pair.left[0])
+    prof, report = recover_occlusions(nu0, nu1, build_kernel(120, WARM.epsilon), WARM)
+    assert report.left_frame == ((36, 39),)
+    assert report.intervals == ()
+    assert report.object_shifts[0] == (60, 7.0)
+    truth = pair.truth.values[0]
+    visible = np.isfinite(truth) & ~pair.truth.occluded[0]
+    assert np.abs(prof[visible] - truth[visible]).max() < 1e-4
 
 
 def test_mirror_rows_agree_with_and_without_warm_start():

@@ -556,8 +556,11 @@ def test_records_are_immutable_and_round_trip():
         name = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
         copy = pickle.loads(pickle.dumps(record))
         assert type(copy) is type(record) and repr(copy) == repr(record)
+        assert record != record._astuple()
     assert records[0] == CameraRig(10.0, 500.0) and records[0] != CameraRig()
     assert hash(records[3]) == hash(SinkhornConfig(0.1, 1000, 0.0, True))
     assert repr(box) == (

@@ -456,3 +456,5 @@ def test_map_from_values_masks_nan():
     assert result.no_data[0, 1] and result.no_data[1, 0]
     assert not result.occluded.any()
     assert np.array_equal(result.values, values, equal_nan=True)
+    with pytest.raises(ValueError, match="expected a 2-d array"):
+        map_from_values(values[0])
