@@ -206,9 +206,7 @@ def recover_occlusions(
     has mass, and the report, failed or not, is in target columns
     (_mirrored).
     """
-    a, b = _check_inputs(nu0, nu1, kernel)
-    m0 = float(a.sum())
-    m1 = float(b.sum())
+    a, b, m0, m1 = _check_inputs(nu0, nu1, kernel)
     if compare_masses(m0, m1) or m0 > m1:
         return _peel(a, b, kernel, config)
     d = kernel.d

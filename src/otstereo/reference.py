@@ -22,7 +22,7 @@ from .errors import (
     QuantizationError,
     SupportMismatchError,
 )
-from .scaling import GibbsKernel, ScalingVectors, _check_equal_masses, monotone_plan
+from .scaling import GibbsKernel, ScalingVectors, _check_equal_masses, _check_inputs, monotone_plan
 
 BRUTE_FORCE_LIMIT = 4
 
@@ -38,7 +38,7 @@ def transport_cost(gamma) -> float:
 
 
 def exact_cost(nu0, nu1) -> float:
-    """Cost of the optimal plan between two equal-mass measures."""
+    """Cost of the optimal plan between two rows; rejects what monotone_plan rejects."""
     return transport_cost(monotone_plan(nu0, nu1))
 
 
@@ -85,9 +85,11 @@ def brute_force_plan(nu0, nu1, grid_steps: int) -> tuple[np.ndarray, float]:
 
     Both measures must consist of whole multiples of mass/grid_steps.
     Enumeration cost grows fast, so widths above 4 columns are
-    rejected. Returns (plan, cost): the (n, m) float64 plan array and
-    its cost, accumulated in integer grid units and scaled once, which
-    makes comparisons against exact_cost exact.
+    rejected; then it rejects what monotone_plan rejects: the rows the
+    scaling solves reject, and unequal masses. Returns (plan, cost):
+    the (n, m) float64 plan array and its cost, accumulated in integer
+    grid units and scaled once, which makes comparisons against
+    exact_cost exact.
     """
     a = np.asarray(nu0, dtype=float)
     b = np.asarray(nu1, dtype=float)
@@ -97,8 +99,9 @@ def brute_force_plan(nu0, nu1, grid_steps: int) -> tuple[np.ndarray, float]:
         )
     if grid_steps < 1:
         raise ValueError("grid_steps must be a positive integer")
-    total = _check_equal_masses(a, b)
-    unit = total / grid_steps
+    _, _, m0, m1 = _check_inputs(a, b)
+    _check_equal_masses(m0, m1)
+    unit = m0 / grid_steps
     row_counts = _quantize(a, unit, grid_steps)
     col_counts = _quantize(b, unit, grid_steps)
     if row_counts.sum() != grid_steps or col_counts.sum() != grid_steps:

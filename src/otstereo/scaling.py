@@ -188,20 +188,27 @@ def _oscillation(delta: np.ndarray) -> float:
     return float(delta.max() - delta.min())
 
 
-def _check_inputs(nu0, nu1, kernel: GibbsKernel):
+def _check_inputs(nu0, nu1, kernel: GibbsKernel | None = None):
+    """The rows of a solve as float arrays, and their masses: (a, b, ma, mb).
+
+    The rows are checked in this order: 1-d, kernel.d wide when a
+    kernel is given (DimensionMismatchError); finite, read off each
+    sum, which a NaN or infinite entry or an overflow leaves
+    non-finite; nonnegative; with mass (EmptyScanlineError).
+    """
     a = np.asarray(nu0, dtype=float)
     b = np.asarray(nu1, dtype=float)
-    if a.shape != (kernel.d,) or b.shape != (kernel.d,):
-        raise DimensionMismatchError(
-            f"measures of length {a.shape} and {b.shape} against a kernel of width {kernel.d}"
-        )
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+    if a.ndim != 1 or b.ndim != 1 or (kernel is not None and not len(a) == len(b) == kernel.d):
+        width = "are not both rows" if kernel is None else f"against a kernel of width {kernel.d}"
+        raise DimensionMismatchError(f"measures of length {a.shape} and {b.shape} {width}")
+    ma, mb = float(a.sum()), float(b.sum())
+    if not (math.isfinite(ma) and math.isfinite(mb)):
         raise ValueError("measures must be finite")
-    if a.sum() <= 0.0 or b.sum() <= 0.0:
-        raise EmptyScanlineError("both scanlines must carry positive mass")
-    if np.any(a < 0.0) or np.any(b < 0.0):
+    if (a < 0.0).any() or (b < 0.0).any():
         raise ValueError("measures must be nonnegative")
-    return a, b
+    if ma <= 0.0 or mb <= 0.0:
+        raise EmptyScanlineError("both scanlines must carry positive mass")
+    return a, b, ma, mb
 
 
 class _Step(NamedTuple):
@@ -277,28 +284,20 @@ def monotone_cells(a: np.ndarray, b: np.ndarray):
     return i.astype(np.intp), j.astype(np.intp), mass, starts
 
 
-def _check_equal_masses(a: np.ndarray, b: np.ndarray) -> float:
-    ma = float(a.sum())
-    mb = float(b.sum())
-    if ma <= 0.0 or mb <= 0.0:
-        raise MassMismatchError("both measures must carry positive mass")
-    # a NaN mass passes every comparison below, and its walk never ends
-    if not (math.isfinite(ma) and math.isfinite(mb)):
-        raise MassMismatchError("measures must be finite")
+def _check_equal_masses(ma: float, mb: float) -> None:
     if abs(ma - mb) > MASS_EQUALITY_RTOL * max(ma, mb):
         raise MassMismatchError(f"masses differ: {ma} vs {mb}")
-    return ma
 
 
 def monotone_plan(nu0, nu1) -> np.ndarray:
     """Optimal plan by the greedy monotone sweep (monotone_cells).
 
-    Returns the (n, m) float64 plan array. Its positive entries never
-    cross, which is the optimality certificate for the quadratic cost.
+    Rejects the rows the scaling solves reject, and unequal masses.
+    Returns the (n, m) float64 plan array, whose positive entries never
+    cross: the optimality certificate for the quadratic cost.
     """
-    a = np.asarray(nu0, dtype=float)
-    b = np.asarray(nu1, dtype=float)
-    _check_equal_masses(a, b)
+    a, b, ma, mb = _check_inputs(nu0, nu1)
+    _check_equal_masses(ma, mb)
     plan = np.zeros((a.shape[0], b.shape[0]))
     i, j, move, _ = monotone_cells(a, b)
     plan[i, j] = move
@@ -499,7 +498,7 @@ def sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig):
         nu0 exactly; the report records how far its column sums are
         from nu1.
     """
-    a, b = _check_inputs(nu0, nu1, kernel)
+    a, b, _, _ = _check_inputs(nu0, nu1, kernel)
     support0, support1, odd, step, report = _solve(a, b, kernel, config, b)
     u = np.full(kernel.d, -np.inf)
     v = np.full(kernel.d, -np.inf)
@@ -523,9 +522,7 @@ def shifted_sinkhorn(nu0, nu1, kernel: GibbsKernel, config: SinkhornConfig) -> S
     solve: on the line the exact monotone matching of the rescaled
     pair already gives each occluder's whole-pixel shift.
     """
-    a, b = _check_inputs(nu0, nu1, kernel)
-    m0 = float(a.sum())
-    m1 = float(b.sum())
+    a, b, m0, m1 = _check_inputs(nu0, nu1, kernel)
     if abs(m1 - 1.0) > 1e-6:
         raise ValueError(f"target must be a probability vector, its mass is {m1!r}")
     if m0 <= 1.0:
@@ -556,7 +553,7 @@ def iteration_trace(
     iterations. Returns (records, plan, report); plan and report are
     those sinkhorn returns, the plan a d x d float64 array.
     """
-    a, b = _check_inputs(nu0, nu1, kernel)
+    a, b, _, _ = _check_inputs(nu0, nu1, kernel)
     support0, support1, odd, end, report = _solve(a, b, kernel, config, b)
     plan = _scatter(support0, support1, odd, kernel.d)
     end_f = disparity_profile(plan)[support0]

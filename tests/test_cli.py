@@ -775,3 +775,20 @@ print(json.dumps(argvs))
         plain = _plain_args(argv)
         assert plain is not None, argv
         assert spelled(plain) == argparse_args(parser, argv)
+
+
+def test_command_phases_times_every_command_once(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    scene = tmp_path / "scene.txt"
+    scene.write_text("width = 40\nheight = 3\nobject = x0:10 width:8 shift:3 intensity:0.5\n")
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "command_phases.py"), str(root / "src"),
+         "--scene", str(scene), "--runs", "1"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if line.startswith("   0 ")]
+    assert [row[1] for row in rows] == [
+        "generate", "disparity", "disparity-config", "reconstruct", "diagnose"
+    ]

@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otstereo.errors import InstanceTooLargeError, MassMismatchError, QuantizationError
+from otstereo.errors import (
+    EmptyScanlineError,
+    InstanceTooLargeError,
+    MassMismatchError,
+    QuantizationError,
+)
 from otstereo.reference import brute_force_plan, exact_cost, transport_cost
 from otstereo.scaling import BLOCK_RTOL, monotone_cells, monotone_plan, monotone_potentials
 
@@ -38,9 +43,9 @@ def test_monotone_requires_equal_mass():
 
 
 def test_monotone_requires_positive_mass():
-    with pytest.raises(MassMismatchError) as error:
+    with pytest.raises(EmptyScanlineError) as error:
         monotone_plan([0.0, 0.0], [0.0, 0.0])
-    assert str(error.value) == "both measures must carry positive mass"
+    assert str(error.value) == "both scanlines must carry positive mass"
 
 
 def test_a_nan_entry_is_rejected_before_the_walk():
@@ -66,7 +71,7 @@ for call in (lambda: monotone_plan([np.nan, 1.0], [0.5, 0.5]),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        "MassMismatchError: measures must be finite",
+        "ValueError: measures must be finite",
         "ValueError: measures must be finite",
     ]
 

@@ -7,12 +7,24 @@ from otstereo.disparity import (
     measure_from_row,
     recover_occlusions,
 )
-from otstereo import disparity
-from otstereo.errors import EmptyScanlineError, MassMismatchError, UnresolvedOcclusionError
-from otstereo.reference import estimate_phi
+from otstereo import disparity, scaling
+from otstereo.errors import (
+    DimensionMismatchError,
+    EmptyScanlineError,
+    MassMismatchError,
+    UnresolvedOcclusionError,
+)
+from otstereo.reference import brute_force_plan, estimate_phi, exact_cost
 from otstereo.geometry import CameraRig, depth_from_disparity
 from otstereo.scene import CartoonScene, SceneObject, render_pair
-from otstereo.scaling import SinkhornConfig, build_kernel
+from otstereo.scaling import (
+    SinkhornConfig,
+    build_kernel,
+    iteration_trace,
+    monotone_plan,
+    shifted_sinkhorn,
+    sinkhorn,
+)
 
 RIG = CameraRig()
 CONFIG = SinkhornConfig(epsilon=0.1, max_iterations=10000, stop_tolerance=1e-9)
@@ -42,21 +54,47 @@ def four_object_pair():
     return scene_rows(objects, d=120, h=4)
 
 
-ROW = np.r_[np.zeros(4), np.full(5, 0.5), np.zeros(11)]
-
+# four columns, so that the exhaustive search takes the rows too
+ROW = np.array([0.0, 0.5, 0.5, 0.0])
+SHIFTED = np.roll(ROW, 1)
+KERNEL4 = build_kernel(4, CONFIG.epsilon)
 
 NO_MASS = "both scanlines must carry positive mass"
+NEGATIVE = "measures must be nonnegative"
+NOT_FINITE = "measures must be finite"
+
+SOLVE_ENTRIES = {
+    "sinkhorn": lambda a, b: sinkhorn(a, b, KERNEL4, CONFIG),
+    "shifted_sinkhorn": lambda a, b: shifted_sinkhorn(a, b, KERNEL4, CONFIG),
+    "iteration_trace": lambda a, b: iteration_trace(a, b, KERNEL4, CONFIG),
+    "recover_occlusions": lambda a, b: recover_occlusions(a, b, KERNEL4, CONFIG),
+    "monotone_plan": monotone_plan,
+    "exact_cost": exact_cost,
+    "brute_force_plan": lambda a, b: brute_force_plan(a, b, 4),
+}
 
 
 @pytest.mark.parametrize("nu0, nu1, error, message", [
-    (ROW, np.zeros(20), EmptyScanlineError, NO_MASS),
-    (np.zeros(20), np.zeros(20), EmptyScanlineError, NO_MASS),
-    (-ROW, -np.roll(ROW, 3), EmptyScanlineError, NO_MASS),
-    (ROW, np.roll(ROW, 3) - 0.01, ValueError, "measures must be nonnegative"),
-], ids=["zero-target", "zero-rows", "negated", "negative-entry"])
-def test_rows_are_checked_as_the_solvers_check_them(nu0, nu1, error, message):
-    with pytest.raises(error, match=message):
-        recover_occlusions(nu0, nu1, build_kernel(20, 0.1), CONFIG)
+    (ROW, np.zeros(4), EmptyScanlineError, NO_MASS),
+    (np.zeros(4), np.zeros(4), EmptyScanlineError, NO_MASS),
+    (-ROW, -SHIFTED, ValueError, NEGATIVE),
+    (ROW, SHIFTED - 0.01, ValueError, NEGATIVE),
+    (np.array([0.0, np.nan, 0.5, 0.0]), SHIFTED, ValueError, NOT_FINITE),
+    (ROW, np.array([0.0, 0.0, np.inf, 0.5]), ValueError, NOT_FINITE),
+    (ROW[None, :], SHIFTED, DimensionMismatchError, r"measures of length \(1, 4\) and \(4,\)"),
+], ids=["zero-target", "zero-rows", "negated", "negative-entry", "nan", "inf", "2-d"])
+@pytest.mark.parametrize("entry", SOLVE_ENTRIES.values(), ids=SOLVE_ENTRIES)
+def test_rows_are_checked_as_the_solvers_check_them(monkeypatch, entry, nu0, nu1, error,
+                                                    message):
+    # a NaN mass never ends the monotone walk: a row that reaches it
+    # fails here instead of hanging the run
+    def walk(*_):
+        raise AssertionError("the rows reached the monotone walk")
+
+    monkeypatch.setattr(scaling, "monotone_cells", walk)
+    with pytest.raises(error, match=f"^{message}") as raised:
+        entry(nu0, nu1)
+    assert type(raised.value) is error
 
 
 def test_balanced_input_gives_empty_report():

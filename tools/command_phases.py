@@ -15,6 +15,7 @@ that drift of a shared machine falls on all of them alike:
 
     generate scene.txt
     disparity left.pgm right.pgm                 (the defaults)
+    disparity left.pgm right.pgm --config run.cfg
     reconstruct disparity.csv right.pgm          (of the default run)
     diagnose left.pgm right.pgm --y 1 --niter 300
 
@@ -158,8 +159,7 @@ def main(argv=None) -> int:
         works = []
         for k, src in enumerate(trees):
             work = Path(scratch) / str(k)
-            (work / "cloud").mkdir(parents=True)
-            (work / "scene.txt").write_text(text)
+            output_digests.prepare_scene(work, text)
             # the pair and the solve that reconstruct reads
             for _, command in COMMANDS[:2]:
                 timed_run(src, command, work)
@@ -173,10 +173,10 @@ def main(argv=None) -> int:
     for k, src in enumerate(trees):
         print(f"# tree {k}: {src}")
     print(f"# ms (minflt: pages), median of {args.runs} fresh runs")
-    print(f"{'tree':>4} {'command':<12}" + "".join(f"{name:>10}" for name in PHASES))
+    print(f"{'tree':>4} {'command':<16}" + "".join(f"{name:>10}" for name in PHASES))
     for (k, label), runs in samples.items():
         medians = [statistics.median(run[name] for run in runs) for name in PHASES]
-        print(f"{k:>4} {label:<12}" + "".join(f"{value:>10.1f}" for value in medians[:-1])
+        print(f"{k:>4} {label:<16}" + "".join(f"{value:>10.1f}" for value in medians[:-1])
               + f"{medians[-1]:>10.0f}")
     return 0
 

@@ -163,6 +163,14 @@ def child_env(src: Path) -> dict[str, str]:
             "PYTHONDONTWRITEBYTECODE": "1"}
 
 
+def prepare_scene(work: Path, text: str) -> None:
+    """Make work a scene directory: scene.txt, cloud/ and CONFIG_FILES."""
+    (work / "cloud").mkdir(parents=True)
+    (work / "scene.txt").write_text(text)
+    for name, config in CONFIG_FILES.items():
+        (work / name).write_text(config)
+
+
 def scenes() -> dict[str, str]:
     found = {
         f"{name}-{seed}": build(seed)
@@ -213,9 +221,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="otstereo-digests-") as scratch:
         for name, text in scenes().items():
             work = Path(scratch) / name
-            (work / "cloud").mkdir(parents=True)
-            (work / "scene.txt").write_text(text)
-            (work / "run.cfg").write_text(CONFIG_FILES["run.cfg"])
+            prepare_scene(work, text)
             lines += digests(src, name, COMMANDS, work)
         work = Path(scratch) / "exit-path"
         work.mkdir()
