@@ -42,7 +42,7 @@ _SUBMODULES = {
         "WrongPathError",
     ),
     "geometry": ("CameraRig", "depth_from_disparity", "pixel_shift", "reconstruct"),
-    "maps": ("DisparityMap", "map_from_values"),
+    "maps": ("DisparityMap",),
     "reference": (
         "brute_force_plan",
         "estimate_phi",

@@ -123,10 +123,10 @@ def reconstruct(disparity, rig, right_image):
 
 
 def map_from_values(values):
-    """maps.map_from_values; the first call loads otstereo.maps."""
-    from .maps import map_from_values as wrap
+    """The (h, d) grid as a DisparityMap, NaN for no data; the first call loads otstereo.maps."""
+    from .maps import DisparityMap
 
-    return wrap(values)
+    return DisparityMap(values)
 
 
 def cmd_generate(args) -> int:
@@ -207,8 +207,9 @@ def cmd_diagnose(args) -> int:
         raise ValueError(f"image shapes {left.shape} and {right.shape} differ")
     if not 0 <= args.y < left.shape[0]:
         raise ValueError(f"scanline {args.y} outside image of height {left.shape[0]}")
-    nu0 = measure_from_row(right[args.y], require_mass=True)
-    nu1 = measure_from_row(left[args.y], require_mass=True)
+    # iteration_trace rejects a row without mass (EmptyScanlineError)
+    nu0 = measure_from_row(right[args.y])
+    nu1 = measure_from_row(left[args.y])
     # the series measures the contraction of the fixed-epsilon
     # iteration, so the solve starts cold
     sk = SinkhornConfig(config.epsilon, config.max_iterations, config.stop_tolerance)

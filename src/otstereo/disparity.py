@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    EmptyScanlineError,
     InvalidIntensityError,
     MassMismatchError,
     NoPlateauError,
@@ -59,17 +58,16 @@ DEFAULT_CONFIG = SinkhornConfig(
 )
 
 
-def measure_from_row(row, *, require_mass: bool = False) -> np.ndarray:
+def measure_from_row(row) -> np.ndarray:
     """Validate one row of pixel intensities as a measure on the grid.
 
     Args:
         row: sequence of intensities, each finite and within [0, 1].
-        require_mass: raise EmptyScanlineError on an all-zero row
-            instead of returning the zero measure.
 
     Returns:
         The row as a 1-d float64 array, one mass per column; its sum
-        is the row's mass.
+        is the row's mass. An all-zero row gives the zero measure,
+        which every solve rejects (scaling._check_inputs).
     """
     values = np.asarray(row, dtype=float)
     if values.ndim != 1:
@@ -78,8 +76,6 @@ def measure_from_row(row, *, require_mass: bool = False) -> np.ndarray:
         raise InvalidIntensityError("intensities must be finite")
     if np.any(values < 0.0) or np.any(values > 1.0):
         raise InvalidIntensityError("intensities must lie in [0, 1]")
-    if require_mass and values.sum() == 0.0:
-        raise EmptyScanlineError("scanline carries no mass")
     return values
 
 
@@ -373,8 +369,8 @@ def _mirrored(report: OcclusionReport, d: int) -> OcclusionReport:
     )
 
 
-def _solve_facts(solve: ConvergenceReport | None) -> dict:
-    """Diagnostics of a row's one regularized solve; None gives 0 iterations, converged."""
+def _solve_facts(solve: ConvergenceReport | None, kernel: GibbsKernel) -> dict:
+    """Diagnostics of a row's one solve, lam read off kernel; None is 0 iterations, converged."""
     if solve is None:
         return {"iterations": 0, "stop_reason": STOP_CONVERGED}
     return {
@@ -383,7 +379,7 @@ def _solve_facts(solve: ConvergenceReport | None) -> dict:
         "hilbert_u": solve.hilbert_u[-1],
         "hilbert_v": solve.hilbert_v[-1],
         "marginal_violation": solve.marginal_violation,
-        "lam": solve.lam,
+        "lam": kernel.lam,
     }
 
 
@@ -415,15 +411,15 @@ def _row_pipeline(right_row, left_row, kernel: GibbsKernel, config: SinkhornConf
     try:
         values, report = recover_occlusions(nu0, nu1, kernel, config)
     except UnresolvedOcclusionError as exc:
-        info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report.solve)}
+        info = {"path": "failed", "error": str(exc), **_solve_facts(exc.report.solve, kernel)}
         return nan, no_occlusion, exc.report, info
     if not report.object_shifts:
-        info = {"path": "balanced", **_solve_facts(report.solve)}
+        info = {"path": "balanced", **_solve_facts(report.solve, kernel)}
         return values, no_occlusion, None, info
     occluded = np.zeros(d, dtype=bool)
     for lo, hi in report.intervals:
         occluded[lo : hi + 1] = True
-    info = {"path": "occlusion", "phi": report.phi, **_solve_facts(report.solve)}
+    info = {"path": "occlusion", "phi": report.phi, **_solve_facts(report.solve, kernel)}
     return values, occluded, report, info
 
 

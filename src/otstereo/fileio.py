@@ -407,8 +407,9 @@ def _spell_json(value, indent: str = "") -> str:
 
 def write_scanlines(path, records) -> None:
     """Write {"scanlines": records}, mappings each with an int "y" (_scanlines_text)."""
+    text = _scanlines_text(records)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_scanlines_text(records))
+        handle.write(text)
 
 
 def _clean(value):

@@ -1,9 +1,9 @@
 """Disparity grids and the run-length helper that reads them.
 
 The renderer builds its ground truth from these, the solver its
-output and `reconstruct` its input (map_from_values), so they depend
-on numpy alone: commands that never solve (`generate`, `reconstruct`)
-load this module and not the solver stack.
+output and `reconstruct` its input (a DisparityMap of the read grid),
+so they depend on numpy alone: commands that never solve (`generate`,
+`reconstruct`) load this module and not the solver stack.
 """
 from __future__ import annotations
 
@@ -57,11 +57,6 @@ class DisparityMap(Record):
     @property
     def no_data(self) -> np.ndarray:
         return ~self.defined_mask
-
-
-def map_from_values(values: np.ndarray) -> DisparityMap:
-    """Wrap a plain (h, d) disparity array, NaN meaning no data."""
-    return DisparityMap(values)
 
 
 def value_runs(values) -> list[tuple[int, int]]:

@@ -84,22 +84,20 @@ def brute_force_plan(nu0, nu1, grid_steps: int) -> tuple[np.ndarray, float]:
     """Exhaustive minimizer over all plans on a uniform mass grid.
 
     Both measures must consist of whole multiples of mass/grid_steps.
-    Enumeration cost grows fast, so widths above 4 columns are
-    rejected; then it rejects what monotone_plan rejects: the rows the
-    scaling solves reject, and unequal masses. Returns (plan, cost):
-    the (n, m) float64 plan array and its cost, accumulated in integer
-    grid units and scaled once, which makes comparisons against
-    exact_cost exact.
+    The checks run in this order: the rows the scaling solves reject
+    (_check_inputs); widths above 4 columns, since enumeration cost
+    grows fast; grid_steps below 1; then unequal masses, as
+    monotone_plan rejects them. Returns (plan, cost): the (n, m)
+    float64 plan array and its cost, accumulated in integer grid units
+    and scaled once, which makes comparisons against exact_cost exact.
     """
-    a = np.asarray(nu0, dtype=float)
-    b = np.asarray(nu1, dtype=float)
+    a, b, m0, m1 = _check_inputs(nu0, nu1)
     if a.shape[0] > BRUTE_FORCE_LIMIT or b.shape[0] > BRUTE_FORCE_LIMIT:
         raise InstanceTooLargeError(
             f"exhaustive search is limited to {BRUTE_FORCE_LIMIT} columns"
         )
     if grid_steps < 1:
         raise ValueError("grid_steps must be a positive integer")
-    _, _, m0, m1 = _check_inputs(a, b)
     _check_equal_masses(m0, m1)
     unit = m0 / grid_steps
     row_counts = _quantize(a, unit, grid_steps)

@@ -149,14 +149,14 @@ class ConvergenceReport(NamedTuple):
     update, measured on the positive support. marginal_violation is
     the max-norm gap between the returned plan's column sums and their
     limit, the quantity the tolerance stop tests. stop_reason is
-    converged or max-iterations.
+    converged or max-iterations. The solve's contraction factor is its
+    kernel's lam.
     """
 
     iterations: int
     hilbert_u: list[float]
     hilbert_v: list[float]
     marginal_violation: float
-    lam: float
     stop_reason: str
 
 
@@ -455,7 +455,6 @@ def _solve(a: np.ndarray, b: np.ndarray, kernel: GibbsKernel, config: SinkhornCo
         hilbert_u=hilbert_u,
         hilbert_v=hilbert_v,
         marginal_violation=float(np.abs(odd.sum(axis=0) - limit_sub).max()),
-        lam=kernel.lam,
         stop_reason=stop_reason,
     )
     return support0, support1, odd, step, report

@@ -411,8 +411,8 @@ def test_diagnose_series_and_gap(tmp_path):
     assert len(series) == payload["iterations"] + 1
     # the rows are the trace's records: the iteration whole, the
     # probes as write_csv spells them
-    nu0 = measure_from_row(right[0], require_mass=True)
-    nu1 = measure_from_row(left[0], require_mass=True)
+    nu0 = measure_from_row(right[0])
+    nu1 = measure_from_row(left[0])
     config = SinkhornConfig(DEFAULT_CONFIG.epsilon, 4000, 1e-9)
     kernel = build_kernel(60, config.epsilon)
     records = iteration_trace(nu0, nu1, kernel, config)[0]
@@ -466,6 +466,18 @@ def test_diagnose_image_shapes_must_match(tmp_path, capsys):
     assert main(["diagnose", str(tmp_path / "a.pgm"), str(tmp_path / "b.pgm"),
                  "--y", "0", "--out-dir", str(run)]) == 1
     assert capsys.readouterr().err == "otstereo: image shapes (2, 8) and (3, 8) differ\n"
+    assert not run.exists()
+
+
+def test_diagnose_rejects_a_scanline_without_mass(tmp_path, capsys):
+    # the traced solve checks the rows, as every solve does
+    image = np.zeros((3, 8))
+    image[[0, 2], 2:5] = 0.5
+    fileio.write_pgm(tmp_path / "img.pgm", image)
+    run = tmp_path / "run"
+    assert main(["diagnose", str(tmp_path / "img.pgm"), str(tmp_path / "img.pgm"),
+                 "--y", "1", "--out-dir", str(run)]) == 1
+    assert capsys.readouterr().err == "otstereo: both scanlines must carry positive mass\n"
     assert not run.exists()
 
 

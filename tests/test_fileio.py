@@ -808,3 +808,13 @@ def test_write_json_writes_nothing_it_cannot_spell(tmp_path):
     fileio.write_json(path, {"b": [1.5, "é"], "a": None})
     assert path.read_text() == json.dumps({"b": [1.5, "é"], "a": None},
                                           indent=2, sort_keys=True) + "\n"
+
+
+def test_write_scanlines_writes_nothing_it_cannot_spell(tmp_path):
+    kept, missing = tmp_path / "kept.json", tmp_path / "missing.json"
+    kept.write_bytes(b"old contents\n")
+    for path in (kept, missing):
+        with pytest.raises(TypeError):
+            fileio.write_scanlines(path, [{"y": 0, "bad": {1: 2}}])
+    assert kept.read_bytes() == b"old contents\n"
+    assert not missing.exists()

@@ -82,7 +82,8 @@ SOLVE_ENTRIES = {
     (np.array([0.0, np.nan, 0.5, 0.0]), SHIFTED, ValueError, NOT_FINITE),
     (ROW, np.array([0.0, 0.0, np.inf, 0.5]), ValueError, NOT_FINITE),
     (ROW[None, :], SHIFTED, DimensionMismatchError, r"measures of length \(1, 4\) and \(4,\)"),
-], ids=["zero-target", "zero-rows", "negated", "negative-entry", "nan", "inf", "2-d"])
+    (0.5, 0.5, DimensionMismatchError, r"measures of length \(\) and \(\)"),
+], ids=["zero-target", "zero-rows", "negated", "negative-entry", "nan", "inf", "2-d", "0-d"])
 @pytest.mark.parametrize("entry", SOLVE_ENTRIES.values(), ids=SOLVE_ENTRIES)
 def test_rows_are_checked_as_the_solvers_check_them(monkeypatch, entry, nu0, nu1, error,
                                                     message):

@@ -5,7 +5,7 @@ import pytest
 
 from otstereo.errors import OutOfFrameError, SceneFormatError
 from otstereo.geometry import CameraRig, depth_from_disparity, pixel_shift, reconstruct
-from otstereo.maps import map_from_values, value_runs
+from otstereo.maps import DisparityMap, value_runs
 from otstereo.scene import CartoonScene, SceneObject, load_scene, parse_scene, render_pair
 
 RIG = CameraRig()
@@ -319,7 +319,7 @@ def test_empty_scene_renders_blank():
 def test_reconstruct_uniform_shift_is_planar():
     values = np.full((4, 10), 5.0)
     image = np.full((4, 10), 0.5)
-    cloud = reconstruct(map_from_values(values), RIG, image)
+    cloud = reconstruct(DisparityMap(values), RIG, image)
     assert len(cloud) == 40
     assert np.allclose(cloud[:, 2], 1000.0)
     assert np.allclose(cloud[:, 3], 0.5)
@@ -339,11 +339,11 @@ def test_reconstruct_skips_undefined_and_occluded():
 
 def test_reconstruct_rejects_wrong_image_shape():
     with pytest.raises(ValueError):
-        reconstruct(map_from_values(np.zeros((2, 5))), RIG, np.zeros((3, 5)))
+        reconstruct(DisparityMap(np.zeros((2, 5))), RIG, np.zeros((3, 5)))
 
 
 def test_zero_disparity_yields_no_points():
-    cloud = reconstruct(map_from_values(np.zeros((2, 5))), RIG, np.zeros((2, 5)))
+    cloud = reconstruct(DisparityMap(np.zeros((2, 5))), RIG, np.zeros((2, 5)))
     assert len(cloud) == 0
 
 
@@ -451,10 +451,10 @@ def test_load_scene(tmp_path):
 
 def test_map_from_values_masks_nan():
     values = np.array([[1.0, np.nan], [np.nan, 3.0]])
-    result = map_from_values(values)
+    result = DisparityMap(values)
     assert result.width == 2 and result.height == 2
     assert result.no_data[0, 1] and result.no_data[1, 0]
     assert not result.occluded.any()
     assert np.array_equal(result.values, values, equal_nan=True)
     with pytest.raises(ValueError, match="expected a 2-d array"):
-        map_from_values(values[0])
+        DisparityMap(values[0])
